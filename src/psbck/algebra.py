@@ -20,15 +20,12 @@ from .errors import MalformedInput, NotCertified, UnboundedAlgebra
 DEFAULT_MAX_CARRIER = 24
 
 
-def max_carrier_cap() -> int:
-    """Default carrier cap; overridable via the PSBCK_MAX_N env var."""
-    raw = os.environ.get("PSBCK_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_CARRIER
+def size_cap(default: int) -> int:
+    """A search's carrier cap: ``default`` unless PSBCK_MAX_N overrides it."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_MAX_CARRIER
+        return max(1, int(os.environ["PSBCK_MAX_N"]))
+    except (KeyError, ValueError):
+        return default
 
 
 @dataclass(frozen=True)
@@ -274,7 +271,7 @@ def diagnose(element_names, one, arrow, squig, zero=None) -> list[Diagnostic]:
 def validate(element_names, one, arrow, squig, zero=None,
              max_n=None) -> FiniteAlgebra:
     """Certify raw tables as a pseudo-BCK algebra or raise NotCertified."""
-    cap = max_n if max_n is not None else max_carrier_cap()
+    cap = max_n if max_n is not None else size_cap(DEFAULT_MAX_CARRIER)
     if len(element_names) > cap:
         raise MalformedInput(
             f"carrier size {len(element_names)} exceeds cap {cap}"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import classes, deduction, morphisms, operators, valuations
 from .algebra import derived_law_suite
-from .errors import ParseError, WorkbenchError
+from .errors import WorkbenchError
 from .suite import run_suite
 from .textfmt import (
     WorkbenchDocument,
@@ -39,6 +39,10 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CommandError(
+            f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def _pick_algebra(doc: WorkbenchDocument, name: str | None):
@@ -518,9 +522,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except WorkbenchError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,11 +10,10 @@ value) with bit i standing for element id i.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import FiniteAlgebra, validate
+from .algebra import FiniteAlgebra, size_cap, validate
 from .errors import (
     CarrierTooLarge,
     MalformedInput,
@@ -25,16 +24,6 @@ from .errors import (
 from .operators import UnaryMap, certify_vto, is_vto
 
 DEFAULT_SUBSET_CAP = 20
-
-
-def subset_cap() -> int:
-    raw = os.environ.get("PSBCK_MAX_N")
-    if raw is None:
-        return DEFAULT_SUBSET_CAP
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_SUBSET_CAP
 
 
 def _saturate(A: FiniteAlgebra, mask: int) -> int:
@@ -55,7 +44,7 @@ def _saturate(A: FiniteAlgebra, mask: int) -> int:
 
 
 def _closed_sets(A: FiniteAlgebra, max_n=None) -> list[int]:
-    cap = max_n if max_n is not None else subset_cap()
+    cap = max_n if max_n is not None else size_cap(DEFAULT_SUBSET_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
     bottom = _saturate(A, 1 << A.one)

@@ -5,20 +5,25 @@ of substructures along a very-true homomorphism, the factor construction
 through a quotient, the first-isomorphism instance, and a backtracking
 isomorphism test.
 
-Endomorphism enumeration has its own cap (|A| <= 8): the raw space is
-|A|^|A| and pruning here is weaker than for operator search.
+Homomorphism enumeration, the isomorphism test and the factor theorem's
+uniqueness check share one depth-first search (``_hom_search``).  It
+assigns f(0), f(1), ... in turn and, at element i, checks only the
+preservation constraints f(x->y) = f(x)->f(y) and f(x~>y) = f(x)~>f(y)
+whose largest element id is i, each as soon as its three elements are
+assigned.  Enumeration has its own cap (|A| <= 8), since the raw space
+is |B|^|A|.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, size_cap
 from .deduction import (
     DeductiveSystem,
     QuotientAlgebra,
+    _saturate,
     enumerate_ds_v,
     lift_vto_to_quotient,
 )
@@ -31,16 +36,6 @@ from .errors import (
 from .operators import UnaryMap, Witness, certify_vto, is_vto
 
 DEFAULT_HOM_CAP = 8
-
-
-def hom_cap() -> int:
-    raw = os.environ.get("PSBCK_MAX_N")
-    if raw is None:
-        return DEFAULT_HOM_CAP
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_HOM_CAP
 
 
 @dataclass(frozen=True)
@@ -111,45 +106,50 @@ def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
     return None
 
 
-def enumerate_hom(A: FiniteAlgebra, B: FiniteAlgebra, max_n=None) -> list[Homomorphism]:
-    """All implication-preserving maps A -> B, lexicographic in map vectors.
+def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, candidates, injective=False):
+    """Yield every preserving map vector with f(x) in ``candidates[x]``.
 
-    DFS fixes f(1)=1 and checks every preservation constraint as soon as
-    all three participating elements are assigned.
+    Depth-first over element ids, trying each element's candidates in the
+    given order, so vectors come out lexicographic in candidate positions.
+    ``injective`` skips values already taken.
     """
-    cap = max_n if max_n is not None else hom_cap()
+    n = A.n
+    checks = [[] for _ in range(n)]
+    for x, y in product(range(n), repeat=2):
+        for tab_a, tab_b in ((A.arrow, B.arrow), (A.squig, B.squig)):
+            z = tab_a[x][y]
+            checks[max(x, y, z)].append((x, y, z, tab_b))
+    m: list[int] = []
+    used = [False] * B.n
+    pending = [iter(candidates[0])]
+    while pending:
+        i = len(pending) - 1
+        if len(m) > i:  # back at depth i: release the value tried last
+            used[m.pop()] = False
+        for w in pending[i]:
+            if injective and used[w]:
+                continue
+            m.append(w)
+            if all(m[z] == tab[m[x]][m[y]] for x, y, z, tab in checks[i]):
+                break
+            m.pop()
+        else:
+            pending.pop()
+            continue
+        if i + 1 == n:
+            yield tuple(m)
+        else:
+            used[w] = True
+            pending.append(iter(candidates[i + 1]))
+
+
+def enumerate_hom(A: FiniteAlgebra, B: FiniteAlgebra, max_n=None) -> list[Homomorphism]:
+    """All implication-preserving maps A -> B, lexicographic in map vectors."""
+    cap = max_n if max_n is not None else size_cap(DEFAULT_HOM_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"source size {A.n} exceeds hom cap {cap}")
-    n = A.n
-    out: list[Homomorphism] = []
-    m: list[int] = []
-
-    def consistent(i: int) -> bool:
-        # re-verify all constraints whose participants are all <= i and
-        # that mention the freshly assigned element i
-        for x in range(i + 1):
-            for y in range(i + 1):
-                for tab_a, tab_b in ((A.arrow, B.arrow), (A.squig, B.squig)):
-                    z = tab_a[x][y]
-                    if z > i or (x != i and y != i and z != i):
-                        continue
-                    if m[z] != tab_b[m[x]][m[y]]:
-                        return False
-        return True
-
-    def rec(i: int):
-        if i == n:
-            out.append(Homomorphism(A, B, tuple(m)))
-            return
-        candidates = [B.one] if i == A.one else range(B.n)
-        for w in candidates:
-            m.append(w)
-            if consistent(i):
-                rec(i + 1)
-            m.pop()
-
-    rec(0)
-    return out
+    candidates = [[B.one] if x == A.one else range(B.n) for x in A.elements]
+    return [Homomorphism(A, B, m) for m in _hom_search(A, B, candidates)]
 
 
 def enumerate_vthom(
@@ -198,20 +198,13 @@ class TransportReport:
         return all(checks)
 
 
-def _is_ds(A: FiniteAlgebra, members: frozenset[int]) -> bool:
-    if A.one not in members:
-        return False
-    for x in members:
-        for y in A.elements:
-            if y in members:
-                continue
-            if A.arrow[x][y] in members or A.squig[x][y] in members:
-                return False
-    return True
-
-
 def _is_vds(A: FiniteAlgebra, v: UnaryMap, members: frozenset[int]) -> bool:
-    return _is_ds(A, members) and all(v.image[x] in members for x in members)
+    mask = sum(1 << x for x in members)
+    return (
+        A.one in members
+        and _saturate(A, mask) == mask
+        and all(v.image[x] in members for x in members)
+    )
 
 
 def transport(f: VtHomomorphism, sub=None, max_n=None) -> TransportReport:
@@ -304,8 +297,9 @@ def factor(f: VtHomomorphism, H: DeductiveSystem, check_unique=True) -> FactorRe
     """Factor a very-true homomorphism through A/H for H inside its kernel.
 
     Returns the induced map from the quotient; commutation with the
-    projection holds by construction.  Uniqueness is asserted by exhaustive
-    search over very-true homomorphisms on the quotient.
+    projection holds by construction.  Uniqueness is checked by searching
+    the very-true homomorphisms on the quotient that commute with the
+    projection; commuting pins every class to one value.
     """
     A, B = f.source, f.target
     w = is_vthom(f.base, f.v, f.u)
@@ -334,10 +328,10 @@ def factor(f: VtHomomorphism, H: DeductiveSystem, check_unique=True) -> FactorRe
     if check_unique:
         matches = [
             g
-            for g in enumerate_vthom(q, vhat, B, f.u, max_n=max(q.n, hom_cap()))
-            if all(g.map[quot.class_of[x]] == f.base.map[x] for x in A.elements)
+            for g in _hom_search(q, B, [[y] for y in m])
+            if all(g[vhat.image[c]] == f.u.image[g[c]] for c in q.elements)
         ]
-        unique = matches == [base]
+        unique = matches == [base.map]
 
     image_preserved = base.image() == f.base.image()
     ker_classes = frozenset(quot.class_of[x] for x in f.base.kernel())
@@ -367,9 +361,6 @@ def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> Homomorphism | None:
         return None
     if (A.zero is None) != (B.zero is None):
         return None
-    n = A.n
-    m: list[int] = []
-    used = [False] * n
 
     # order-profile invariant: |down-set|, |up-set| must match
     def profile(alg, x):
@@ -378,38 +369,11 @@ def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> Homomorphism | None:
     prof_b: dict[tuple[int, int], list[int]] = {}
     for y in B.elements:
         prof_b.setdefault(profile(B, y), []).append(y)
-
-    def consistent(i: int) -> bool:
-        for x in range(i + 1):
-            for y in range(i + 1):
-                for tab_a, tab_b in ((A.arrow, B.arrow), (A.squig, B.squig)):
-                    z = tab_a[x][y]
-                    if z > i or (x != i and y != i and z != i):
-                        continue
-                    if m[z] != tab_b[m[x]][m[y]]:
-                        return False
-        return True
-
-    def rec(i: int):
-        if i == n:
-            return Homomorphism(A, B, tuple(m))
-        if i == A.one:
-            candidates = [B.one]
-        elif A.zero is not None and i == A.zero:
-            candidates = [B.zero]
-        else:
-            candidates = prof_b.get(profile(A, i), [])
-        for w in candidates:
-            if used[w]:
-                continue
-            m.append(w)
-            used[w] = True
-            if consistent(i):
-                found = rec(i + 1)
-                if found is not None:
-                    return found
-            used[w] = False
-            m.pop()
-        return None
-
-    return rec(0)
+    candidates = [
+        [B.one] if x == A.one
+        else [B.zero] if x == A.zero
+        else prof_b.get(profile(A, x), [])
+        for x in A.elements
+    ]
+    m = next(_hom_search(A, B, candidates, injective=True), None)
+    return None if m is None else Homomorphism(A, B, m)

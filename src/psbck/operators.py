@@ -14,11 +14,10 @@ comparable elements, and the remaining axioms are a cheap final filter.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, size_cap
 from .errors import (
     CarrierTooLarge,
     GlivenkoRequired,
@@ -29,16 +28,6 @@ from .errors import (
 )
 
 DEFAULT_ENUM_CAP = 10
-
-
-def enum_cap() -> int:
-    raw = os.environ.get("PSBCK_MAX_N")
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -172,7 +161,7 @@ def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok, max_n=None):
     monotonicity against assigned comparable elements prunes the branch.
     ``final_ok`` filters complete vectors.
     """
-    cap = max_n if max_n is not None else enum_cap()
+    cap = max_n if max_n is not None else size_cap(DEFAULT_ENUM_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds enumeration cap {cap}")
     n = A.n

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from psbck import goldens
+from psbck.generate import random_batch
+from psbck.suite import run_suite
 from psbck.textfmt import parse
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -35,6 +37,15 @@ def corpus_docs():
         p.stem: parse(p.read_text(encoding="utf-8"))
         for p in sorted(CORPUS.glob("*.alg"))
     }
+
+
+@pytest.fixture(scope="session")
+def random_batch_suites():
+    """(algebra, run_suite results) over the seed-2026 batch, run once."""
+    return [
+        (A, run_suite(A))
+        for A in random_batch(seed=2026, count=100, max_size=6)
+    ]
 
 
 def names(A, maps):

@@ -15,7 +15,7 @@ from conftest import CORPUS, report
 from psbck.algebra import derived_law_suite
 from psbck.classes import pseudo_product, restrict_vto, smarandache_search, svto
 from psbck.deduction import enumerate_ds, enumerate_ds_v
-from psbck.generate import _seed_pool, random_batch
+from psbck.generate import _seed_pool
 from psbck.morphisms import enumerate_hom, enumerate_vthom
 from psbck.operators import (
     compose,
@@ -161,16 +161,20 @@ def test_criterion_6_substructures(six_sm):
     _gate(6, "substructure operators and the induced product", ok)
 
 
-def test_criterion_7_theorem_suites(corpus_docs):
-    pool = [A for doc in corpus_docs.values() for A in doc.algebras.values()]
-    pool.extend(random_batch(seed=2026, count=100, max_size=6))
+def test_criterion_7_theorem_suites(corpus_docs, random_batch_suites):
+    runs = [
+        (A, run_suite(A))
+        for doc in corpus_docs.values()
+        for A in doc.algebras.values()
+    ]
+    runs.extend(random_batch_suites)
     bad = [
         (A.element_names, r.name)
-        for A in pool
-        for r in run_suite(A)
+        for A, results in runs
+        for r in results
         if not r.ok
     ]
-    _gate(7, f"invariant families on {len(pool)} instances", bad == [])
+    _gate(7, f"invariant families on {len(runs)} instances", bad == [])
 
 
 def test_criterion_8_derived_laws(corpus_docs):

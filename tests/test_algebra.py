@@ -3,8 +3,24 @@ from itertools import product
 import pytest
 
 from psbck import goldens
-from psbck.algebra import FiniteAlgebra, derived_law_suite, diagnose, validate
-from psbck.errors import MalformedInput, NotCertified, UnboundedAlgebra
+from psbck.algebra import (
+    FiniteAlgebra,
+    derived_law_suite,
+    diagnose,
+    size_cap,
+    validate,
+)
+from psbck.classes import smarandache_search
+from psbck.deduction import enumerate_ds
+from psbck.errors import (
+    MalformedInput,
+    NotCertified,
+    UnboundedAlgebra,
+    WorkbenchError,
+)
+from psbck.generate import goedel_chain
+from psbck.morphisms import enumerate_hom
+from psbck.operators import enumerate_interior
 
 
 def test_goldens_certify(four_elt, six_elt, six_sm):
@@ -113,6 +129,38 @@ def test_subalgebra_requires_closure(six_sm):
 def test_carrier_cap_enforced():
     with pytest.raises(MalformedInput):
         validate(tuple(f"x{i}" for i in range(5)), 0, (), (), max_n=4)
+
+
+# (search, its default cap); PSBCK_MAX_N overrides every one of them
+CAPPED_SEARCHES = {
+    "validate": (
+        lambda A: validate(A.element_names, A.one, A.arrow, A.squig, A.zero),
+        24,
+    ),
+    "enumerate_interior": (enumerate_interior, 10),
+    "enumerate_ds": (enumerate_ds, 20),
+    "smarandache_search": (smarandache_search, 16),
+    "enumerate_hom": (lambda A: enumerate_hom(A, A), 8),
+}
+
+
+@pytest.mark.parametrize("raw", [None, "3", "junk", "0"])
+@pytest.mark.parametrize("search", sorted(CAPPED_SEARCHES))
+def test_psbck_max_n_overrides_every_cap(monkeypatch, search, raw):
+    run, default = CAPPED_SEARCHES[search]
+    chains = [goedel_chain(k) for k in (1, 3, 4)]  # built before the override
+    if raw is None:
+        monkeypatch.delenv("PSBCK_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("PSBCK_MAX_N", raw)
+    cap = {None: default, "3": 3, "junk": default, "0": 1}[raw]
+    assert size_cap(default) == cap
+    for A in chains:
+        if A.n > cap:
+            with pytest.raises(WorkbenchError, match="exceeds"):
+                run(A)
+        else:
+            run(A)
 
 
 def test_frozen_and_hashable(four_elt):

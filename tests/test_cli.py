@@ -101,6 +101,15 @@ def test_missing_file_exits_2():
     assert b"cannot read" in res.stderr
 
 
+def test_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "binary.alg"
+    path.write_bytes(b"\xff\xfe")
+    res = run(["props", str(path)])
+    assert res.returncode == 2
+    assert res.stderr.startswith(b"E_USAGE: cannot read ")
+    assert b"Traceback" not in res.stderr
+
+
 def test_unknown_map_exits_2():
     res = run(["enum", "vthom", EX26, "--vto", "v99"])
     assert res.returncode == 2

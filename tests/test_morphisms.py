@@ -1,8 +1,11 @@
+from itertools import permutations, product
+
 import pytest
 
+from psbck import morphisms, suite
 from psbck.deduction import DeductiveSystem
 from psbck.errors import KernelContainmentViolated, SurjectivityRequired
-from psbck.generate import relabel
+from psbck.generate import _seed_pool, random_batch, relabel
 from psbck.morphisms import (
     Homomorphism,
     VtHomomorphism,
@@ -135,3 +138,67 @@ def test_isomorphism_detection(four_elt, six_elt):
     iso = is_isomorphic(four_elt, other)
     assert iso is not None and is_hom(iso) is None
     assert is_isomorphic(four_elt, six_elt) is None
+
+
+# -- brute-force oracles on every distinct pool algebra with n <= 4 ----------
+
+
+@pytest.fixture(scope="module")
+def small_pool():
+    pool = list(_seed_pool()) + random_batch(seed=2026, count=100, max_size=6)
+    distinct = {(A.one, A.zero, A.arrow, A.squig): A for A in pool if A.n <= 4}
+    return list(distinct.values())
+
+
+def test_enumerate_hom_matches_brute_force(small_pool):
+    for A, B in product(small_pool, repeat=2):
+        every = (
+            Homomorphism(A, B, m) for m in product(range(B.n), repeat=A.n)
+        )
+        brute = [f.map for f in every if is_hom(f) is None]
+        assert [f.map for f in enumerate_hom(A, B)] == brute
+
+
+def test_is_isomorphic_matches_permutation_search(small_pool):
+    for A, B in product(small_pool, repeat=2):
+        exists = A.n == B.n and any(
+            is_hom(Homomorphism(A, B, p)) is None for p in permutations(B.elements)
+        )
+        iso = is_isomorphic(A, B)
+        assert (iso is not None) == exists
+        if iso is not None:
+            assert is_hom(iso) is None and iso.is_injective()
+
+
+def _unique_by_brute_force(g, res):
+    """Uniqueness as first stated: of every very true homomorphism from the
+    quotient, exactly the factored one commutes with the projection."""
+    quot, vhat = res.quotient, res.lifted_operator
+    q, B, u = quot.algebra, g.target, g.u
+    matches = [
+        m
+        for m in product(range(B.n), repeat=q.n)
+        if all(m[quot.class_of[x]] == g.base.map[x] for x in g.source.elements)
+        and all(m[vhat.image[c]] == u.image[m[c]] for c in q.elements)
+        and is_hom(Homomorphism(q, B, m)) is None
+    ]
+    return matches == [res.factored.base.map]
+
+
+def test_factor_uniqueness_matches_brute_force(small_pool, monkeypatch):
+    visited = []
+    real = morphisms.factor
+
+    def recording(g, H, check_unique=True):
+        res = real(g, H, check_unique)
+        visited.append((g, res))
+        return res
+
+    # the vthom-transport family calls factor directly and via first_isomorphism
+    monkeypatch.setattr(morphisms, "factor", recording)
+    monkeypatch.setattr(suite, "factor", recording)
+    for A in small_pool:
+        suite.run_suite(A)
+    assert any(res.quotient.algebra.n < g.source.n for g, res in visited)
+    for g, res in visited:
+        assert res.unique == _unique_by_brute_force(g, res), g.base.names()

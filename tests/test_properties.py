@@ -5,25 +5,25 @@ on a seeded batch of randomly generated certified algebras.  A failure
 anywhere means either a wrong table or a wrongly stated law.
 """
 
-from psbck.generate import _seed_pool, random_batch
+from psbck.generate import _seed_pool
 from psbck.suite import run_suite
 
 
-def _violations(A):
-    return [(r.name, r.detail) for r in run_suite(A) if not r.ok]
+def _violations(results):
+    return [(r.name, r.detail) for r in results if not r.ok]
 
 
 def test_suite_on_corpus(corpus_docs):
     for doc in corpus_docs.values():
         for A in doc.algebras.values():
-            assert _violations(A) == []
+            assert _violations(run_suite(A)) == []
 
 
 def test_suite_on_seed_pool():
     for A in _seed_pool():
-        assert _violations(A) == [], A.element_names
+        assert _violations(run_suite(A)) == [], A.element_names
 
 
-def test_suite_on_random_batch():
-    for A in random_batch(seed=2026, count=100, max_size=6):
-        assert _violations(A) == [], A.element_names
+def test_suite_on_random_batch(random_batch_suites):
+    for A, results in random_batch_suites:
+        assert _violations(results) == [], A.element_names
