@@ -11,8 +11,7 @@ six defining axioms (and bottomness of ``zero`` when present).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import MalformedInput, NotCertified, UnboundedAlgebra
@@ -49,6 +48,11 @@ class FiniteAlgebra:
     arrow: tuple[tuple[int, ...], ...]
     squig: tuple[tuple[int, ...], ...]
     zero: int | None = None
+    # derived values that hold no reference back to the algebra, filled on
+    # first use (see classes.classify and classes.pseudo_product); a plain
+    # field, since functools.cached_property would materialise the instance
+    # __dict__ and slow every later attribute lookup
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -70,13 +74,6 @@ class FiniteAlgebra:
             return self.element_names.index(name)
         except ValueError:
             raise KeyError(f"no element named {name!r}") from None
-
-    @cached_property
-    def order(self) -> tuple[tuple[bool, ...], ...]:
-        one = self.one
-        return tuple(
-            tuple(v == one for v in row) for row in self.arrow
-        )
 
     def leq(self, x: int, y: int) -> bool:
         return self.arrow[x][y] == self.one

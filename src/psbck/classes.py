@@ -72,8 +72,8 @@ class ProductStructure:
     join: tuple[tuple[int, ...], ...] | None
 
 
-def pseudo_product(A: FiniteAlgebra):
-    """(ProductStructure, None) or (None, first failing pair)."""
+def _odot_table(A: FiniteAlgebra):
+    """(product table, None) or (None, first failing pair)."""
     n = A.n
     table = [[0] * n for _ in range(n)]
     for x, y in product(A.elements, repeat=2):
@@ -83,9 +83,25 @@ def pseudo_product(A: FiniteAlgebra):
         if m1 is None or m2 is None or m1 != m2:
             return None, (x, y)
         table[x][y] = m1
+    return tuple(tuple(r) for r in table), None
+
+
+def pseudo_product(A: FiniteAlgebra):
+    """(ProductStructure, None) or (None, first failing pair).
+
+    The product table is derived once per algebra instance and kept in
+    ``A.memo``; the wrapper, which refers back to ``A``, is rebuilt on
+    every call so the memo never forms a reference cycle.
+    """
+    memo = A.memo
+    if "odot" not in memo:
+        memo["odot"] = _odot_table(A)
+    odot, wit = memo["odot"]
+    if odot is None:
+        return None, wit
     lat, _ = lattice_tables(A)
     mt, jt = lat if lat is not None else (None, None)
-    return ProductStructure(A, tuple(tuple(r) for r in table), mt, jt), None
+    return ProductStructure(A, odot, mt, jt), None
 
 
 def cross_check_product(A: FiniteAlgebra, odot) -> tuple[int, int] | None:
@@ -128,6 +144,14 @@ class ClassificationReport:
 
 
 def classify(A: FiniteAlgebra) -> ClassificationReport:
+    """The class tower of ``A``, derived once per algebra instance."""
+    memo = A.memo
+    if "classify" not in memo:
+        memo["classify"] = _classify(A)
+    return memo["classify"]
+
+
+def _classify(A: FiniteAlgebra) -> ClassificationReport:
     wit: list[tuple[str, str]] = []
 
     def name_pair(t):
@@ -253,8 +277,10 @@ def _vt4_dprime(A, od, im) -> bool:
 def vt_pp_suite(A: FiniteAlgebra, v: UnaryMap) -> PpSuiteReport:
     """Product arithmetic of a very true operator on a pseudo-product algebra.
 
-    Each of the three sub-multiplicativity formulations is evaluated
-    independently; on a certified operator they must agree.
+    VT4' and VT4'' are evaluated independently; on a certified operator
+    they must agree with VT4.  ``vt4_holds`` restates VT4 rather than tests
+    it: ``certify_vto`` has just accepted ``v``, so it is always true, and
+    it is kept so the report states all three formulations.
     """
     ps, _ = pseudo_product(A)
     if ps is None:

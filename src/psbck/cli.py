@@ -3,7 +3,8 @@
 Reads one document file per invocation and runs a single command against
 it.  Reports go to stdout (plain text, or JSON with ``--json``); errors go
 to stderr with a stable code.  Exit status: 0 on success, 1 when a checked
-property fails, 2 on input problems.
+property fails, 2 on input problems, 3 on an internal error (a bug in the
+workbench, not in the input).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from . import classes, deduction, morphisms, operators, valuations
 from .algebra import derived_law_suite
-from .errors import WorkbenchError
+from .errors import WellDefinednessFailure, WorkbenchError
 from .suite import run_suite
 from .textfmt import (
     WorkbenchDocument,
@@ -28,6 +29,7 @@ from .textfmt import (
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class CommandError(WorkbenchError):
@@ -522,9 +524,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except WellDefinednessFailure as exc:
+        # a quotient map disagreed inside a class: a precondition bug
+        print(f"{exc.code}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except WorkbenchError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"E_INTERNAL: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

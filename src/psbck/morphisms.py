@@ -297,9 +297,13 @@ def factor(f: VtHomomorphism, H: DeductiveSystem, check_unique=True) -> FactorRe
     """Factor a very-true homomorphism through A/H for H inside its kernel.
 
     Returns the induced map from the quotient; commutation with the
-    projection holds by construction.  Uniqueness is checked by searching
-    the very-true homomorphisms on the quotient that commute with the
-    projection; commuting pins every class to one value.
+    projection holds by construction.  ``unique`` restates the theorem's
+    uniqueness clause rather than tests it: the search runs over the
+    very-true homomorphisms on the quotient that commute with the
+    projection, commuting pins every class to the one value ``f`` takes on
+    it, and ``is_vthom`` has already accepted that map, so the search can
+    only return the factored map itself.  It is kept as executable
+    documentation of the statement.
     """
     A, B = f.source, f.target
     w = is_vthom(f.base, f.v, f.u)

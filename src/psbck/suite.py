@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, product
 
 from .algebra import FiniteAlgebra, derived_law_suite
@@ -314,22 +315,11 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
                 ),
             )
         )
-        add(
-            _all(
-                "dense-quotient-lift",
-                (
-                    (
-                        is_vto(
-                            lift_to_den_quotient(A, v, "vto")[0].algebra,
-                            lift_to_den_quotient(A, v, "vto")[1],
-                        )
-                        is None,
-                        "",
-                    )
-                    for v in vto
-                ),
-            )
-        )
+        def dense_lift_ok(v):
+            quot, lifted = lift_to_den_quotient(A, v, "vto")
+            return is_vto(quot.algebra, lifted) is None, ""
+
+        add(_all("dense-quotient-lift", (dense_lift_ok(v) for v in vto)))
         den = DeductiveSystem.from_members(A, A.dense_elements())
         add(SuiteResult("dense-normal-ds", den.members in {d.members for d in dsn}))
 
@@ -357,6 +347,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
                 for f in homs
                 if all(f.map[v.image[x]] == v.image[f.map[x]] for x in A.elements)
             ]
+            normal_vds = [H for H in enumerate_ds_v(A, v) if H.normal]
             for f in vhoms:
                 g = VtHomomorphism(f, v, v)
                 rep = transport(g)
@@ -371,8 +362,8 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
                     and res.factored.base.is_surjective()
                 ):
                     return False, f"first-isomorphism {f.names()}"
-                for H in enumerate_ds_v(A, v):
-                    if not H.normal or not H.members <= f.kernel():
+                for H in normal_vds:
+                    if not H.members <= f.kernel():
                         continue
                     r = factor(g, H)
                     if not (r.unique and r.image_preserved and r.kernel_is_quotient_of_kernel):
@@ -415,20 +406,20 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
 
     if A.bounded and A.n <= 12:
         subs = smarandache_search(A)
+        ops = cache(partial(svto, A))  # svto(A, Q) at most once per Q
         nested_ok = True
         detail = ""
-        for (q1, _, _), (q2, _, _) in product(subs, repeat=2):
+        for (q1, sub1, _), (q2, _, _) in product(subs, repeat=2):
             if not (q1 < q2):
                 continue
-            for m in svto(A, q2):
+            for m in ops(q2):
                 members2 = sorted(q2)
                 lifted = {members2[i]: members2[m.image[i]] for i in range(len(members2))}
                 if not all(lifted[x] in q1 for x in q1):
                     continue
-                sub1 = A.subalgebra(q1)
                 pos1 = {x: i for i, x in enumerate(sorted(q1))}
                 cand = UnaryMap(sub1, tuple(pos1[lifted[x]] for x in sorted(q1)))
-                if cand.image not in {s.image for s in svto(A, q1)}:
+                if cand.image not in {s.image for s in ops(q1)}:
                     nested_ok = False
                     detail = f"{sorted(q1)} in {sorted(q2)}"
                     break

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from psbck import goldens
-from psbck.generate import random_batch
+from psbck.generate import _seed_pool, random_batch
 from psbck.suite import run_suite
 from psbck.textfmt import parse
 
@@ -37,6 +37,19 @@ def corpus_docs():
         p.stem: parse(p.read_text(encoding="utf-8"))
         for p in sorted(CORPUS.glob("*.alg"))
     }
+
+
+@pytest.fixture(scope="session")
+def pool():
+    """The 118-algebra instance pool: the seed pool plus the seed-2026 batch."""
+    return list(_seed_pool()) + random_batch(seed=2026, count=100, max_size=6)
+
+
+@pytest.fixture(scope="session")
+def small_pool(pool):
+    """The distinct pool algebras with at most 4 elements, for brute force."""
+    distinct = {(A.one, A.zero, A.arrow, A.squig): A for A in pool if A.n <= 4}
+    return list(distinct.values())
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import functools
 from itertools import product
 
 import pytest
@@ -167,3 +168,12 @@ def test_frozen_and_hashable(four_elt):
     assert four_elt == goldens.four_element_bounded()
     assert hash(four_elt.arrow) is not None
     assert isinstance(four_elt, FiniteAlgebra)
+
+
+def test_finite_algebra_defines_no_cached_property():
+    # a cached_property materialises the instance __dict__, which slows
+    # every later attribute lookup on that algebra
+    assert not any(
+        isinstance(attr, functools.cached_property)
+        for attr in vars(FiniteAlgebra).values()
+    )

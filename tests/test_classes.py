@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from psbck.algebra import validate
 from psbck.classes import (
     classify,
     cross_check_product,
@@ -177,3 +181,52 @@ def test_pp_suite_and_equivalence(four_elt):
 def test_flw_arithmetic():
     for A in (goedel_chain(5), lukasiewicz_chain(5), nonlinear_heyting()):
         assert flw_arithmetic_suite(A) is None
+
+
+# -- classification and pseudo-product, derived once per instance ----------
+
+
+def _fresh(A):
+    return validate(A.element_names, A.one, A.arrow, A.squig, zero=A.zero)
+
+
+def test_cached_derivations_match_fresh_ones(pool):
+    for A in pool:
+        first, again = _fresh(A), _fresh(A)
+        report, product_first = classify(first), pseudo_product(first)
+        assert classify(first) == report
+        assert pseudo_product(first) == product_first
+        # the product on an algebra classified earlier, and the
+        # classification on one whose product was taken first
+        classify(again)
+        assert pseudo_product(again) == product_first
+        other = _fresh(A)
+        assert pseudo_product(other) == product_first
+        assert classify(other) == report
+
+
+def test_cache_is_invisible_to_equality_hash_and_repr(pool):
+    for A in pool:
+        a, b = _fresh(A), _fresh(A)
+        classify(a)
+        pseudo_product(a)
+        assert a.memo and not b.memo
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+
+
+def test_cached_algebra_is_freed_without_the_cycle_collector(pool):
+    # the cache must hold no reference back to its algebra, or each
+    # algebra would live until the cyclic collector runs
+    gc.disable()
+    try:
+        for A in pool:
+            a = _fresh(A)
+            classify(a)
+            pseudo_product(a)
+            ref = weakref.ref(a)
+            del a
+            assert ref() is None, A.element_names
+    finally:
+        gc.enable()

@@ -127,3 +127,30 @@ def test_main_is_callable_in_process(capsys):
 
     assert main(["enum", "vto", EX25]) == 0
     assert "vto maps on A (4):" in capsys.readouterr().out
+
+
+def _props_raising(monkeypatch, exc):
+    from psbck import classes
+    from psbck.cli import main
+
+    def boom(A):
+        raise exc
+
+    monkeypatch.setattr(classes, "classify", boom)
+    return main(["props", EX25])
+
+
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    code = _props_raising(monkeypatch, RuntimeError("table\nlookup failed"))
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "E_INTERNAL: RuntimeError: table lookup failed\n"
+
+
+def test_well_definedness_failure_exits_3(monkeypatch, capsys):
+    from psbck.errors import WellDefinednessFailure
+
+    code = _props_raising(monkeypatch, WellDefinednessFailure("map disagrees"))
+    assert code == 3
+    assert capsys.readouterr().err == "E_NOT_WELL_DEFINED: map disagrees\n"

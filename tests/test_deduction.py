@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from psbck.deduction import (
@@ -136,3 +138,19 @@ def test_subset_cap():
     A = goedel_chain(5)
     with pytest.raises(CarrierTooLarge):
         enumerate_ds(A, max_n=3)
+
+
+def test_enumerate_ds_matches_power_set(small_pool):
+    # every subset, smallest first and by bitset within a size, which is
+    # the documented enumeration order
+    for A in small_pool:
+        brute = []
+        for k in range(A.n + 1):
+            for members in sorted(
+                combinations(A.elements, k), key=lambda s: sum(1 << x for x in s)
+            ):
+                try:
+                    brute.append(DeductiveSystem.from_members(A, members))
+                except MalformedInput:
+                    pass
+        assert enumerate_ds(A) == brute

@@ -5,7 +5,7 @@ import pytest
 from psbck import morphisms, suite
 from psbck.deduction import DeductiveSystem
 from psbck.errors import KernelContainmentViolated, SurjectivityRequired
-from psbck.generate import _seed_pool, random_batch, relabel
+from psbck.generate import relabel
 from psbck.morphisms import (
     Homomorphism,
     VtHomomorphism,
@@ -141,13 +141,6 @@ def test_isomorphism_detection(four_elt, six_elt):
 
 
 # -- brute-force oracles on every distinct pool algebra with n <= 4 ----------
-
-
-@pytest.fixture(scope="module")
-def small_pool():
-    pool = list(_seed_pool()) + random_batch(seed=2026, count=100, max_size=6)
-    distinct = {(A.one, A.zero, A.arrow, A.squig): A for A in pool if A.n <= 4}
-    return list(distinct.values())
 
 
 def test_enumerate_hom_matches_brute_force(small_pool):

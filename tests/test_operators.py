@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from psbck import goldens
@@ -194,3 +196,22 @@ def test_enumeration_cap():
     A = goldens.six_element_involutive()
     with pytest.raises(CarrierTooLarge):
         enumerate_vto(A, max_n=4)
+
+
+# -- brute-force oracles on every distinct pool algebra with n <= 4 ----------
+
+
+@pytest.mark.parametrize(
+    "enumerate_maps, check",
+    [
+        (enumerate_interior, is_interior),
+        (enumerate_closure, is_closure),
+        (enumerate_vto, is_vto),
+    ],
+    ids=["interior", "closure", "vto"],
+)
+def test_enumeration_matches_brute_force(small_pool, enumerate_maps, check):
+    for A in small_pool:
+        every = (UnaryMap(A, im) for im in product(A.elements, repeat=A.n))
+        brute = [f.image for f in every if check(A, f) is None]
+        assert [f.image for f in enumerate_maps(A)] == brute
