@@ -6,6 +6,11 @@ element of {z | x <= y->z}, which must coincide with the least element of
 this oracle, never trusted.  Lattice meets and joins likewise come from
 the derived order; a missing bound is a classification witness, not an
 exception.
+
+This module runs no search of its own: its operators come from the map
+search in ``operators``, and its Smarandache candidates Q from the
+closed-set search ``deduction._closed_sets``, closing under both
+implications from {0, 1}.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import FiniteAlgebra, size_cap
+from .deduction import _closed_sets
 from .errors import CarrierTooLarge, NotFLw, NotSmarandache, PPRequired
 from .operators import (
     UnaryMap,
     Witness,
+    _witness,
     certify_vto,
     enumerate_interior,
     enumerate_vto,
@@ -259,19 +266,21 @@ class PpSuiteReport:
         )
 
 
-def _vt4_prime(A, im) -> bool:
-    return all(
-        A.leq(im[A.arrow[x][y]], A.arrow[im[x]][A.arrow[im[z]][im[y]]])
-        and A.leq(im[A.squig[x][y]], A.squig[im[x]][A.squig[im[z]][im[y]]])
-        for x, y, z in product(A.elements, repeat=3)
-    )
+def _vt4_prime(A, im) -> Witness | None:
+    for x, y, z in product(A.elements, repeat=3):
+        if not (
+            A.leq(im[A.arrow[x][y]], A.arrow[im[x]][A.arrow[im[z]][im[y]]])
+            and A.leq(im[A.squig[x][y]], A.squig[im[x]][A.squig[im[z]][im[y]]])
+        ):
+            return _witness(A, "vt4-prime", (x, y, z))
+    return None
 
 
-def _vt4_dprime(A, od, im) -> bool:
-    return all(
-        A.leq(od[im[x]][im[y]], im[od[x][y]])
-        for x, y in product(A.elements, repeat=2)
-    )
+def _vt4_dprime(A, od, im) -> Witness | None:
+    for x, y in product(A.elements, repeat=2):
+        if not A.leq(od[im[x]][im[y]], im[od[x][y]]):
+            return _witness(A, "pp-submult", (x, y))
+    return None
 
 
 def vt_pp_suite(A: FiniteAlgebra, v: UnaryMap) -> PpSuiteReport:
@@ -293,20 +302,8 @@ def vt_pp_suite(A: FiniteAlgebra, v: UnaryMap) -> PpSuiteReport:
         if A.leq(od[x][y], z) and not A.leq(od[im[x]][im[y]], im[z]):
             rt = Witness("pp-transfer", tuple(A.name(t) for t in (x, y, z)))
             break
-    sm = None
-    for x, y in product(A.elements, repeat=2):
-        if not A.leq(od[im[x]][im[y]], im[od[x][y]]):
-            sm = Witness("pp-submult", (A.name(x), A.name(y)))
-            break
-    vp = None
-    for x, y, z in product(A.elements, repeat=3):
-        if not A.leq(im[A.arrow[x][y]], A.arrow[im[x]][A.arrow[im[z]][im[y]]]):
-            vp = Witness("vt4-prime", tuple(A.name(t) for t in (x, y, z)))
-            break
-        if not A.leq(im[A.squig[x][y]], A.squig[im[x]][A.squig[im[z]][im[y]]]):
-            vp = Witness("vt4-prime", tuple(A.name(t) for t in (x, y, z)))
-            break
-
+    sm = _vt4_dprime(A, od, im)
+    vp = _vt4_prime(A, im)
     # v is certified above, so VT4 itself holds
     return PpSuiteReport(rt, sm, vp, True, vp is None, sm is None)
 
@@ -327,7 +324,10 @@ def vt4_equivalence_check(A: FiniteAlgebra, max_n=None) -> bool:
             continue
         # f fixes 1 and is decreasing and idempotent, so VT1-VT3 hold
         a = is_vto(A, f) is None
-        if a != _vt4_prime(A, f.image) or a != _vt4_dprime(A, od, f.image):
+        if (
+            a != (_vt4_prime(A, f.image) is None)
+            or a != (_vt4_dprime(A, od, f.image) is None)
+        ):
             return False
     return True
 
@@ -418,28 +418,18 @@ def mv_characterization(A: FiniteAlgebra, max_n=None) -> CharacterizationResult:
 # -- Smarandache substructures -----------------------------------------
 
 
-def _closed_subsets_with_bounds(A: FiniteAlgebra, max_n):
-    cap = max_n if max_n is not None else size_cap(DEFAULT_SMARANDACHE_CAP)
-    if A.n > cap:
-        raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
-    must = 1 << A.one | 1 << A.zero
-    free = [x for x in A.elements if not must >> x & 1]
-    out = []
-    for bits in range(1 << len(free)):
-        mask = must
-        for i, x in enumerate(free):
-            if bits >> i & 1:
-                mask |= 1 << x
+def _close_implications(A: FiniteAlgebra, mask: int) -> int:
+    """Close a bitset under both implications."""
+    changed = True
+    while changed:
+        changed = False
         members = [x for x in A.elements if mask >> x & 1]
-        if len(members) < 3 or len(members) == A.n:
-            continue
-        if all(
-            mask >> A.arrow[x][y] & 1 and mask >> A.squig[x][y] & 1
-            for x, y in product(members, repeat=2)
-        ):
-            out.append(frozenset(members))
-    out.sort(key=lambda s: (len(s), sum(1 << x for x in s)))
-    return out
+        for x, y in product(members, repeat=2):
+            new = 1 << A.arrow[x][y] | 1 << A.squig[x][y]
+            if new & ~mask:
+                mask |= new
+                changed = True
+    return mask
 
 
 def smarandache_search(A: FiniteAlgebra, max_n=None):
@@ -451,8 +441,14 @@ def smarandache_search(A: FiniteAlgebra, max_n=None):
     """
     if A.zero is None:
         raise NotSmarandache("Smarandache structures need a bounded algebra")
+    cap = max_n if max_n is not None else size_cap(DEFAULT_SMARANDACHE_CAP)
+    if A.n > cap:
+        raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
     results = []
-    for q in _closed_subsets_with_bounds(A, max_n):
+    for mask in _closed_sets(A, _close_implications, 1 << A.one | 1 << A.zero):
+        if not 3 <= bin(mask).count("1") < A.n:
+            continue
+        q = frozenset(x for x in A.elements if mask >> x & 1)
         sub = A.subalgebra(q)
         report = classify(sub)
         if report.mtl:
@@ -466,9 +462,9 @@ def _certify_smarandache(A: FiniteAlgebra, q) -> FiniteAlgebra:
         raise NotSmarandache("Q must contain both constants")
     if not 3 <= len(q) < A.n:
         raise NotSmarandache("Q must be proper with at least 3 elements")
-    for x, y in product(sorted(q), repeat=2):
-        if A.arrow[x][y] not in q or A.squig[x][y] not in q:
-            raise NotSmarandache("Q is not closed under the implications")
+    mask = sum(1 << x for x in q)
+    if _close_implications(A, mask) != mask:
+        raise NotSmarandache("Q is not closed under the implications")
     sub = A.subalgebra(q)
     if not classify(sub).mtl:
         raise NotSmarandache("Q does not carry a pseudo-MTL structure")

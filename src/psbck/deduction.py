@@ -1,11 +1,13 @@
 """Deductive systems, congruences and quotient algebras.
 
-Deductive systems are enumerated as the closure system generated from {1}:
-starting from the saturation of {1}, repeatedly adjoin one element and
-re-saturate under both modus ponens forms.  This visits every closed set
-once and never scans the full power set, which keeps carriers up to the
-documented cap (20) feasible.  Results are ordered by (cardinality, bitset
-value) with bit i standing for element id i.
+Every search over closed subsets runs on ``_closed_sets``: a breadth-first
+walk over a closure system from the closure of a start set, adjoining one
+element at a time and closing again.  It visits every closed superset of
+the start once and never scans the power set, which keeps carriers up to
+the documented cap (20) feasible.  Deductive systems close under both
+modus ponens forms from {1}; ``classes.smarandache_search`` closes under
+both implications from {0, 1}.  Results are ordered by (cardinality,
+bitset value) with bit i standing for element id i.
 """
 
 from __future__ import annotations
@@ -43,11 +45,10 @@ def _saturate(A: FiniteAlgebra, mask: int) -> int:
     return mask
 
 
-def _closed_sets(A: FiniteAlgebra, max_n=None) -> list[int]:
-    cap = max_n if max_n is not None else size_cap(DEFAULT_SUBSET_CAP)
-    if A.n > cap:
-        raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
-    bottom = _saturate(A, 1 << A.one)
+def _closed_sets(A: FiniteAlgebra, close, start: int) -> list[int]:
+    """Every bitset ``close(A, mask) == mask`` containing ``start``, ordered
+    by (cardinality, bitset value)."""
+    bottom = close(A, start)
     seen = {bottom}
     frontier = [bottom]
     while frontier:
@@ -56,7 +57,7 @@ def _closed_sets(A: FiniteAlgebra, max_n=None) -> list[int]:
             for e in A.elements:
                 if mask >> e & 1:
                     continue
-                closed = _saturate(A, mask | 1 << e)
+                closed = close(A, mask | 1 << e)
                 if closed not in seen:
                     seen.add(closed)
                     nxt.append(closed)
@@ -100,7 +101,10 @@ def _mask_to_ds(A: FiniteAlgebra, mask: int) -> DeductiveSystem:
 
 
 def enumerate_ds(A: FiniteAlgebra, max_n=None) -> list[DeductiveSystem]:
-    return [_mask_to_ds(A, m) for m in _closed_sets(A, max_n)]
+    cap = max_n if max_n is not None else size_cap(DEFAULT_SUBSET_CAP)
+    if A.n > cap:
+        raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
+    return [_mask_to_ds(A, m) for m in _closed_sets(A, _saturate, 1 << A.one)]
 
 
 def enumerate_ds_n(A: FiniteAlgebra, max_n=None) -> list[DeductiveSystem]:
@@ -129,6 +133,22 @@ class QuotientAlgebra:
 
     def class_members(self, cls: int) -> tuple[int, ...]:
         return tuple(x for x in self.parent.elements if self.class_of[x] == cls)
+
+    def induce(self, values) -> tuple[int, ...]:
+        """The map on classes sending the class of x to ``values[x]``.
+
+        Raises WellDefinednessFailure if ``values`` differs inside a class.
+        """
+        img = [None] * self.algebra.n
+        for x, val in enumerate(values):
+            cls = self.class_of[x]
+            if img[cls] is None:
+                img[cls] = val
+            elif img[cls] != val:
+                raise WellDefinednessFailure(
+                    f"map disagrees inside class of {self.parent.name(x)}"
+                )
+        return tuple(img)
 
 
 def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
@@ -200,17 +220,7 @@ def lift_vto_to_quotient(
         raise NotVds("H is not stable under the operator")
     quot = congruence_from(A, H)
     q = quot.algebra
-    img = [None] * q.n
-    for x in A.elements:
-        cls = quot.class_of[x]
-        val = quot.class_of[v.image[x]]
-        if img[cls] is None:
-            img[cls] = val
-        elif img[cls] != val:
-            raise WellDefinednessFailure(
-                f"induced map disagrees inside class of {A.name(x)}"
-            )
-    lifted = UnaryMap(q, tuple(img))
+    lifted = UnaryMap(q, quot.induce([quot.class_of[y] for y in v.image]))
     w = is_vto(q, lifted)
     if w is not None:
         raise WellDefinednessFailure(f"induced map fails {w}")

@@ -6,12 +6,11 @@ through a quotient, the first-isomorphism instance, and a backtracking
 isomorphism test.
 
 Homomorphism enumeration, the isomorphism test and the factor theorem's
-uniqueness check share one depth-first search (``_hom_search``).  It
-assigns f(0), f(1), ... in turn and, at element i, checks only the
-preservation constraints f(x->y) = f(x)->f(y) and f(x~>y) = f(x)~>f(y)
-whose largest element id is i, each as soon as its three elements are
-assigned.  Enumeration has its own cap (|A| <= 8), since the raw space
-is |B|^|A|.
+uniqueness check share one search (``_hom_search``): the map search of
+``operators._map_search`` with the preservation constraints
+f(x->y) = f(x)->f(y) and f(x~>y) = f(x)~>f(y) as its checks, each tested
+as soon as its three elements are assigned.  Enumeration has its own cap
+(|A| <= 8), since the raw space is |B|^|A|.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .errors import (
     MalformedInput,
     SurjectivityRequired,
 )
-from .operators import UnaryMap, Witness, certify_vto, is_vto
+from .operators import UnaryMap, Witness, _map_search, certify_vto, is_vto
 
 DEFAULT_HOM_CAP = 8
 
@@ -107,40 +106,14 @@ def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
 
 
 def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, candidates, injective=False):
-    """Yield every preserving map vector with f(x) in ``candidates[x]``.
-
-    Depth-first over element ids, trying each element's candidates in the
-    given order, so vectors come out lexicographic in candidate positions.
-    ``injective`` skips values already taken.
-    """
-    n = A.n
-    checks = [[] for _ in range(n)]
-    for x, y in product(range(n), repeat=2):
-        for tab_a, tab_b in ((A.arrow, B.arrow), (A.squig, B.squig)):
-            z = tab_a[x][y]
-            checks[max(x, y, z)].append((x, y, z, tab_b))
-    m: list[int] = []
-    used = [False] * B.n
-    pending = [iter(candidates[0])]
-    while pending:
-        i = len(pending) - 1
-        if len(m) > i:  # back at depth i: release the value tried last
-            used[m.pop()] = False
-        for w in pending[i]:
-            if injective and used[w]:
-                continue
-            m.append(w)
-            if all(m[z] == tab[m[x]][m[y]] for x, y, z, tab in checks[i]):
-                break
-            m.pop()
-        else:
-            pending.pop()
-            continue
-        if i + 1 == n:
-            yield tuple(m)
-        else:
-            used[w] = True
-            pending.append(iter(candidates[i + 1]))
+    """Yield every preserving map vector with f(x) in ``candidates[x]``, in
+    the order of ``operators._map_search``."""
+    checks = [
+        (x, y, tab_a[x][y], tab_b)
+        for x, y in product(A.elements, repeat=2)
+        for tab_a, tab_b in ((A.arrow, B.arrow), (A.squig, B.squig))
+    ]
+    return _map_search(A.n, candidates, checks, injective)
 
 
 def enumerate_hom(A: FiniteAlgebra, B: FiniteAlgebra, max_n=None) -> list[Homomorphism]:
@@ -297,9 +270,12 @@ def factor(f: VtHomomorphism, H: DeductiveSystem, check_unique=True) -> FactorRe
     """Factor a very-true homomorphism through A/H for H inside its kernel.
 
     Returns the induced map from the quotient; commutation with the
-    projection holds by construction.  ``unique`` restates the theorem's
-    uniqueness clause rather than tests it: the search runs over the
-    very-true homomorphisms on the quotient that commute with the
+    projection holds by construction.  The map is well defined whenever H
+    lies inside the kernel: x ~ y puts x->y and y->x in H, so
+    f(x)->f(y) = 1 = f(y)->f(x) and f(x) = f(y), and the check in
+    ``QuotientAlgebra.induce`` cannot fail here.  ``unique`` restates the
+    theorem's uniqueness clause rather than tests it: the search runs over
+    the very-true homomorphisms on the quotient that commute with the
     projection, commuting pins every class to the one value ``f`` takes on
     it, and ``is_vthom`` has already accepted that map, so the search can
     only return the factored map itself.  It is kept as executable
@@ -313,16 +289,8 @@ def factor(f: VtHomomorphism, H: DeductiveSystem, check_unique=True) -> FactorRe
         raise KernelContainmentViolated("H must be contained in the kernel")
     quot, vhat = lift_vto_to_quotient(A, f.v, H)
     q = quot.algebra
-    m = [None] * q.n
-    for x in A.elements:
-        cls = quot.class_of[x]
-        if m[cls] is None:
-            m[cls] = f.base.map[x]
-        elif m[cls] != f.base.map[x]:
-            raise KernelContainmentViolated(
-                f"map not constant on class of {A.name(x)}"
-            )
-    base = Homomorphism(q, B, tuple(m))
+    m = quot.induce(f.base.map)
+    base = Homomorphism(q, B, m)
     lifted = VtHomomorphism(base, vhat, f.u)
     w = is_vthom(base, vhat, f.u)
     if w is not None:

@@ -5,11 +5,14 @@ operators and very-true (truth-stressing) operators, the canonical
 truth-depressing hedge pair, and the liftings to the regular-element
 subalgebra and the dense-element quotient.
 
-Enumeration is a depth-first assignment over element ids in increasing
-order, so results come out in lexicographic order of image vectors.
-Pruning: the image of x is restricted to the down-set (interior/VTO) or
-up-set (closure) of x, monotonicity is enforced against already-assigned
-comparable elements, and the remaining axioms are a cheap final filter.
+Every search over map vectors runs on ``_map_search``: depth-first over
+element ids, each element's candidates in order, with each table
+constraint f(z) = tab[f(x)][f(y)] tested once its three elements are set.
+The operator searches restrict f(x) to the down-set (interior/VTO) or
+up-set (closure) of x and state monotonicity as such constraints, so
+results come out in lexicographic order of image vectors; the remaining
+axioms are a cheap final filter.  ``morphisms`` runs the homomorphism
+searches on the same engine.
 """
 
 from __future__ import annotations
@@ -154,43 +157,64 @@ def is_vto(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
     return None
 
 
-def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok, max_n=None):
-    """DFS over image vectors, increasing element id, increasing value.
+def _map_search(n, candidates, checks, injective=False):
+    """Yield every map vector m with m[x] in ``candidates[x]`` passing ``checks``.
 
-    ``allowed[x]`` is the candidate pool for f(x) (already order-restricted);
-    monotonicity against assigned comparable elements prunes the branch.
-    ``final_ok`` filters complete vectors.
+    A check ``(x, y, z, tab)`` requires ``tab[m[x]][m[y]] == m[z]``; it is
+    tested at depth max(x, y, z), as soon as its three entries are set.
+    Depth-first over element ids, trying each element's candidates in the
+    given order, so vectors come out lexicographic in candidate positions.
+    ``injective`` skips values already taken.
+    """
+    at = [[] for _ in range(n)]
+    for check in checks:
+        at[max(check[:3])].append(check)
+    m: list[int] = []
+    taken: set[int] = set()
+    pending = [iter(candidates[0])]
+    while pending:
+        i = len(pending) - 1
+        if len(m) > i:  # back at depth i: release the value tried last
+            taken.discard(m.pop())
+        for w in pending[i]:
+            if injective and w in taken:
+                continue
+            m.append(w)
+            if all(m[z] == tab[m[x]][m[y]] for x, y, z, tab in at[i]):
+                break
+            m.pop()
+        else:
+            pending.pop()
+            continue
+        if i + 1 == n:
+            yield tuple(m)
+        else:
+            taken.add(w)
+            pending.append(iter(candidates[i + 1]))
+
+
+def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok, max_n=None):
+    """Monotone maps with f(x) in ``allowed[x]`` that pass ``final_ok``.
+
+    Monotonicity is one map-search check per comparable pair x < y on the
+    table low[a][b] = a if a <= b else -1, so f(x) <= f(y) is tested as
+    soon as both are assigned.
     """
     cap = max_n if max_n is not None else size_cap(DEFAULT_ENUM_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds enumeration cap {cap}")
-    n = A.n
     leq = A.leq
-    image: list[int] = []
-    out: list[UnaryMap] = []
-
-    def rec(i: int):
-        if i == n:
-            v = tuple(image)
-            if final_ok(v):
-                out.append(UnaryMap(A, v))
-            return
-        for w in allowed[i]:
-            ok = True
-            for j in range(i):
-                if leq(j, i) and not leq(image[j], w):
-                    ok = False
-                    break
-                if leq(i, j) and not leq(w, image[j]):
-                    ok = False
-                    break
-            if ok:
-                image.append(w)
-                rec(i + 1)
-                image.pop()
-
-    rec(0)
-    return out
+    low = [[a if leq(a, b) else -1 for b in A.elements] for a in A.elements]
+    checks = [
+        (x, y, x, low)
+        for x, y in product(A.elements, repeat=2)
+        if x != y and leq(x, y)
+    ]
+    return [
+        UnaryMap(A, v)
+        for v in _map_search(A.n, allowed, checks)
+        if final_ok(v)
+    ]
 
 
 def enumerate_interior(A: FiniteAlgebra, max_n=None) -> list[UnaryMap]:
@@ -344,17 +368,8 @@ def lift_to_den_quotient(A: FiniteAlgebra, f: UnaryMap, kind: str = "vto"):
         raise WellDefinednessFailure("Den(A) is not a normal deductive system")
     quot = congruence_from(A, den)
     q = quot.algebra
-    img = [None] * q.n
-    for x in A.elements:
-        cls = quot.class_of[x]
-        val = quot.class_of[f.image[A.double_neg_ms(x)]]
-        if img[cls] is None:
-            img[cls] = val
-        elif img[cls] != val:
-            raise WellDefinednessFailure(
-                f"map disagrees inside class of {A.name(x)}"
-            )
-    lifted = UnaryMap(q, tuple(img))
+    values = [quot.class_of[f.image[A.double_neg_ms(x)]] for x in A.elements]
+    lifted = UnaryMap(q, quot.induce(values))
     w = checker(q, lifted)
     if w is not None:
         raise WellDefinednessFailure(f"lifted map fails {w}")

@@ -293,10 +293,12 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
 
     add(_all("quotients", (quotient_facts(H) for H in dsn)))
 
+    # enumerate_ds_nv(A, v), taken from dsn instead of a new search
+    def normal_vds(v):
+        return [H for H in dsn if H.stable_under(v)]
+
     def lifted_vto_facts(v):
-        for H in enumerate_ds_v(A, v):
-            if not H.normal:
-                continue
+        for H in normal_vds(v):
             quot, lifted = lift_vto_to_quotient(A, v, H)
             if is_vto(quot.algebra, lifted) is not None:
                 return False, "lifted operator fails"
@@ -347,7 +349,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
                 for f in homs
                 if all(f.map[v.image[x]] == v.image[f.map[x]] for x in A.elements)
             ]
-            normal_vds = [H for H in enumerate_ds_v(A, v) if H.normal]
+            stable = normal_vds(v)
             for f in vhoms:
                 g = VtHomomorphism(f, v, v)
                 rep = transport(g)
@@ -362,7 +364,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
                     and res.factored.base.is_surjective()
                 ):
                     return False, f"first-isomorphism {f.names()}"
-                for H in normal_vds:
+                for H in stable:
                     if not H.members <= f.kernel():
                         continue
                     r = factor(g, H)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import product
 
 import pytest
 
@@ -122,6 +123,33 @@ def test_smarandache_search_finds_the_chain(six_sm):
     assert frozenset({"0", "c", "d", "1"}) in subsets
     for _, sub, report in found:
         assert report.mtl
+
+
+def test_smarandache_search_matches_subset_scan(pool):
+    # reference: every subset of the carrier, filtered by the definition
+    # and sorted by (size, bitset)
+    bounded = {
+        (A.one, A.zero, A.arrow, A.squig): A
+        for A in pool
+        if A.bounded and A.n <= 8
+    }
+    for A in bounded.values():
+        brute = []
+        for mask in range(1 << A.n):
+            q = frozenset(x for x in A.elements if mask >> x & 1)
+            if (
+                {A.zero, A.one} <= q
+                and 3 <= len(q) < A.n
+                and all(
+                    A.arrow[x][y] in q and A.squig[x][y] in q
+                    for x, y in product(q, repeat=2)
+                )
+            ):
+                sub = A.subalgebra(q)
+                if classify(sub).mtl:
+                    brute.append((q, sub, classify(sub)))
+        brute.sort(key=lambda t: (len(t[0]), sum(1 << x for x in t[0])))
+        assert smarandache_search(A) == brute
 
 
 def test_svto_golden(six_sm):

@@ -13,7 +13,13 @@ from psbck.deduction import (
     lift_vto_to_quotient,
     vto_congruence_check,
 )
-from psbck.errors import CarrierTooLarge, MalformedInput, NotNormal, NotVds
+from psbck.errors import (
+    CarrierTooLarge,
+    MalformedInput,
+    NotNormal,
+    NotVds,
+    WellDefinednessFailure,
+)
 from psbck.generate import goedel_chain
 from psbck.operators import UnaryMap, globalization, is_vto
 from psbck.operators import enumerate_vto
@@ -81,6 +87,15 @@ def test_quotient_by_the_dense_system(six_sm):
     for x in A.elements:
         for y in A.elements:
             assert quot.class_of[A.arrow[x][y]] == q.arrow[quot.class_of[x]][quot.class_of[y]]
+
+
+def test_induce_rejects_a_map_that_differs_inside_a_class(six_sm):
+    A = six_sm
+    quot = congruence_from(A, DeductiveSystem.from_members(A, A.dense_elements()))
+    assert quot.induce(quot.class_of) == tuple(quot.algebra.elements)
+    # the class of a is {a, b, c, d, 1}, and the identity splits it at b
+    with pytest.raises(WellDefinednessFailure, match="inside class of b$"):
+        quot.induce(list(A.elements))
 
 
 def test_quotient_requires_normal(four_elt):
