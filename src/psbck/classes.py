@@ -58,6 +58,12 @@ def join(A: FiniteAlgebra, x: int, y: int) -> int | None:
     return _least(A, upper)
 
 
+def join_table(A: FiniteAlgebra) -> list[list[int | None]]:
+    """jt[x][y] = join(A, x, y), built per call for callers that read many
+    joins; it is not kept on the algebra."""
+    return [[join(A, x, y) for y in A.elements] for x in A.elements]
+
+
 def lattice_tables(A: FiniteAlgebra):
     """(meet table, join table) or (None, witness pair) if not a lattice."""
     n = A.n
@@ -342,24 +348,34 @@ def _require_flw(A: FiniteAlgebra) -> ClassificationReport:
 def is_vto_flw(A: FiniteAlgebra, v: UnaryMap) -> Witness | None:
     """VT1-VT4 plus the join axiom VT5; on success the equality variant holds."""
     _require_flw(A)
+    return _vto_flw_witness(A, join_table(A), v)
+
+
+def _vto_flw_witness(A: FiniteAlgebra, jt, v: UnaryMap) -> Witness | None:
     w = is_vto(A, v)
     if w is not None:
         return w
     im = v.image
     for x, y in product(A.elements, repeat=2):
-        j = join(A, x, y)
-        if not A.leq(im[j], join(A, im[x], im[y])):
+        if not A.leq(im[jt[x][y]], jt[im[x]][im[y]]):
             return Witness("VT5", (A.name(x), A.name(y)))
     # VT5 + monotonicity force equality over joins
     for x, y in product(A.elements, repeat=2):
-        if im[join(A, x, y)] != join(A, im[x], im[y]):
+        if im[jt[x][y]] != jt[im[x]][im[y]]:
             return Witness("VT5-equality", (A.name(x), A.name(y)))
     return None
 
 
 def enumerate_vto_flw(A: FiniteAlgebra, max_n=None) -> list[UnaryMap]:
     _require_flw(A)
-    return [v for v in enumerate_vto(A, max_n) if is_vto_flw(A, v) is None]
+    return _vto_flw(A, max_n)[0]
+
+
+def _vto_flw(A: FiniteAlgebra, max_n):
+    """(the VT1-VT5 operators, the join table they were checked on)."""
+    vto = enumerate_vto(A, max_n)
+    jt = join_table(A)
+    return [v for v in vto if _vto_flw_witness(A, jt, v) is None], jt
 
 
 @dataclass(frozen=True)
@@ -379,13 +395,14 @@ def mtl_characterization(A: FiniteAlgebra, max_n=None) -> CharacterizationResult
     v(x->y) v v(y->x) = 1 (and the ~> twin).  Right: prelinearity.
     """
     _require_flw(A)
+    ops, jt = _vto_flw(A, max_n)
     left = True
-    for v in enumerate_vto_flw(A, max_n):
+    for v in ops:
         im = v.image
         for x, y in product(A.elements, repeat=2):
             if (
-                join(A, im[A.arrow[x][y]], im[A.arrow[y][x]]) != A.one
-                or join(A, im[A.squig[x][y]], im[A.squig[y][x]]) != A.one
+                jt[im[A.arrow[x][y]]][im[A.arrow[y][x]]] != A.one
+                or jt[im[A.squig[x][y]]][im[A.squig[y][x]]] != A.one
             ):
                 left = False
                 break
@@ -398,11 +415,12 @@ def mtl_characterization(A: FiniteAlgebra, max_n=None) -> CharacterizationResult
 def mv_characterization(A: FiniteAlgebra, max_n=None) -> CharacterizationResult:
     """Involutive join identities hold for all operators iff the algebra is MV."""
     _require_flw(A)
+    ops, jt = _vto_flw(A, max_n)
     left = True
-    for v in enumerate_vto_flw(A, max_n):
+    for v in ops:
         im = v.image
         for x, y in product(A.elements, repeat=2):
-            j = im[join(A, x, y)]
+            j = im[jt[x][y]]
             if (
                 j != A.squig[A.arrow[im[x]][im[y]]][im[y]]
                 or j != A.arrow[A.squig[im[x]][im[y]]][im[y]]

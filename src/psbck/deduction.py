@@ -12,7 +12,7 @@ bitset value) with bit i standing for element id i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .algebra import FiniteAlgebra, size_cap, validate
@@ -100,10 +100,14 @@ def _mask_to_ds(A: FiniteAlgebra, mask: int) -> DeductiveSystem:
     return DeductiveSystem(A, members, _is_normal(A, members))
 
 
-def enumerate_ds(A: FiniteAlgebra, max_n=None) -> list[DeductiveSystem]:
+def _check_subset_cap(A: FiniteAlgebra, max_n):
     cap = max_n if max_n is not None else size_cap(DEFAULT_SUBSET_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
+
+
+def enumerate_ds(A: FiniteAlgebra, max_n=None) -> list[DeductiveSystem]:
+    _check_subset_cap(A, max_n)
     return [_mask_to_ds(A, m) for m in _closed_sets(A, _saturate, 1 << A.one)]
 
 
@@ -112,8 +116,14 @@ def enumerate_ds_n(A: FiniteAlgebra, max_n=None) -> list[DeductiveSystem]:
 
 
 def enumerate_ds_v(A: FiniteAlgebra, v: UnaryMap, max_n=None) -> list[DeductiveSystem]:
+    """The v-stable deductive systems, derived once per operator on its own
+    parent and kept in ``v.memo``; the cap is checked on every call."""
     certify_vto(A, v)
-    return [d for d in enumerate_ds(A, max_n) if d.stable_under(v)]
+    _check_subset_cap(A, max_n)
+    memo = v.memo if A is v.parent else {}
+    if "ds_v" not in memo:
+        memo["ds_v"] = tuple(d for d in enumerate_ds(A, max_n) if d.stable_under(v))
+    return list(memo["ds_v"])
 
 
 def enumerate_ds_nv(A: FiniteAlgebra, v: UnaryMap, max_n=None) -> list[DeductiveSystem]:
@@ -212,19 +222,30 @@ def enumerate_congruences(A: FiniteAlgebra, max_n=None) -> list[QuotientAlgebra]
 def lift_vto_to_quotient(
     A: FiniteAlgebra, v: UnaryMap, H: DeductiveSystem
 ) -> tuple[QuotientAlgebra, UnaryMap]:
-    """Induce a very true operator on A/H from a normal v-deductive system."""
+    """Induce a very true operator on A/H from a normal v-deductive system.
+
+    On v's own parent the pair is derived once per system and kept in
+    ``v.memo`` under ``H.members``; the preconditions are checked on every
+    call, and a stored quotient is handed back with ``by`` set to this H.
+    """
     certify_vto(A, v)
     if not H.normal:
         raise NotNormal("lifting requires a normal deductive system")
     if not H.stable_under(v):
         raise NotVds("H is not stable under the operator")
-    quot = congruence_from(A, H)
-    q = quot.algebra
-    lifted = UnaryMap(q, quot.induce([quot.class_of[y] for y in v.image]))
-    w = is_vto(q, lifted)
-    if w is not None:
-        raise WellDefinednessFailure(f"induced map fails {w}")
-    return quot, lifted
+    memo = v.memo if A is v.parent else {}
+    key = ("lift", H.members)
+    if key not in memo:
+        quot = congruence_from(A, H)
+        q = quot.algebra
+        lifted = UnaryMap(q, quot.induce([quot.class_of[y] for y in v.image]))
+        w = is_vto(q, lifted)
+        if w is not None:
+            raise WellDefinednessFailure(f"induced map fails {w}")
+        lifted.memo["vto"] = True  # certify_vto's record: checked just now on q
+        memo[key] = quot, lifted
+    quot, lifted = memo[key]
+    return (quot if quot.by is H else replace(quot, by=H)), lifted
 
 
 def vto_congruence_check(A: FiniteAlgebra, v: UnaryMap, max_n=None) -> bool:

@@ -17,7 +17,7 @@ searches on the same engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import FiniteAlgebra, size_cap
@@ -37,6 +37,11 @@ DEFAULT_ENUM_CAP = 10
 class UnaryMap:
     parent: FiniteAlgebra
     image: tuple[int, ...]
+    # what is derived from (parent, operator) alone, filled on first use and
+    # freed with the operator: its very true certificate (certify_vto), its
+    # v-deductive systems and its quotient lifts (deduction.enumerate_ds_v,
+    # deduction.lift_vto_to_quotient); nothing in it refers back to the map
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.parent.n
@@ -257,9 +262,18 @@ def enumerate_vto(A: FiniteAlgebra, max_n=None) -> list[UnaryMap]:
 
 
 def certify_vto(A: FiniteAlgebra, f: UnaryMap) -> UnaryMap:
+    """f, if it is a very true operator on A; raises NotVto otherwise.
+
+    A passed certificate is kept in ``f.memo`` when A is f's own parent; a
+    failed one is not, so it raises again on every call.
+    """
+    if A is f.parent and "vto" in f.memo:
+        return f
     w = is_vto(A, f)
     if w is not None:
         raise NotVto(f"map is not a very true operator: {w}")
+    if A is f.parent:
+        f.memo["vto"] = True
     return f
 
 

@@ -18,7 +18,7 @@ from .algebra import FiniteAlgebra, derived_law_suite
 from .classes import (
     classify,
     flw_arithmetic_suite,
-    join,
+    join_table,
     mtl_characterization,
     mv_characterization,
     smarandache_search,
@@ -30,6 +30,7 @@ from .deduction import (
     DeductiveSystem,
     congruence_from,
     enumerate_ds,
+    enumerate_ds_nv,
     enumerate_ds_v,
     lift_vto_to_quotient,
     vto_congruence_check,
@@ -76,6 +77,15 @@ def _all(name, pairs) -> SuiteResult:
     return SuiteResult(name, True)
 
 
+def _all_pairs(name, pairs, holds) -> SuiteResult:
+    """``_all`` over pairs of maps: the first pair failing ``holds`` is
+    named "f/g", and no name is formatted for a passing pair."""
+    for f, g in pairs:
+        if not holds(f, g):
+            return SuiteResult(name, False, f"{f.names()}/{g.names()}")
+    return SuiteResult(name, True)
+
+
 def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
     out: list[SuiteResult] = []
     add = out.append
@@ -103,15 +113,10 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
         return all(A.leq(a, b) for a, b in zip(f.image, g.image))
 
     add(
-        _all(
+        _all_pairs(
             "interior-absorption",
-            (
-                (
-                    phi_le_psi(f, g) == (compose(f, g).image == f.image),
-                    f"{f.names()}/{g.names()}",
-                )
-                for f, g in product(into, repeat=2)
-            ),
+            product(into, repeat=2),
+            lambda f, g: phi_le_psi(f, g) == (compose(f, g).image == f.image),
         )
     )
 
@@ -126,45 +131,29 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
         )
         return a == b == c
 
+    add(_all_pairs("interior-commutation", product(into, repeat=2), three_way))
     add(
-        _all(
-            "interior-commutation",
-            ((three_way(f, g), f"{f.names()}/{g.names()}") for f, g in product(into, repeat=2)),
-        )
-    )
-
-    add(
-        _all(
+        _all_pairs(
             "interior-fix-injective",
-            (
-                (fix_points(f) != fix_points(g) or f.image == g.image, f"{f.names()}/{g.names()}")
-                for f, g in combinations(into, 2)
-            ),
+            combinations(into, 2),
+            lambda f, g: fix_points(f) != fix_points(g) or f.image == g.image,
         )
     )
     add(
-        _all(
+        _all_pairs(
             "vto-image-injective",
-            (
-                (image_set(f) != image_set(g) or f.image == g.image, f"{f.names()}/{g.names()}")
-                for f, g in combinations(vto, 2)
-            ),
+            combinations(vto, 2),
+            lambda f, g: image_set(f) != image_set(g) or f.image == g.image,
         )
     )
     add(
-        _all(
+        _all_pairs(
             "vto-composition-commutation",
-            (
-                (
-                    (
-                        is_vto(A, compose(f, g)) is None
-                        and is_vto(A, compose(g, f)) is None
-                    )
-                    == (compose(f, g).image == compose(g, f).image),
-                    f"{f.names()}/{g.names()}",
-                )
-                for f, g in product(vto, repeat=2)
-            ),
+            product(vto, repeat=2),
+            lambda f, g: (
+                is_vto(A, compose(f, g)) is None and is_vto(A, compose(g, f)) is None
+            )
+            == (compose(f, g).image == compose(g, f).image),
         )
     )
 
@@ -293,12 +282,8 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
 
     add(_all("quotients", (quotient_facts(H) for H in dsn)))
 
-    # enumerate_ds_nv(A, v), taken from dsn instead of a new search
-    def normal_vds(v):
-        return [H for H in dsn if H.stable_under(v)]
-
     def lifted_vto_facts(v):
-        for H in normal_vds(v):
+        for H in enumerate_ds_nv(A, v):
             quot, lifted = lift_vto_to_quotient(A, v, H)
             if is_vto(quot.algebra, lifted) is not None:
                 return False, "lifted operator fails"
@@ -328,20 +313,20 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
     # homomorphism transport (endomorphisms only, capped)
     if A.n <= hom_limit:
         homs = enumerate_hom(A, A)
-        add(_all("homs-preserve", ((is_hom(f) is None, str(f.names())) for f in homs)))
         add(
             _all(
-                "homs-monotone",
-                (
-                    (
-                        not A.leq(x, y) or A.leq(f.map[x], f.map[y]),
-                        f"{f.names()} at {A.name(x)},{A.name(y)}",
-                    )
-                    for f in homs
-                    for x, y in product(A.elements, repeat=2)
-                ),
+                "homs-preserve",
+                ((True, "") if is_hom(f) is None else (False, str(f.names())) for f in homs),
             )
         )
+
+        def monotone(f):
+            for x, y in product(A.elements, repeat=2):
+                if A.leq(x, y) and not A.leq(f.map[x], f.map[y]):
+                    return False, f"{f.names()} at {A.name(x)},{A.name(y)}"
+            return True, ""
+
+        add(_all("homs-monotone", (monotone(f) for f in homs)))
 
         def transports(v):
             vhoms = [
@@ -349,7 +334,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
                 for f in homs
                 if all(f.map[v.image[x]] == v.image[f.map[x]] for x in A.elements)
             ]
-            stable = normal_vds(v)
+            stable = enumerate_ds_nv(A, v)
             for f in vhoms:
                 g = VtHomomorphism(f, v, v)
                 rep = transport(g)
@@ -386,7 +371,12 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
     add(SuiteResult("class-inclusions", incl))
 
     if report.pp:
-        add(_all("pp-arithmetic", ((vt_pp_suite(A, v).ok, str(v.names())) for v in vto)))
+        add(
+            _all(
+                "pp-arithmetic",
+                ((True, "") if vt_pp_suite(A, v).ok else (False, str(v.names())) for v in vto),
+            )
+        )
         add(SuiteResult("vt4-equivalence", vt4_equivalence_check(A)))
     if report.flw:
         w = flw_arithmetic_suite(A)
@@ -394,13 +384,15 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
         add(SuiteResult("mtl-characterization", mtl_characterization(A).agree))
         add(SuiteResult("mv-characterization", mv_characterization(A).agree))
         # once the join inequality holds, monotonicity forces equality
+        jt = join_table(A)
+
         def join_equality(v):
             im = v.image
             pairs = list(product(A.elements, repeat=2))
-            if any(not A.leq(im[join(A, x, y)], join(A, im[x], im[y])) for x, y in pairs):
+            if any(not A.leq(im[jt[x][y]], jt[im[x]][im[y]]) for x, y in pairs):
                 return True, ""
             for x, y in pairs:
-                if im[join(A, x, y)] != join(A, im[x], im[y]):
+                if im[jt[x][y]] != jt[im[x]][im[y]]:
                     return False, f"{v.names()} at {A.name(x)},{A.name(y)}"
             return True, ""
 

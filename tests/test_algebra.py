@@ -1,4 +1,5 @@
 import functools
+from functools import partial
 from itertools import product
 
 import pytest
@@ -12,7 +13,7 @@ from psbck.algebra import (
     validate,
 )
 from psbck.classes import smarandache_search
-from psbck.deduction import enumerate_ds
+from psbck.deduction import enumerate_ds, enumerate_ds_v
 from psbck.errors import (
     MalformedInput,
     NotCertified,
@@ -21,7 +22,7 @@ from psbck.errors import (
 )
 from psbck.generate import goedel_chain
 from psbck.morphisms import enumerate_hom
-from psbck.operators import enumerate_interior
+from psbck.operators import UnaryMap, enumerate_interior, identity_map
 
 
 def test_goldens_certify(four_elt, six_elt, six_sm):
@@ -132,36 +133,44 @@ def test_carrier_cap_enforced():
         validate(tuple(f"x{i}" for i in range(5)), 0, (), (), max_n=4)
 
 
-# (search, its default cap); PSBCK_MAX_N overrides every one of them
+def _ds_v_of_a_warmed_operator(A):
+    v = identity_map(A)
+    enumerate_ds_v(A, v)  # fills v's memo before the cap is overridden
+    return partial(enumerate_ds_v, A, v)
+
+
+# (search, its default cap); each entry is prepared on an algebra before
+# PSBCK_MAX_N is set, and the override applies to every one of them
 CAPPED_SEARCHES = {
     "validate": (
-        lambda A: validate(A.element_names, A.one, A.arrow, A.squig, A.zero),
+        lambda A: partial(validate, A.element_names, A.one, A.arrow, A.squig, A.zero),
         24,
     ),
-    "enumerate_interior": (enumerate_interior, 10),
-    "enumerate_ds": (enumerate_ds, 20),
-    "smarandache_search": (smarandache_search, 16),
-    "enumerate_hom": (lambda A: enumerate_hom(A, A), 8),
+    "enumerate_interior": (lambda A: partial(enumerate_interior, A), 10),
+    "enumerate_ds": (lambda A: partial(enumerate_ds, A), 20),
+    "enumerate_ds_v": (_ds_v_of_a_warmed_operator, 20),
+    "smarandache_search": (lambda A: partial(smarandache_search, A), 16),
+    "enumerate_hom": (lambda A: partial(enumerate_hom, A, A), 8),
 }
 
 
 @pytest.mark.parametrize("raw", [None, "3", "junk", "0"])
 @pytest.mark.parametrize("search", sorted(CAPPED_SEARCHES))
 def test_psbck_max_n_overrides_every_cap(monkeypatch, search, raw):
-    run, default = CAPPED_SEARCHES[search]
-    chains = [goedel_chain(k) for k in (1, 3, 4)]  # built before the override
+    prepare, default = CAPPED_SEARCHES[search]
+    runs = [(k, prepare(goedel_chain(k))) for k in (1, 3, 4)]  # before the override
     if raw is None:
         monkeypatch.delenv("PSBCK_MAX_N", raising=False)
     else:
         monkeypatch.setenv("PSBCK_MAX_N", raw)
     cap = {None: default, "3": 3, "junk": default, "0": 1}[raw]
     assert size_cap(default) == cap
-    for A in chains:
-        if A.n > cap:
+    for n, run in runs:
+        if n > cap:
             with pytest.raises(WorkbenchError, match="exceeds"):
-                run(A)
+                run()
         else:
-            run(A)
+            run()
 
 
 def test_frozen_and_hashable(four_elt):
@@ -170,10 +179,11 @@ def test_frozen_and_hashable(four_elt):
     assert isinstance(four_elt, FiniteAlgebra)
 
 
-def test_finite_algebra_defines_no_cached_property():
+@pytest.mark.parametrize("cls", [FiniteAlgebra, UnaryMap], ids=lambda c: c.__name__)
+def test_finite_algebra_defines_no_cached_property(cls):
     # a cached_property materialises the instance __dict__, which slows
-    # every later attribute lookup on that algebra
+    # every later attribute lookup on that instance
     assert not any(
         isinstance(attr, functools.cached_property)
-        for attr in vars(FiniteAlgebra).values()
+        for attr in vars(cls).values()
     )

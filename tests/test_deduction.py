@@ -1,7 +1,8 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from psbck.algebra import diagnose
 from psbck.deduction import (
     DeductiveSystem,
     congruence_from,
@@ -169,3 +170,50 @@ def test_enumerate_ds_matches_power_set(small_pool):
                 except MalformedInput:
                     pass
         assert enumerate_ds(A) == brute
+
+
+# -- brute-force congruence oracle on every distinct pool algebra with n <= 6 -
+
+
+def _partitions(n):
+    """Every partition of range(n) as a class-id vector, class ids in
+    least-representative order."""
+    def grow(prefix, k):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for c in range(k + 1):
+            yield from grow(prefix + [c], max(k, c + 1))
+
+    return grow([], 0)
+
+
+def _relative_congruences(A):
+    """(class_of, arrow, squig) of each partition compatible with both
+    implications whose quotient tables certify as a pseudo-BCK algebra."""
+    found = []
+    for class_of in _partitions(A.n):
+        k = max(class_of) + 1
+        tabs = {}
+        for x, y in product(A.elements, repeat=2):
+            key = class_of[x], class_of[y]
+            val = class_of[A.arrow[x][y]], class_of[A.squig[x][y]]
+            if tabs.setdefault(key, val) != val:
+                break
+        else:
+            arrow = tuple(tuple(tabs[i, j][0] for j in range(k)) for i in range(k))
+            squig = tuple(tuple(tabs[i, j][1] for j in range(k)) for i in range(k))
+            names = tuple(f"c{i}" for i in range(k))
+            if not diagnose(names, class_of[A.one], arrow, squig):
+                found.append((class_of, arrow, squig))
+    return sorted(found)
+
+
+def test_enumerate_congruences_matches_partition_scan(pool):
+    distinct = {(A.one, A.zero, A.arrow, A.squig): A for A in pool if A.n <= 6}
+    for A in distinct.values():
+        got = sorted(
+            (q.class_of, q.algebra.arrow, q.algebra.squig)
+            for q in enumerate_congruences(A)
+        )
+        assert got == _relative_congruences(A), A.element_names

@@ -1,8 +1,16 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
 
 from psbck import goldens
+from psbck.deduction import (
+    DeductiveSystem,
+    enumerate_ds_nv,
+    enumerate_ds_v,
+    lift_vto_to_quotient,
+)
 from psbck.errors import CarrierTooLarge, GlivenkoRequired, NotVto
 from psbck.operators import (
     UnaryMap,
@@ -128,8 +136,10 @@ def test_vto_maps_kernel_and_fixpoints(four_elt):
 
 def test_certify_vto_raises(four_elt):
     bad = UnaryMap(four_elt, (0, 0, 0, 0))
-    with pytest.raises(NotVto):
-        certify_vto(four_elt, bad)
+    for _ in range(2):  # a failed certificate is not remembered
+        with pytest.raises(NotVto):
+            certify_vto(four_elt, bad)
+    assert not bad.memo
 
 
 def test_hedges_are_closures_and_satisfy_axioms(six_elt):
@@ -215,3 +225,61 @@ def test_enumeration_matches_brute_force(small_pool, enumerate_maps, check):
         every = (UnaryMap(A, im) for im in product(A.elements, repeat=A.n))
         brute = [f.image for f in every if check(A, f) is None]
         assert [f.image for f in enumerate_maps(A)] == brute
+
+
+# -- what is derived once per operator is kept in UnaryMap.memo --------------
+
+
+def _operators(pool):
+    for A in pool:
+        yield from enumerate_vto(A)
+
+
+def _fill_memo(v):
+    A = v.parent
+    certify_vto(A, v)
+    for H in enumerate_ds_nv(A, v):
+        lift_vto_to_quotient(A, v, H)
+
+
+def test_cached_derivations_match_fresh_ones(pool):
+    for v in _operators(pool):
+        A = v.parent
+        first = enumerate_ds_v(A, v)
+        again = enumerate_ds_v(A, v)
+        assert again == first == enumerate_ds_v(A, UnaryMap(A, v.image))
+        assert again is not first  # each call gets its own list
+        for H in enumerate_ds_nv(A, v):
+            fresh = lift_vto_to_quotient(A, UnaryMap(A, v.image), H)
+            for _ in range(2):  # the first call fills the memo, the second reads it
+                quot, lifted = lift_vto_to_quotient(A, v, H)
+                assert (quot, lifted) == fresh and quot.by is H
+            same = DeductiveSystem.from_members(A, H.members)
+            quot, lifted = lift_vto_to_quotient(A, v, same)
+            assert (quot, lifted) == fresh and quot.by is same
+            assert "vto" in lifted.memo
+
+
+def test_cache_is_invisible_to_equality_hash_and_repr(pool):
+    for v in _operators(pool):
+        twin = UnaryMap(v.parent, v.image)
+        _fill_memo(v)
+        assert v.memo and not twin.memo
+        assert v == twin
+        assert hash(v) == hash(twin)
+        assert repr(v) == repr(twin)
+
+
+def test_cached_operator_is_freed_without_the_cycle_collector(pool):
+    # the memo must hold no reference back to its operator, or each
+    # operator would live until the cyclic collector runs
+    gc.disable()
+    try:
+        for v in _operators(pool):
+            w = UnaryMap(v.parent, v.image)
+            _fill_memo(w)
+            ref = weakref.ref(w)
+            del w
+            assert ref() is None, v.names()
+    finally:
+        gc.enable()
