@@ -78,9 +78,6 @@ class FiniteAlgebra:
     def leq(self, x: int, y: int) -> bool:
         return self.arrow[x][y] == self.one
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq(x, y)
-
     def down_set(self, x: int) -> tuple[int, ...]:
         return tuple(y for y in self.elements if self.leq(y, x))
 

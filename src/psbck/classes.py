@@ -81,8 +81,6 @@ def lattice_tables(A: FiniteAlgebra):
 class ProductStructure:
     algebra: FiniteAlgebra
     odot: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...] | None
-    join: tuple[tuple[int, ...], ...] | None
 
 
 def _odot_table(A: FiniteAlgebra):
@@ -112,9 +110,7 @@ def pseudo_product(A: FiniteAlgebra):
     odot, wit = memo["odot"]
     if odot is None:
         return None, wit
-    lat, _ = lattice_tables(A)
-    mt, jt = lat if lat is not None else (None, None)
-    return ProductStructure(A, odot, mt, jt), None
+    return ProductStructure(A, odot), None
 
 
 def cross_check_product(A: FiniteAlgebra, odot) -> tuple[int, int] | None:

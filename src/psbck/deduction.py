@@ -138,9 +138,6 @@ class QuotientAlgebra:
     class_of: tuple[int, ...]
     representatives: tuple[int, ...] = field(default=())
 
-    def project(self, x: int) -> int:
-        return self.class_of[x]
-
     def class_members(self, cls: int) -> tuple[int, ...]:
         return tuple(x for x in self.parent.elements if self.class_of[x] == cls)
 

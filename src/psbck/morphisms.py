@@ -30,9 +30,10 @@ from .errors import (
     CarrierTooLarge,
     KernelContainmentViolated,
     MalformedInput,
+    NotVto,
     SurjectivityRequired,
 )
-from .operators import UnaryMap, Witness, _map_search, certify_vto, is_vto
+from .operators import UnaryMap, Witness, _map_search, certify_vto
 
 DEFAULT_HOM_CAP = 8
 
@@ -180,6 +181,21 @@ def _is_vds(A: FiniteAlgebra, v: UnaryMap, members: frozenset[int]) -> bool:
     )
 
 
+def _restrict_to_image(B: FiniteAlgebra, u: UnaryMap, image: frozenset[int]):
+    """(subalgebra of B on ``image``, u restricted to it), kept in ``u.memo``
+    when B is u's parent; the restriction lives on the subalgebra, not on u."""
+    key = ("restrict", image)
+    if B is u.parent and key in u.memo:
+        return u.memo[key]
+    members = sorted(image)
+    sub_b = B.subalgebra(members)
+    pos = {x: i for i, x in enumerate(members)}
+    res = sub_b, UnaryMap(sub_b, tuple(pos[u.image[x]] for x in members))
+    if B is u.parent:
+        u.memo[key] = res
+    return res
+
+
 def transport(f: VtHomomorphism, sub=None, max_n=None) -> TransportReport:
     """Verify how a very-true homomorphism moves substructures around.
 
@@ -201,10 +217,10 @@ def transport(f: VtHomomorphism, sub=None, max_n=None) -> TransportReport:
     image_ok = is_vt_subalgebra(B, u, image)
     if image_ok:
         # the restricted operator must itself be a very true operator there
-        sub_b = B.subalgebra(image)
-        pos = {x: i for i, x in enumerate(sorted(image))}
-        u_restr = UnaryMap(sub_b, tuple(pos[u.image[x]] for x in sorted(image)))
-        image_ok = is_vto(sub_b, u_restr) is None
+        try:
+            certify_vto(*_restrict_to_image(B, u, image))
+        except NotVto:
+            image_ok = False
 
     ker = f.base.kernel()
     kernel_ok = _is_vds(A, v, ker) and DeductiveSystem.from_members(A, ker).normal
@@ -316,11 +332,9 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
 
     The resulting map is a very-true isomorphism from A/Ker(f) onto Im(f).
     """
-    A, B = f.source, f.target
-    image = sorted(f.base.image())
-    sub_b = B.subalgebra(image)
-    pos = {x: i for i, x in enumerate(image)}
-    u_restr = UnaryMap(sub_b, tuple(pos[f.u.image[x]] for x in image))
+    A, image = f.source, f.base.image()
+    sub_b, u_restr = _restrict_to_image(f.target, f.u, image)
+    pos = {x: i for i, x in enumerate(sorted(image))}
     base = Homomorphism(A, sub_b, tuple(pos[f.base.map[x]] for x in A.elements))
     g = VtHomomorphism(base, f.v, u_restr)
     H = DeductiveSystem.from_members(A, base.kernel())

@@ -39,8 +39,10 @@ class UnaryMap:
     image: tuple[int, ...]
     # what is derived from (parent, operator) alone, filled on first use and
     # freed with the operator: its very true certificate (certify_vto), its
-    # v-deductive systems and its quotient lifts (deduction.enumerate_ds_v,
-    # deduction.lift_vto_to_quotient); nothing in it refers back to the map
+    # v-deductive systems, its quotient lifts and its restrictions to
+    # homomorphic images (deduction.enumerate_ds_v,
+    # deduction.lift_vto_to_quotient, morphisms._restrict_to_image); nothing
+    # in it refers back to the map
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,12 +119,12 @@ def _witness(A: FiniteAlgebra, axiom: str, tup) -> Witness:
 
 def is_interior(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
     """None if f is an interior operator, else the first violated axiom."""
-    im = f.image
+    im, ar, one = f.image, A.arrow, A.one
     for x in A.elements:
-        if not A.leq(im[x], x):
+        if ar[im[x]][x] != one:
             return _witness(A, "IO1", (x,))
     for x, y in product(A.elements, repeat=2):
-        if A.leq(x, y) and not A.leq(im[x], im[y]):
+        if ar[x][y] == one and ar[im[x]][im[y]] != one:
             return _witness(A, "IO2", (x, y))
     for x in A.elements:
         if im[im[x]] != im[x]:
@@ -145,19 +147,19 @@ def is_closure(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
 
 
 def is_vto(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
-    im = f.image
-    if im[A.one] != A.one:
-        return _witness(A, "VT1", (A.one,))
+    im, ar, sq, one = f.image, A.arrow, A.squig, A.one
+    if im[one] != one:
+        return _witness(A, "VT1", (one,))
     for x in A.elements:
-        if not A.leq(im[x], x):
+        if ar[im[x]][x] != one:
             return _witness(A, "VT2", (x,))
     for x in A.elements:
-        if not A.leq(im[x], im[im[x]]):
+        if ar[im[x]][im[im[x]]] != one:
             return _witness(A, "VT3", (x,))
     for x, y in product(A.elements, repeat=2):
-        if not A.leq(im[A.arrow[x][y]], A.arrow[im[x]][im[y]]):
+        if ar[im[ar[x][y]]][ar[im[x]][im[y]]] != one:
             return _witness(A, "VT4", (x, y))
-        if not A.leq(im[A.squig[x][y]], A.squig[im[x]][im[y]]):
+        if ar[im[sq[x][y]]][sq[im[x]][im[y]]] != one:
             return _witness(A, "VT4", (x, y))
     return None
 
@@ -310,19 +312,6 @@ def is_vtst(A: FiniteAlgebra, v: UnaryMap, s1: UnaryMap, s2: UnaryMap) -> Witnes
         if not A.leq(v.image[A.squig[x][y]], A.squig[s2.image[x]][s2.image[y]]):
             return _witness(A, "ST3", (x, y))
     return None
-
-
-@dataclass(frozen=True)
-class VtstStructure:
-    algebra: FiniteAlgebra
-    v: UnaryMap
-    s1: UnaryMap
-    s2: UnaryMap
-
-    def __post_init__(self):
-        w = is_vtst(self.algebra, self.v, self.s1, self.s2)
-        if w is not None:
-            raise NotVto(f"hedge axioms fail: {w}")
 
 
 # -- liftings ----------------------------------------------------------

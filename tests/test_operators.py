@@ -12,6 +12,7 @@ from psbck.deduction import (
     lift_vto_to_quotient,
 )
 from psbck.errors import CarrierTooLarge, GlivenkoRequired, NotVto
+from psbck.morphisms import VtHomomorphism, enumerate_hom, first_isomorphism, transport
 from psbck.operators import (
     UnaryMap,
     compose,
@@ -231,19 +232,34 @@ def test_enumeration_matches_brute_force(small_pool, enumerate_maps, check):
 
 
 def _operators(pool):
+    """(v, every endomorphism of v's algebra) over the pool's operators."""
     for A in pool:
-        yield from enumerate_vto(A)
+        homs = enumerate_hom(A, A)
+        for v in enumerate_vto(A):
+            yield v, homs
 
 
-def _fill_memo(v):
+def _endomorphisms(v, homs):
+    """v as a very true endomorphism along each hom f with f.v = v.f."""
+    return [
+        VtHomomorphism(f, v, v)
+        for f in homs
+        if all(f.map[v.image[x]] == v.image[f.map[x]] for x in f.source.elements)
+    ]
+
+
+def _fill_memo(v, homs):
     A = v.parent
     certify_vto(A, v)
     for H in enumerate_ds_nv(A, v):
         lift_vto_to_quotient(A, v, H)
+    for g in _endomorphisms(v, homs):
+        transport(g)
+        first_isomorphism(g)
 
 
 def test_cached_derivations_match_fresh_ones(pool):
-    for v in _operators(pool):
+    for v, homs in _operators(pool):
         A = v.parent
         first = enumerate_ds_v(A, v)
         again = enumerate_ds_v(A, v)
@@ -258,12 +274,23 @@ def test_cached_derivations_match_fresh_ones(pool):
             quot, lifted = lift_vto_to_quotient(A, v, same)
             assert (quot, lifted) == fresh and quot.by is same
             assert "vto" in lifted.memo
+        for g in _endomorphisms(v, homs):
+            twin = UnaryMap(A, v.image)
+            fresh = VtHomomorphism(g.base, twin, twin)
+            rep = transport(fresh)
+            # transport keeps the restriction with its certificate
+            sub_b, u_restr = twin.memo[("restrict", g.base.image())]
+            assert u_restr.parent is sub_b and "vto" in u_restr.memo
+            res = first_isomorphism(fresh)
+            assert res.factored.u is u_restr
+            for _ in range(2):  # the first call fills the memo, the second reads it
+                assert (transport(g), first_isomorphism(g)) == (rep, res)
 
 
 def test_cache_is_invisible_to_equality_hash_and_repr(pool):
-    for v in _operators(pool):
+    for v, homs in _operators(pool):
         twin = UnaryMap(v.parent, v.image)
-        _fill_memo(v)
+        _fill_memo(v, homs)
         assert v.memo and not twin.memo
         assert v == twin
         assert hash(v) == hash(twin)
@@ -275,9 +302,9 @@ def test_cached_operator_is_freed_without_the_cycle_collector(pool):
     # operator would live until the cyclic collector runs
     gc.disable()
     try:
-        for v in _operators(pool):
+        for v, homs in _operators(pool):
             w = UnaryMap(v.parent, v.image)
-            _fill_memo(w)
+            _fill_memo(w, homs)
             ref = weakref.ref(w)
             del w
             assert ref() is None, v.names()

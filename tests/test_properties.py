@@ -5,8 +5,20 @@ on a seeded batch of randomly generated certified algebras.  A failure
 anywhere means either a wrong table or a wrongly stated law.
 """
 
-from psbck import goldens
-from psbck.generate import _seed_pool
+from itertools import product
+
+import pytest
+
+from psbck import goldens, suite
+from psbck.generate import _seed_pool, direct_product, goedel_chain
+from psbck.operators import (
+    Witness,
+    compose,
+    enumerate_interior,
+    enumerate_vto,
+    is_interior,
+    is_vto,
+)
 from psbck.suite import run_suite
 
 
@@ -53,3 +65,75 @@ def test_suite_on_unbounded_up_sets():
     for U in ups:
         assert U.zero is None
         assert _violations(run_suite(U)) == [], U.element_names
+
+
+# -- the commutation families decide each unordered pair once ----------------
+#
+# A checker that reports a planted witness for one composite must change the
+# verdict and the "f/g" detail exactly as a scan over every ordered pair would.
+
+
+def _ordered_scan(maps, holds):
+    for f, g in product(maps, repeat=2):
+        if not holds(f, g):
+            return False, f"{f.names()}/{g.names()}"
+    return True, ""
+
+
+def _planted(real, A, image):
+    def checker(B, f):
+        if B is A and f.image == image:
+            return Witness("planted", ())
+        return real(B, f)
+
+    return checker
+
+
+def _three_way(A, interior):
+    def holds(f, g):
+        fg, gf = compose(f, g), compose(g, f)
+        a = fg.image == gf.image
+        b = interior(A, fg) is None and interior(A, gf) is None
+        c = compose(fg, fg).image == fg.image and compose(gf, gf).image == gf.image
+        return a == b == c
+
+    return holds
+
+
+def _vto_commutation(A, vto):
+    def holds(f, g):
+        fg, gf = compose(f, g), compose(g, f)
+        both = vto(A, fg) is None and vto(A, gf) is None
+        return both == (fg.image == gf.image)
+
+    return holds
+
+
+@pytest.mark.parametrize(
+    "family, name, enumerate_maps, real, holds",
+    [
+        ("is_interior", "interior-commutation", enumerate_interior, is_interior, _three_way),
+        ("is_vto", "vto-composition-commutation", enumerate_vto, is_vto, _vto_commutation),
+    ],
+    ids=["interior", "vto"],
+)
+def test_planted_fault_in_a_pair_family_matches_an_ordered_scan(
+    monkeypatch, family, name, enumerate_maps, real, holds
+):
+    failed = set()
+    for A in (
+        goldens.four_element_bounded(),
+        goldens.six_element_involutive(),
+        goedel_chain(5),
+        direct_product(goedel_chain(2), goedel_chain(2)),
+    ):
+        maps = enumerate_maps(A)
+        last = len(maps) - 1
+        for i, j in ((0, 0), (1, last), (last, 1), (last, last - 1)):
+            checker = _planted(real, A, compose(maps[i], maps[j]).image)
+            monkeypatch.setattr(suite, family, checker)
+            got = {r.name: (r.ok, r.detail) for r in run_suite(A)}[name]
+            assert got == _ordered_scan(maps, holds(A, checker)), (A.element_names, i, j)
+            if not got[0]:
+                failed.add(got[1])
+    assert len(failed) >= 4  # the planted witnesses do change the verdicts
