@@ -170,11 +170,8 @@ class FiniteAlgebra:
         names = tuple(self.name(x) for x in keep)
         arrow = tuple(tuple(pos[self.arrow[x][y]] for y in keep) for x in keep)
         squig = tuple(tuple(pos[self.squig[x][y]] for y in keep) for x in keep)
-        zero = pos.get(self.zero) if self.zero is not None else None
-        # bottomness of the inherited zero is re-checked by validate
-        if zero is not None and any(arrow[zero][j] != pos[self.one] for j in range(len(keep))):
-            zero = None
-        return validate(names, pos[self.one], arrow, squig, zero=zero)
+        # the inherited 0 stays the bottom; validate re-checks it
+        return validate(names, pos[self.one], arrow, squig, zero=pos.get(self.zero))
 
 
 def diagnose(element_names, one, arrow, squig, zero=None) -> list[Diagnostic]:
@@ -262,10 +259,9 @@ def diagnose(element_names, one, arrow, squig, zero=None) -> list[Diagnostic]:
     return diags
 
 
-def validate(element_names, one, arrow, squig, zero=None,
-             max_n=None) -> FiniteAlgebra:
+def validate(element_names, one, arrow, squig, zero=None) -> FiniteAlgebra:
     """Certify raw tables as a pseudo-BCK algebra or raise NotCertified."""
-    cap = max_n if max_n is not None else size_cap(DEFAULT_MAX_CARRIER)
+    cap = size_cap(DEFAULT_MAX_CARRIER)
     if len(element_names) > cap:
         raise MalformedInput(
             f"carrier size {len(element_names)} exceeds cap {cap}"

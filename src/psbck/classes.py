@@ -285,7 +285,7 @@ def _vt4_dprime(A, od, im) -> Witness | None:
     return None
 
 
-def vt_pp_suite(A: FiniteAlgebra, v: UnaryMap) -> PpSuiteReport:
+def vt_pp_suite(v: UnaryMap) -> PpSuiteReport:
     """Product arithmetic of a very true operator on a pseudo-product algebra.
 
     VT4' and VT4'' are evaluated independently; on a certified operator
@@ -293,10 +293,11 @@ def vt_pp_suite(A: FiniteAlgebra, v: UnaryMap) -> PpSuiteReport:
     it: ``certify_vto`` has just accepted ``v``, so it is always true, and
     it is kept so the report states all three formulations.
     """
+    A = v.parent
     ps, _ = pseudo_product(A)
     if ps is None:
         raise PPRequired("algebra has no pseudo-product")
-    certify_vto(A, v)
+    certify_vto(v)
     od, im = ps.odot, v.image
 
     rt = None
@@ -310,7 +311,7 @@ def vt_pp_suite(A: FiniteAlgebra, v: UnaryMap) -> PpSuiteReport:
     return PpSuiteReport(rt, sm, vp, True, vp is None, sm is None)
 
 
-def vt4_equivalence_check(A: FiniteAlgebra, max_n=None) -> bool:
+def vt4_equivalence_check(A: FiniteAlgebra) -> bool:
     """The three sub-multiplicativity formulations agree extensionally.
 
     Quantified over all monotone decreasing idempotent maps fixing 1 (the
@@ -321,11 +322,11 @@ def vt4_equivalence_check(A: FiniteAlgebra, max_n=None) -> bool:
     if ps is None:
         raise PPRequired("algebra has no pseudo-product")
     od = ps.odot
-    for f in enumerate_interior(A, max_n):
+    for f in enumerate_interior(A):
         if f.image[A.one] != A.one:
             continue
         # f fixes 1 and is decreasing and idempotent, so VT1-VT3 hold
-        a = is_vto(A, f) is None
+        a = is_vto(f) is None
         if (
             a != (_vt4_prime(A, f.image) is None)
             or a != (_vt4_dprime(A, od, f.image) is None)
@@ -341,17 +342,17 @@ def _require_flw(A: FiniteAlgebra) -> ClassificationReport:
     return report
 
 
-def is_vto_flw(A: FiniteAlgebra, v: UnaryMap) -> Witness | None:
+def is_vto_flw(v: UnaryMap) -> Witness | None:
     """VT1-VT4 plus the join axiom VT5; on success the equality variant holds."""
-    _require_flw(A)
-    return _vto_flw_witness(A, join_table(A), v)
+    _require_flw(v.parent)
+    return _vto_flw_witness(join_table(v.parent), v)
 
 
-def _vto_flw_witness(A: FiniteAlgebra, jt, v: UnaryMap) -> Witness | None:
-    w = is_vto(A, v)
+def _vto_flw_witness(jt, v: UnaryMap) -> Witness | None:
+    w = is_vto(v)
     if w is not None:
         return w
-    im = v.image
+    A, im = v.parent, v.image
     for x, y in product(A.elements, repeat=2):
         if not A.leq(im[jt[x][y]], jt[im[x]][im[y]]):
             return Witness("VT5", (A.name(x), A.name(y)))
@@ -362,16 +363,16 @@ def _vto_flw_witness(A: FiniteAlgebra, jt, v: UnaryMap) -> Witness | None:
     return None
 
 
-def enumerate_vto_flw(A: FiniteAlgebra, max_n=None) -> list[UnaryMap]:
+def enumerate_vto_flw(A: FiniteAlgebra) -> list[UnaryMap]:
     _require_flw(A)
-    return _vto_flw(A, max_n)[0]
+    return _vto_flw(A)[0]
 
 
-def _vto_flw(A: FiniteAlgebra, max_n):
+def _vto_flw(A: FiniteAlgebra):
     """(the VT1-VT5 operators, the join table they were checked on)."""
-    vto = enumerate_vto(A, max_n)
+    vto = enumerate_vto(A)
     jt = join_table(A)
-    return [v for v in vto if _vto_flw_witness(A, jt, v) is None], jt
+    return [v for v in vto if _vto_flw_witness(jt, v) is None], jt
 
 
 @dataclass(frozen=True)
@@ -384,14 +385,14 @@ class CharacterizationResult:
         return self.left == self.right
 
 
-def mtl_characterization(A: FiniteAlgebra, max_n=None) -> CharacterizationResult:
+def mtl_characterization(A: FiniteAlgebra) -> CharacterizationResult:
     """Prelinearity holds iff every join-compatible operator splits 1.
 
     Left: every enumerated VT1-VT5 operator v satisfies
     v(x->y) v v(y->x) = 1 (and the ~> twin).  Right: prelinearity.
     """
     _require_flw(A)
-    ops, jt = _vto_flw(A, max_n)
+    ops, jt = _vto_flw(A)
     left = True
     for v in ops:
         im = v.image
@@ -408,10 +409,10 @@ def mtl_characterization(A: FiniteAlgebra, max_n=None) -> CharacterizationResult
     return CharacterizationResult(left, right)
 
 
-def mv_characterization(A: FiniteAlgebra, max_n=None) -> CharacterizationResult:
+def mv_characterization(A: FiniteAlgebra) -> CharacterizationResult:
     """Involutive join identities hold for all operators iff the algebra is MV."""
     _require_flw(A)
-    ops, jt = _vto_flw(A, max_n)
+    ops, jt = _vto_flw(A)
     left = True
     for v in ops:
         im = v.image
@@ -446,7 +447,7 @@ def _close_implications(A: FiniteAlgebra, mask: int) -> int:
     return mask
 
 
-def smarandache_search(A: FiniteAlgebra, max_n=None):
+def smarandache_search(A: FiniteAlgebra):
     """All proper implication-closed Q with 0,1 in Q, |Q| >= 3, whose
     induced structure is a pseudo-MTL algebra.
 
@@ -455,7 +456,7 @@ def smarandache_search(A: FiniteAlgebra, max_n=None):
     """
     if A.zero is None:
         raise NotSmarandache("Smarandache structures need a bounded algebra")
-    cap = max_n if max_n is not None else size_cap(DEFAULT_SMARANDACHE_CAP)
+    cap = size_cap(DEFAULT_SMARANDACHE_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
     results = []
@@ -485,22 +486,21 @@ def _certify_smarandache(A: FiniteAlgebra, q) -> FiniteAlgebra:
     return sub
 
 
-def svto(A: FiniteAlgebra, q, max_n=None) -> list[UnaryMap]:
+def svto(A: FiniteAlgebra, q) -> list[UnaryMap]:
     """All VT1-VT5 operators on the substructure Q, lexicographic order."""
-    sub = _certify_smarandache(A, q)
-    return enumerate_vto_flw(sub, max_n)
+    return enumerate_vto_flw(_certify_smarandache(A, q))
 
 
-def restrict_vto(A: FiniteAlgebra, v: UnaryMap, q):
+def restrict_vto(v: UnaryMap, q):
     """(restriction of v to Q, None) or (None, reason)."""
-    certify_vto(A, v)
-    sub = _certify_smarandache(A, q)
+    certify_vto(v)
+    sub = _certify_smarandache(v.parent, q)
     members = sorted(frozenset(q))
     if any(v.image[x] not in frozenset(q) for x in members):
         return None, "v does not map Q into Q"
     pos = {x: i for i, x in enumerate(members)}
     restr = UnaryMap(sub, tuple(pos[v.image[x]] for x in members))
-    w = is_vto_flw(sub, restr)
+    w = is_vto_flw(restr)
     if w is not None:
         return None, f"restriction fails {w}"
     return restr, None

@@ -59,41 +59,22 @@ def _pick_algebra(doc: WorkbenchDocument, name: str | None):
     return name, doc.algebras[name]
 
 
-def _named_map(doc: WorkbenchDocument, aname: str, name: str | None, flag: str):
+def _named(doc: WorkbenchDocument, kind: str, aname: str, name: str | None, flag: str):
+    """The document's map, subset or valuation (``kind``) called ``name``,
+    which must live on the algebra ``aname``."""
     if name is None:
-        raise CommandError(f"this command requires {flag} <map name>")
-    if name not in doc.maps:
-        raise CommandError(f"no map named {name!r}")
-    owner, f = doc.maps[name]
+        raise CommandError(f"this command requires {flag} <{kind} name>")
+    table = {"map": doc.maps, "subset": doc.subsets, "valuation": doc.valuations}[kind]
+    if name not in table:
+        raise CommandError(f"no {kind} named {name!r}")
+    owner, obj = table[name]
     if owner != aname:
-        raise CommandError(f"map {name!r} lives on algebra {owner!r}")
-    return f
+        raise CommandError(f"{kind} {name!r} lives on algebra {owner!r}")
+    return obj
 
 
-def _named_vto(doc, A, aname, name):
-    return operators.certify_vto(A, _named_map(doc, aname, name, "--vto"))
-
-
-def _named_subset(doc: WorkbenchDocument, aname: str, name: str | None, flag: str):
-    if name is None:
-        raise CommandError(f"this command requires {flag} <subset name>")
-    if name not in doc.subsets:
-        raise CommandError(f"no subset named {name!r}")
-    owner, members = doc.subsets[name]
-    if owner != aname:
-        raise CommandError(f"subset {name!r} lives on algebra {owner!r}")
-    return members
-
-
-def _named_valuation(doc: WorkbenchDocument, aname: str, name: str | None):
-    if name is None:
-        raise CommandError("this command requires --valuation <name>")
-    if name not in doc.valuations:
-        raise CommandError(f"no valuation named {name!r}")
-    owner, phi = doc.valuations[name]
-    if owner != aname:
-        raise CommandError(f"valuation {name!r} lives on algebra {owner!r}")
-    return phi
+def _named_vto(doc, aname, name):
+    return operators.certify_vto(_named(doc, "map", aname, name, "--vto"))
 
 
 def _emit(payload: dict, text_lines, as_json: bool):
@@ -173,10 +154,6 @@ def cmd_props(args) -> int:
     return EXIT_OK if payload["derived_laws_ok"] else EXIT_PROPERTY
 
 
-def _map_rows(A, maps):
-    return [" ".join(f.names()) for f in maps]
-
-
 def cmd_enum(args) -> int:
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
@@ -194,11 +171,10 @@ def cmd_enum(args) -> int:
         payload["maps"] = [list(f.names()) for f in maps]
         payload["count"] = len(maps)
         lines.append(f"{kind} maps on {aname} ({len(maps)}):")
-        lines.extend(f"  {row}" for row in _map_rows(A, maps))
+        lines.extend(f"  {' '.join(f.names())}" for f in maps)
     elif kind in ("ds", "dsn", "dsv"):
         if kind == "dsv":
-            v = _named_vto(doc, A, aname, args.vto)
-            fam = deduction.enumerate_ds_v(A, v)
+            fam = deduction.enumerate_ds_v(_named_vto(doc, aname, args.vto))
         elif kind == "dsn":
             fam = deduction.enumerate_ds_n(A)
         else:
@@ -219,7 +195,7 @@ def cmd_enum(args) -> int:
         lines.append(f"endomorphisms of {aname} ({len(homs)}):")
         lines.extend(f"  {' '.join(f.names())}" for f in homs)
     elif kind == "vthom":
-        v = _named_vto(doc, A, aname, args.vto)
+        v = _named_vto(doc, aname, args.vto)
         homs = morphisms.enumerate_vthom(A, v, A, v)
         payload["maps"] = [list(f.names()) for f in homs]
         payload["count"] = len(homs)
@@ -255,7 +231,7 @@ def cmd_enum(args) -> int:
             for q, _, _ in found
         )
     elif kind == "svto":
-        members = _named_subset(doc, aname, args.q, "--q")
+        members = _named(doc, "subset", aname, args.q, "--q")
         sub = A.subalgebra(members)
         maps = classes.svto(A, members)
         payload["q"] = [sub.name(x) for x in sub.elements]
@@ -285,7 +261,7 @@ def _quotient_payload(A, quot):
 def cmd_quotient(args) -> int:
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
-    members = _named_subset(doc, aname, args.ds, "--ds")
+    members = _named(doc, "subset", aname, args.ds, "--ds")
     H = deduction.DeductiveSystem.from_members(A, members)
     quot = deduction.congruence_from(A, H)
     payload = {"command": "quotient", "algebra": aname, **_quotient_payload(A, quot)}
@@ -302,10 +278,10 @@ def cmd_quotient(args) -> int:
 def cmd_lift(args) -> int:
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
-    v = _named_vto(doc, A, aname, args.vto)
-    members = _named_subset(doc, aname, args.ds, "--ds")
+    v = _named_vto(doc, aname, args.vto)
+    members = _named(doc, "subset", aname, args.ds, "--ds")
     H = deduction.DeductiveSystem.from_members(A, members)
-    quot, lifted = deduction.lift_vto_to_quotient(A, v, H)
+    quot, lifted = deduction.lift_vto_to_quotient(v, H)
     payload = {
         "command": "lift",
         "algebra": aname,
@@ -323,10 +299,10 @@ def cmd_lift(args) -> int:
 
 def cmd_hedges(args) -> int:
     doc = parse(_read(args.file))
-    aname, A = _pick_algebra(doc, args.algebra)
-    v = _named_vto(doc, A, aname, args.vto)
-    s1, s2 = operators.sigma_hedges(A, v)
-    w = operators.is_vtst(A, v, s1, s2)
+    aname, _ = _pick_algebra(doc, args.algebra)
+    v = _named_vto(doc, aname, args.vto)
+    s1, s2 = operators.sigma_hedges(v)
+    w = operators.is_vtst(v, s1, s2)
     payload = {
         "command": "hedges",
         "algebra": aname,
@@ -348,16 +324,16 @@ def cmd_hedges(args) -> int:
 def cmd_factor(args) -> int:
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
-    v = _named_vto(doc, A, aname, args.vto)
+    v = _named_vto(doc, aname, args.vto)
     u = (
-        operators.certify_vto(A, _named_map(doc, aname, args.target_vto, "--target-vto"))
+        operators.certify_vto(_named(doc, "map", aname, args.target_vto, "--target-vto"))
         if args.target_vto
         else v
     )
-    f = _named_map(doc, aname, args.map, "--map")
+    f = _named(doc, "map", aname, args.map, "--map")
     base = morphisms.Homomorphism(A, A, f.image)
     g = morphisms.VtHomomorphism(base, v, u)
-    members = _named_subset(doc, aname, args.ds, "--ds")
+    members = _named(doc, "subset", aname, args.ds, "--ds")
     H = deduction.DeductiveSystem.from_members(A, members)
     res = morphisms.factor(g, H)
     payload = {
@@ -387,7 +363,7 @@ def cmd_factor(args) -> int:
 def cmd_valuation(args) -> int:
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
-    phi = _named_valuation(doc, aname, args.valuation)
+    phi = _named(doc, "valuation", aname, args.valuation, "--valuation")
     if args.action == "check":
         w = valuations.is_valuation(A, phi.values)
         strict = w is None
@@ -411,8 +387,8 @@ def cmd_valuation(args) -> int:
         _emit(payload, lines, args.json)
         return EXIT_OK if facts is None else EXIT_PROPERTY
     # compose
-    v = _named_vto(doc, A, aname, args.vto)
-    composed = valuations.compose_with_vto(A, phi, v)
+    v = _named_vto(doc, aname, args.vto)
+    composed = valuations.compose_with_vto(phi, v)
     payload = {
         "command": "valuation-compose",
         "algebra": aname,

@@ -74,8 +74,7 @@ class DeductiveSystem:
     @classmethod
     def from_members(cls, A: FiniteAlgebra, members) -> "DeductiveSystem":
         members = frozenset(members)
-        mask = sum(1 << x for x in members)
-        if A.one not in members or _saturate(A, mask) != mask:
+        if not _is_ds(A, members):
             raise MalformedInput("subset is not a deductive system")
         return cls(A, members, _is_normal(A, members))
 
@@ -86,6 +85,12 @@ class DeductiveSystem:
         return tuple(
             self.parent.name(x) for x in sorted(self.members)
         )
+
+
+def _is_ds(A: FiniteAlgebra, members: frozenset[int]) -> bool:
+    """Contains 1 and is closed under modus ponens for both implications."""
+    mask = sum(1 << x for x in members)
+    return A.one in members and _saturate(A, mask) == mask
 
 
 def _is_normal(A: FiniteAlgebra, members: frozenset[int]) -> bool:
@@ -100,34 +105,34 @@ def _mask_to_ds(A: FiniteAlgebra, mask: int) -> DeductiveSystem:
     return DeductiveSystem(A, members, _is_normal(A, members))
 
 
-def _check_subset_cap(A: FiniteAlgebra, max_n):
-    cap = max_n if max_n is not None else size_cap(DEFAULT_SUBSET_CAP)
+def _check_subset_cap(A: FiniteAlgebra):
+    cap = size_cap(DEFAULT_SUBSET_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
 
 
-def enumerate_ds(A: FiniteAlgebra, max_n=None) -> list[DeductiveSystem]:
-    _check_subset_cap(A, max_n)
+def enumerate_ds(A: FiniteAlgebra) -> list[DeductiveSystem]:
+    _check_subset_cap(A)
     return [_mask_to_ds(A, m) for m in _closed_sets(A, _saturate, 1 << A.one)]
 
 
-def enumerate_ds_n(A: FiniteAlgebra, max_n=None) -> list[DeductiveSystem]:
-    return [d for d in enumerate_ds(A, max_n) if d.normal]
+def enumerate_ds_n(A: FiniteAlgebra) -> list[DeductiveSystem]:
+    return [d for d in enumerate_ds(A) if d.normal]
 
 
-def enumerate_ds_v(A: FiniteAlgebra, v: UnaryMap, max_n=None) -> list[DeductiveSystem]:
-    """The v-stable deductive systems, derived once per operator on its own
-    parent and kept in ``v.memo``; the cap is checked on every call."""
-    certify_vto(A, v)
-    _check_subset_cap(A, max_n)
-    memo = v.memo if A is v.parent else {}
+def enumerate_ds_v(v: UnaryMap) -> list[DeductiveSystem]:
+    """The v-stable deductive systems, derived once per operator and kept in
+    ``v.memo``; the cap is checked on every call."""
+    certify_vto(v)
+    _check_subset_cap(v.parent)
+    memo = v.memo
     if "ds_v" not in memo:
-        memo["ds_v"] = tuple(d for d in enumerate_ds(A, max_n) if d.stable_under(v))
+        memo["ds_v"] = tuple(d for d in enumerate_ds(v.parent) if d.stable_under(v))
     return list(memo["ds_v"])
 
 
-def enumerate_ds_nv(A: FiniteAlgebra, v: UnaryMap, max_n=None) -> list[DeductiveSystem]:
-    return [d for d in enumerate_ds_v(A, v, max_n) if d.normal]
+def enumerate_ds_nv(v: UnaryMap) -> list[DeductiveSystem]:
+    return [d for d in enumerate_ds_v(v) if d.normal]
 
 
 @dataclass(frozen=True)
@@ -196,11 +201,9 @@ def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
                 f"tables disagree on classes of ({A.name(x)},{A.name(y)})"
             )
     names = tuple(f"[{A.name(r)}]" for r in reps)
+    # the class of 0 is the bottom, since [0] -> [x] = [0 -> x] = [1];
+    # validate re-checks it
     zero = class_of[A.zero] if A.zero is not None else None
-    if zero is not None:
-        z = zero
-        if any(arrow[z][j] != class_of[A.one] for j in range(k)):
-            zero = None
     quotient = validate(
         names,
         class_of[A.one],
@@ -211,41 +214,40 @@ def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
     return QuotientAlgebra(A, H, quotient, tuple(class_of), tuple(reps))
 
 
-def enumerate_congruences(A: FiniteAlgebra, max_n=None) -> list[QuotientAlgebra]:
+def enumerate_congruences(A: FiniteAlgebra) -> list[QuotientAlgebra]:
     """One quotient per normal deductive system."""
-    return [congruence_from(A, H) for H in enumerate_ds_n(A, max_n)]
+    return [congruence_from(A, H) for H in enumerate_ds_n(A)]
 
 
 def lift_vto_to_quotient(
-    A: FiniteAlgebra, v: UnaryMap, H: DeductiveSystem
+    v: UnaryMap, H: DeductiveSystem
 ) -> tuple[QuotientAlgebra, UnaryMap]:
     """Induce a very true operator on A/H from a normal v-deductive system.
 
-    On v's own parent the pair is derived once per system and kept in
-    ``v.memo`` under ``H.members``; the preconditions are checked on every
-    call, and a stored quotient is handed back with ``by`` set to this H.
+    The pair is derived once per system and kept in ``v.memo`` under
+    ``H.members``; the preconditions are checked on every call, and a
+    stored quotient is handed back with ``by`` set to this H.
     """
-    certify_vto(A, v)
+    certify_vto(v)
     if not H.normal:
         raise NotNormal("lifting requires a normal deductive system")
     if not H.stable_under(v):
         raise NotVds("H is not stable under the operator")
-    memo = v.memo if A is v.parent else {}
+    memo = v.memo
     key = ("lift", H.members)
     if key not in memo:
-        quot = congruence_from(A, H)
-        q = quot.algebra
-        lifted = UnaryMap(q, quot.induce([quot.class_of[y] for y in v.image]))
-        w = is_vto(q, lifted)
+        quot = congruence_from(v.parent, H)
+        lifted = UnaryMap(quot.algebra, quot.induce([quot.class_of[y] for y in v.image]))
+        w = is_vto(lifted)
         if w is not None:
             raise WellDefinednessFailure(f"induced map fails {w}")
-        lifted.memo["vto"] = True  # certify_vto's record: checked just now on q
+        lifted.memo["vto"] = True  # certify_vto's record: checked just now
         memo[key] = quot, lifted
     quot, lifted = memo[key]
     return (quot if quot.by is H else replace(quot, by=H)), lifted
 
 
-def vto_congruence_check(A: FiniteAlgebra, v: UnaryMap, max_n=None) -> bool:
+def vto_congruence_check(v: UnaryMap) -> bool:
     """Congruences from v-stable normal deductive systems are compatible
     with v (a theorem checker).
 
@@ -253,8 +255,8 @@ def vto_congruence_check(A: FiniteAlgebra, v: UnaryMap, max_n=None) -> bool:
     3-chain with globalization relates the two non-unit elements via the
     system they generate, but globalization separates them again.
     """
-    certify_vto(A, v)
-    for H in enumerate_ds_nv(A, v, max_n):
+    A = certify_vto(v).parent
+    for H in enumerate_ds_nv(v):
         mem = H.members
         for x, y in product(A.elements, repeat=2):
             if A.arrow[x][y] in mem and A.arrow[y][x] in mem:

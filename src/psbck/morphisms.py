@@ -22,7 +22,8 @@ from .algebra import FiniteAlgebra, size_cap
 from .deduction import (
     DeductiveSystem,
     QuotientAlgebra,
-    _saturate,
+    _is_ds,
+    _is_normal,
     enumerate_ds_v,
     lift_vto_to_quotient,
 )
@@ -33,7 +34,7 @@ from .errors import (
     NotVto,
     SurjectivityRequired,
 )
-from .operators import UnaryMap, Witness, _map_search, certify_vto
+from .operators import UnaryMap, Witness, _map_search, _require_on, certify_vto
 
 DEFAULT_HOM_CAP = 8
 
@@ -94,12 +95,18 @@ def is_hom(f: Homomorphism) -> Witness | None:
     return None
 
 
+def _require_ends(A: FiniteAlgebra, v: UnaryMap, B: FiniteAlgebra, u: UnaryMap):
+    _require_on(A, v, "v must live on the source algebra")
+    _require_on(B, u, "u must live on the target algebra")
+
+
 def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
+    _require_ends(f.source, v, f.target, u)
     w = is_hom(f)
     if w is not None:
         return w
-    certify_vto(f.source, v)
-    certify_vto(f.target, u)
+    certify_vto(v)
+    certify_vto(u)
     for x in f.source.elements:
         if f.map[v.image[x]] != u.image[f.map[x]]:
             return Witness("intertwine", (f.source.name(x),))
@@ -117,9 +124,9 @@ def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, candidates, injective=False)
     return _map_search(A.n, candidates, checks, injective)
 
 
-def enumerate_hom(A: FiniteAlgebra, B: FiniteAlgebra, max_n=None) -> list[Homomorphism]:
+def enumerate_hom(A: FiniteAlgebra, B: FiniteAlgebra) -> list[Homomorphism]:
     """All implication-preserving maps A -> B, lexicographic in map vectors."""
-    cap = max_n if max_n is not None else size_cap(DEFAULT_HOM_CAP)
+    cap = size_cap(DEFAULT_HOM_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"source size {A.n} exceeds hom cap {cap}")
     candidates = [[B.one] if x == A.one else range(B.n) for x in A.elements]
@@ -127,20 +134,21 @@ def enumerate_hom(A: FiniteAlgebra, B: FiniteAlgebra, max_n=None) -> list[Homomo
 
 
 def enumerate_vthom(
-    A: FiniteAlgebra, v: UnaryMap, B: FiniteAlgebra, u: UnaryMap, max_n=None
+    A: FiniteAlgebra, v: UnaryMap, B: FiniteAlgebra, u: UnaryMap
 ) -> list[Homomorphism]:
-    certify_vto(A, v)
-    certify_vto(B, u)
+    _require_ends(A, v, B, u)
+    certify_vto(v)
+    certify_vto(u)
     return [
         f
-        for f in enumerate_hom(A, B, max_n)
+        for f in enumerate_hom(A, B)
         if all(f.map[v.image[x]] == u.image[f.map[x]] for x in A.elements)
     ]
 
 
-def is_vt_subalgebra(A: FiniteAlgebra, v: UnaryMap, members) -> bool:
+def is_vt_subalgebra(v: UnaryMap, members) -> bool:
     """Subset closed under ->, ~>, containing 1 and stable under v."""
-    members = frozenset(members)
+    A, members = v.parent, frozenset(members)
     if A.one not in members:
         return False
     for x, y in product(sorted(members), repeat=2):
@@ -172,85 +180,74 @@ class TransportReport:
         return all(checks)
 
 
-def _is_vds(A: FiniteAlgebra, v: UnaryMap, members: frozenset[int]) -> bool:
-    mask = sum(1 << x for x in members)
-    return (
-        A.one in members
-        and _saturate(A, mask) == mask
-        and all(v.image[x] in members for x in members)
-    )
+def _is_vds(v: UnaryMap, members: frozenset[int]) -> bool:
+    return _is_ds(v.parent, members) and all(v.image[x] in members for x in members)
 
 
-def _restrict_to_image(B: FiniteAlgebra, u: UnaryMap, image: frozenset[int]):
-    """(subalgebra of B on ``image``, u restricted to it), kept in ``u.memo``
-    when B is u's parent; the restriction lives on the subalgebra, not on u."""
+def _restrict_to_image(u: UnaryMap, image: frozenset[int]):
+    """(subalgebra of u's algebra on ``image``, u restricted to it), kept in
+    ``u.memo``; the restriction lives on the subalgebra, not on u."""
     key = ("restrict", image)
-    if B is u.parent and key in u.memo:
-        return u.memo[key]
-    members = sorted(image)
-    sub_b = B.subalgebra(members)
-    pos = {x: i for i, x in enumerate(members)}
-    res = sub_b, UnaryMap(sub_b, tuple(pos[u.image[x]] for x in members))
-    if B is u.parent:
-        u.memo[key] = res
-    return res
+    if key not in u.memo:
+        members = sorted(image)
+        sub_b = u.parent.subalgebra(members)
+        pos = {x: i for i, x in enumerate(members)}
+        u.memo[key] = sub_b, UnaryMap(sub_b, tuple(pos[u.image[x]] for x in members))
+    return u.memo[key]
 
 
-def transport(f: VtHomomorphism, sub=None, max_n=None) -> TransportReport:
+def transport(f: VtHomomorphism) -> TransportReport:
     """Verify how a very-true homomorphism moves substructures around.
 
-    Checks: the image of a very-true subalgebra is one in the target; the
-    kernel is a normal v-deductive system; pushforwards of v-deductive
-    systems are u-deductive systems (surjective case only, reported as
-    None otherwise); pullbacks of u-deductive systems are v-deductive
-    systems; plus the kernel-of-operator corollaries.
+    Checks: the image is a very-true subalgebra of the target; the kernel
+    is a normal v-deductive system; pushforwards of v-deductive systems
+    are u-deductive systems (surjective case only, reported as None
+    otherwise); pullbacks of u-deductive systems are v-deductive systems;
+    plus the kernel-of-operator corollaries.
     """
     A, B = f.source, f.target
     v, u = f.v, f.u
     w = is_vthom(f.base, v, u)
     if w is not None:
         raise MalformedInput(f"not a very true homomorphism: {w}")
-    sub = frozenset(sub) if sub is not None else frozenset(A.elements)
-    if not is_vt_subalgebra(A, v, sub):
-        raise MalformedInput("given subset is not a very true subalgebra")
-    image = frozenset(f.base.map[x] for x in sub)
-    image_ok = is_vt_subalgebra(B, u, image)
+    image = f.base.image()
+    image_ok = is_vt_subalgebra(u, image)
     if image_ok:
         # the restricted operator must itself be a very true operator there
         try:
-            certify_vto(*_restrict_to_image(B, u, image))
+            certify_vto(_restrict_to_image(u, image)[1])
         except NotVto:
             image_ok = False
 
     ker = f.base.kernel()
-    kernel_ok = _is_vds(A, v, ker) and DeductiveSystem.from_members(A, ker).normal
+    kernel_ok = _is_vds(v, ker) and _is_normal(A, ker)
 
     surjective = f.base.is_surjective()
     if surjective:
         push_ok = True
-        for D in enumerate_ds_v(A, v, max_n):
+        for D in enumerate_ds_v(v):
             img = frozenset(f.base.map[x] for x in D.members)
-            if not _is_vds(B, u, img):
+            if not _is_vds(u, img):
                 push_ok = False
                 break
     else:
         push_ok = None
 
     pull_ok = True
-    for G in enumerate_ds_v(B, u, max_n):
+    for G in enumerate_ds_v(u):
         pre = frozenset(x for x in A.elements if f.base.map[x] in G.members)
-        if not _is_vds(A, v, pre):
+        if not _is_vds(v, pre):
             pull_ok = False
             break
 
     ker_u = frozenset(x for x in B.elements if u.image[x] == B.one)
     pre_ker_u = frozenset(x for x in A.elements if f.base.map[x] in ker_u)
-    pre_ok = _is_vds(A, v, pre_ker_u)
+    pre_ok = _is_vds(v, pre_ker_u)
 
     if surjective:
         ker_v = frozenset(x for x in A.elements if v.image[x] == A.one)
         img_ker_v = frozenset(f.base.map[x] for x in ker_v)
-        img_ok = _is_vds(B, u, img_ker_v)
+        img_ok = _is_vds(u, img_ker_v)
     else:
         img_ok = None
 
@@ -282,7 +279,7 @@ class FactorResult:
     kernel_is_quotient_of_kernel: bool
 
 
-def factor(f: VtHomomorphism, H: DeductiveSystem, check_unique=True) -> FactorResult:
+def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     """Factor a very-true homomorphism through A/H for H inside its kernel.
 
     Returns the induced map from the quotient; commutation with the
@@ -297,13 +294,13 @@ def factor(f: VtHomomorphism, H: DeductiveSystem, check_unique=True) -> FactorRe
     only return the factored map itself.  It is kept as executable
     documentation of the statement.
     """
-    A, B = f.source, f.target
+    B = f.target
     w = is_vthom(f.base, f.v, f.u)
     if w is not None:
         raise MalformedInput(f"not a very true homomorphism: {w}")
     if not H.members <= f.base.kernel():
         raise KernelContainmentViolated("H must be contained in the kernel")
-    quot, vhat = lift_vto_to_quotient(A, f.v, H)
+    quot, vhat = lift_vto_to_quotient(f.v, H)
     q = quot.algebra
     m = quot.induce(f.base.map)
     base = Homomorphism(q, B, m)
@@ -312,14 +309,12 @@ def factor(f: VtHomomorphism, H: DeductiveSystem, check_unique=True) -> FactorRe
     if w is not None:
         raise MalformedInput(f"factored map fails {w}")
 
-    unique = True
-    if check_unique:
-        matches = [
-            g
-            for g in _hom_search(q, B, [[y] for y in m])
-            if all(g[vhat.image[c]] == f.u.image[g[c]] for c in q.elements)
-        ]
-        unique = matches == [base.map]
+    matches = [
+        g
+        for g in _hom_search(q, B, [[y] for y in m])
+        if all(g[vhat.image[c]] == f.u.image[g[c]] for c in q.elements)
+    ]
+    unique = matches == [base.map]
 
     image_preserved = base.image() == f.base.image()
     ker_classes = frozenset(quot.class_of[x] for x in f.base.kernel())
@@ -333,7 +328,7 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
     The resulting map is a very-true isomorphism from A/Ker(f) onto Im(f).
     """
     A, image = f.source, f.base.image()
-    sub_b, u_restr = _restrict_to_image(f.target, f.u, image)
+    sub_b, u_restr = _restrict_to_image(f.u, image)
     pos = {x: i for i, x in enumerate(sorted(image))}
     base = Homomorphism(A, sub_b, tuple(pos[f.base.map[x]] for x in A.elements))
     g = VtHomomorphism(base, f.v, u_restr)

@@ -63,9 +63,13 @@ class UnaryMap:
         )
 
 
+def _require_on(A: FiniteAlgebra, f: UnaryMap, message: str):
+    if f.parent is not A and f.parent != A:
+        raise ParentMismatch(message)
+
+
 def _same_parent(f: UnaryMap, g: UnaryMap):
-    if f.parent is not g.parent and f.parent != g.parent:
-        raise ParentMismatch("maps live on different algebras")
+    _require_on(f.parent, g, "maps live on different algebras")
 
 
 def identity_map(algebra: FiniteAlgebra) -> UnaryMap:
@@ -117,8 +121,9 @@ def _witness(A: FiniteAlgebra, axiom: str, tup) -> Witness:
     return Witness(axiom, tuple(A.name(t) for t in tup))
 
 
-def is_interior(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
+def is_interior(f: UnaryMap) -> Witness | None:
     """None if f is an interior operator, else the first violated axiom."""
+    A = f.parent
     im, ar, one = f.image, A.arrow, A.one
     for x in A.elements:
         if ar[im[x]][x] != one:
@@ -132,8 +137,8 @@ def is_interior(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
     return None
 
 
-def is_closure(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
-    im = f.image
+def is_closure(f: UnaryMap) -> Witness | None:
+    A, im = f.parent, f.image
     for x in A.elements:
         if not A.leq(x, im[x]):
             return _witness(A, "CO1", (x,))
@@ -146,8 +151,13 @@ def is_closure(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
     return None
 
 
-def is_vto(A: FiniteAlgebra, f: UnaryMap) -> Witness | None:
-    im, ar, sq, one = f.image, A.arrow, A.squig, A.one
+def is_vto(f: UnaryMap) -> Witness | None:
+    return _vto_witness(f.parent, f.image)
+
+
+def _vto_witness(A: FiniteAlgebra, im) -> Witness | None:
+    """VT1-VT4 for the image vector ``im`` on A."""
+    ar, sq, one = A.arrow, A.squig, A.one
     if im[one] != one:
         return _witness(A, "VT1", (one,))
     for x in A.elements:
@@ -200,14 +210,14 @@ def _map_search(n, candidates, checks, injective=False):
             pending.append(iter(candidates[i + 1]))
 
 
-def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok, max_n=None):
+def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok):
     """Monotone maps with f(x) in ``allowed[x]`` that pass ``final_ok``.
 
     Monotonicity is one map-search check per comparable pair x < y on the
     table low[a][b] = a if a <= b else -1, so f(x) <= f(y) is tested as
     soon as both are assigned.
     """
-    cap = max_n if max_n is not None else size_cap(DEFAULT_ENUM_CAP)
+    cap = size_cap(DEFAULT_ENUM_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds enumeration cap {cap}")
     leq = A.leq
@@ -224,57 +234,43 @@ def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok, max_n=None):
     ]
 
 
-def enumerate_interior(A: FiniteAlgebra, max_n=None) -> list[UnaryMap]:
+def enumerate_interior(A: FiniteAlgebra) -> list[UnaryMap]:
     allowed = [sorted(A.down_set(x)) for x in A.elements]
 
     def final_ok(v):
         return all(v[v[x]] == v[x] for x in A.elements)
 
-    return _enumerate_monotone(A, allowed, final_ok, max_n)
+    return _enumerate_monotone(A, allowed, final_ok)
 
 
-def enumerate_closure(A: FiniteAlgebra, max_n=None) -> list[UnaryMap]:
+def enumerate_closure(A: FiniteAlgebra) -> list[UnaryMap]:
     allowed = [sorted(A.up_set(x)) for x in A.elements]
 
     def final_ok(v):
         return all(v[v[x]] == v[x] for x in A.elements)
 
-    return _enumerate_monotone(A, allowed, final_ok, max_n)
+    return _enumerate_monotone(A, allowed, final_ok)
 
 
-def enumerate_vto(A: FiniteAlgebra, max_n=None) -> list[UnaryMap]:
-    # monotonicity is a consequence of VT4, so the monotone DFS loses nothing
+def enumerate_vto(A: FiniteAlgebra) -> list[UnaryMap]:
+    # monotonicity is a consequence of VT4, so the monotone DFS loses nothing;
+    # VT1 and VT2 hold on every candidate, so the filter decides VT3 and VT4
     allowed = [
         [A.one] if x == A.one else sorted(A.down_set(x)) for x in A.elements
     ]
-    ar, sq, leq = A.arrow, A.squig, A.leq
-
-    def final_ok(v):
-        for x in A.elements:
-            if not leq(v[x], v[v[x]]):
-                return False
-        for x, y in product(A.elements, repeat=2):
-            if not leq(v[ar[x][y]], ar[v[x]][v[y]]):
-                return False
-            if not leq(v[sq[x][y]], sq[v[x]][v[y]]):
-                return False
-        return True
-
-    return _enumerate_monotone(A, allowed, final_ok, max_n)
+    return _enumerate_monotone(A, allowed, lambda v: _vto_witness(A, v) is None)
 
 
-def certify_vto(A: FiniteAlgebra, f: UnaryMap) -> UnaryMap:
-    """f, if it is a very true operator on A; raises NotVto otherwise.
+def certify_vto(f: UnaryMap) -> UnaryMap:
+    """f, if it is a very true operator; raises NotVto otherwise.
 
-    A passed certificate is kept in ``f.memo`` when A is f's own parent; a
-    failed one is not, so it raises again on every call.
+    A passed certificate is kept in ``f.memo``; a failed one is not, so it
+    raises again on every call.
     """
-    if A is f.parent and "vto" in f.memo:
-        return f
-    w = is_vto(A, f)
-    if w is not None:
-        raise NotVto(f"map is not a very true operator: {w}")
-    if A is f.parent:
+    if "vto" not in f.memo:
+        w = is_vto(f)
+        if w is not None:
+            raise NotVto(f"map is not a very true operator: {w}")
         f.memo["vto"] = True
     return f
 
@@ -282,25 +278,29 @@ def certify_vto(A: FiniteAlgebra, f: UnaryMap) -> UnaryMap:
 # -- truth-depressing hedges ------------------------------------------
 
 
-def sigma_hedges(A: FiniteAlgebra, v: UnaryMap) -> tuple[UnaryMap, UnaryMap]:
+def sigma_hedges(v: UnaryMap) -> tuple[UnaryMap, UnaryMap]:
     """Canonical hedge pair for a very true operator on a bounded algebra.
 
     s1(x) = v(x^-)^~ and s2(x) = v(x^~)^-.  Both are closure operators and
     (v, s1, s2) satisfies ST1-ST3.
     """
+    A = v.parent
     if A.zero is None:
         raise UnboundedAlgebra("hedges need a bounded algebra")
-    certify_vto(A, v)
+    certify_vto(v)
     s1 = UnaryMap(A, tuple(A.neg_sim(v.image[A.neg_minus(x)]) for x in A.elements))
     s2 = UnaryMap(A, tuple(A.neg_minus(v.image[A.neg_sim(x)]) for x in A.elements))
     return s1, s2
 
 
-def is_vtst(A: FiniteAlgebra, v: UnaryMap, s1: UnaryMap, s2: UnaryMap) -> Witness | None:
+def is_vtst(v: UnaryMap, s1: UnaryMap, s2: UnaryMap) -> Witness | None:
     """ST1-ST3 for a hedge pair attached to a certified very true operator."""
+    _same_parent(v, s1)
+    _same_parent(v, s2)
+    A = v.parent
     if A.zero is None:
         raise UnboundedAlgebra("the hedge axioms mention 0")
-    certify_vto(A, v)
+    certify_vto(v)
     if s1.image[A.zero] != A.zero or s2.image[A.zero] != A.zero:
         return _witness(A, "ST1", (A.zero,))
     for x in A.elements:
@@ -324,15 +324,16 @@ def _require_glivenko(A: FiniteAlgebra):
         )
 
 
-def lift_to_reg(A: FiniteAlgebra, f: UnaryMap, kind: str = "vto"):
+def lift_to_reg(f: UnaryMap, kind: str = "vto"):
     """Transport f to the regular-element subalgebra via double negation.
 
     Returns (subalgebra, lifted map).  ``kind`` selects which certificate
     is re-checked on the subalgebra ("interior" or "vto").
     """
+    A = f.parent
     _require_glivenko(A)
     checker = is_interior if kind == "interior" else is_vto
-    w = checker(A, f)
+    w = checker(f)
     if w is not None:
         raise NotVto(f"input map fails {w}")
     reg = sorted(A.regular_elements())
@@ -341,13 +342,13 @@ def lift_to_reg(A: FiniteAlgebra, f: UnaryMap, kind: str = "vto"):
     lifted = UnaryMap(
         sub, tuple(pos[A.double_neg_ms(f.image[x])] for x in reg)
     )
-    w = checker(sub, lifted)
+    w = checker(lifted)
     if w is not None:
         raise WellDefinednessFailure(f"lifted map fails {w}")
     return sub, lifted
 
 
-def lift_to_den_quotient(A: FiniteAlgebra, f: UnaryMap, kind: str = "vto"):
+def lift_to_den_quotient(f: UnaryMap, kind: str = "vto"):
     """Transport f to the quotient by the dense elements.
 
     Returns (quotient, lifted map).  The lift sends the class of x to the
@@ -361,9 +362,10 @@ def lift_to_den_quotient(A: FiniteAlgebra, f: UnaryMap, kind: str = "vto"):
     """
     from .deduction import DeductiveSystem, congruence_from
 
+    A = f.parent
     _require_glivenko(A)
     checker = is_interior if kind == "interior" else is_vto
-    w = checker(A, f)
+    w = checker(f)
     if w is not None:
         raise NotVto(f"input map fails {w}")
     den = DeductiveSystem.from_members(A, A.dense_elements())
@@ -373,7 +375,7 @@ def lift_to_den_quotient(A: FiniteAlgebra, f: UnaryMap, kind: str = "vto"):
     q = quot.algebra
     values = [quot.class_of[f.image[A.double_neg_ms(x)]] for x in A.elements]
     lifted = UnaryMap(q, quot.induce(values))
-    w = checker(q, lifted)
+    w = checker(lifted)
     if w is not None:
         raise WellDefinednessFailure(f"lifted map fails {w}")
     return quot, lifted

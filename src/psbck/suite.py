@@ -36,6 +36,7 @@ from .deduction import (
     vto_congruence_check,
 )
 from .morphisms import (
+    DEFAULT_HOM_CAP,
     VtHomomorphism,
     enumerate_hom,
     factor,
@@ -88,7 +89,7 @@ def _all_pairs(name, pairs, holds) -> SuiteResult:
     return SuiteResult(name, True)
 
 
-def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
+def run_suite(A: FiniteAlgebra) -> list[SuiteResult]:
     out: list[SuiteResult] = []
     add = out.append
 
@@ -127,7 +128,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
     def three_way(f, g):
         fg, gf = compose(f, g), compose(g, f)
         a = fg.image == gf.image
-        b = is_interior(A, fg) is None and is_interior(A, gf) is None
+        b = is_interior(fg) is None and is_interior(gf) is None
         c = (
             compose(fg, fg).image == fg.image
             and compose(gf, gf).image == gf.image
@@ -152,7 +153,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
 
     def vto_commutation(f, g):
         fg, gf = compose(f, g), compose(g, f)
-        both = is_vto(A, fg) is None and is_vto(A, gf) is None
+        both = is_vto(fg) is None and is_vto(gf) is None
         return both == (fg.image == gf.image)
 
     add(
@@ -222,13 +223,13 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
         add(_all("interior-negation-arithmetic", (interior_neg_arith(f) for f in into)))
 
         def hedge_facts(v):
-            s1, s2 = sigma_hedges(A, v)
-            if is_closure(A, s1) is not None or is_closure(A, s2) is not None:
+            s1, s2 = sigma_hedges(v)
+            if is_closure(s1) is not None or is_closure(s2) is not None:
                 return False, "sigma not closure"
-            if is_vtst(A, v, s1, s2) is not None:
+            if is_vtst(v, s1, s2) is not None:
                 return False, "sigma fails hedge axioms"
             ident = identity_map(A)
-            if is_vtst(A, v, ident, ident) is not None:
+            if is_vtst(v, ident, ident) is not None:
                 return False, "identity pair fails hedge axioms"
             # sandwich: Id <= s <= sigma for every certified hedge pair
             for s, sig in ((ident, s1), (ident, s2)):
@@ -247,7 +248,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
             _all(
                 "valuation-composition",
                 (
-                    (compose_with_vto(A, phi, v) is not None, "")
+                    (compose_with_vto(phi, v) is not None, "")
                     for v in vto
                 ),
             )
@@ -260,7 +261,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
     top = frozenset({A.one})
 
     def vds_facts(v):
-        fam = enumerate_ds_v(A, v)
+        fam = enumerate_ds_v(v)
         members = {d.members for d in fam}
         if top not in members or whole not in members or kernel(v) not in members:
             return False, "boundary systems missing"
@@ -289,35 +290,35 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
     add(_all("quotients", (quotient_facts(H) for H in dsn)))
 
     def lifted_vto_facts(v):
-        for H in enumerate_ds_nv(A, v):
-            quot, lifted = lift_vto_to_quotient(A, v, H)
-            if is_vto(quot.algebra, lifted) is not None:
+        for H in enumerate_ds_nv(v):
+            if is_vto(lift_vto_to_quotient(v, H)[1]) is not None:
                 return False, "lifted operator fails"
         return True, ""
 
     add(_all("quotient-vto", (lifted_vto_facts(v) for v in vto)))
-    add(_all("congruence-compatibility", ((vto_congruence_check(A, v), "") for v in vto)))
+    add(_all("congruence-compatibility", ((vto_congruence_check(v), "") for v in vto)))
 
     if A.bounded and A.is_good() and A.is_glivenko():
         add(
             _all(
                 "regular-lift",
                 (
-                    (is_vto(*lift_to_reg(A, v, "vto")) is None, "")
+                    (is_vto(lift_to_reg(v, "vto")[1]) is None, "")
                     for v in vto
                 ),
             )
         )
-        def dense_lift_ok(v):
-            quot, lifted = lift_to_den_quotient(A, v, "vto")
-            return is_vto(quot.algebra, lifted) is None, ""
-
-        add(_all("dense-quotient-lift", (dense_lift_ok(v) for v in vto)))
+        add(
+            _all(
+                "dense-quotient-lift",
+                ((is_vto(lift_to_den_quotient(v, "vto")[1]) is None, "") for v in vto),
+            )
+        )
         den = DeductiveSystem.from_members(A, A.dense_elements())
         add(SuiteResult("dense-normal-ds", den.members in {d.members for d in dsn}))
 
     # homomorphism transport (endomorphisms only, capped)
-    if A.n <= hom_limit:
+    if A.n <= DEFAULT_HOM_CAP:
         homs = enumerate_hom(A, A)
         add(
             _all(
@@ -340,7 +341,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
                 for f in homs
                 if all(f.map[v.image[x]] == v.image[f.map[x]] for x in A.elements)
             ]
-            stable = enumerate_ds_nv(A, v)
+            stable = enumerate_ds_nv(v)
             for f in vhoms:
                 g = VtHomomorphism(f, v, v)
                 rep = transport(g)
@@ -380,7 +381,7 @@ def run_suite(A: FiniteAlgebra, hom_limit: int = 8) -> list[SuiteResult]:
         add(
             _all(
                 "pp-arithmetic",
-                ((True, "") if vt_pp_suite(A, v).ok else (False, str(v.names())) for v in vto),
+                ((True, "") if vt_pp_suite(v).ok else (False, str(v.names())) for v in vto),
             )
         )
         add(SuiteResult("vt4-equivalence", vt4_equivalence_check(A)))

@@ -337,14 +337,14 @@ def serialize_algebra(A: FiniteAlgebra, name: str = "A") -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_map(A: FiniteAlgebra, f: UnaryMap, name: str, algebra_name: str) -> str:
+def serialize_map(f: UnaryMap, name: str, algebra_name: str) -> str:
     return f"map {name} on {algebra_name}: " + " ".join(f.names()) + "\n"
 
 
 def serialize_document(doc: WorkbenchDocument) -> str:
     parts = [serialize_algebra(a, name) for name, a in doc.algebras.items()]
     for name, (aname, f) in doc.maps.items():
-        parts.append(serialize_map(doc.algebras[aname], f, name, aname))
+        parts.append(serialize_map(f, name, aname))
     for name, (aname, phi) in doc.valuations.items():
         A = doc.algebras[aname]
         entries = " ".join(

@@ -76,10 +76,10 @@ def derived_facts(phi: PseudoValuation) -> Witness | None:
     return None
 
 
-def compose_with_vto(A: FiniteAlgebra, phi: PseudoValuation, v: UnaryMap) -> PseudoValuation:
+def compose_with_vto(phi: PseudoValuation, v: UnaryMap) -> PseudoValuation:
     """phi o v, re-certified (a theorem checker: the composite must pass)."""
-    certify_vto(A, v)
-    if phi.parent != A or v.parent != A:
+    A = certify_vto(v).parent
+    if phi.parent != A:
         raise MalformedInput("valuation and operator must share the algebra")
     values = tuple(phi.values[v.image[x]] for x in A.elements)
     return certify(A, values)

@@ -75,10 +75,10 @@ def test_criterion_2_composition(four_elt):
     )
     ok = (
         compose(v1, v2).image == compose(v2, v1).image == v1.image
-        and is_vto(A, compose(v1, v2)) is None
+        and is_vto(compose(v1, v2)) is None
         and compose(v4, v2).image != compose(v2, v4).image
-        and is_vto(A, compose(v4, v2)) is not None
-        and is_vto(A, compose(v2, v4)) is None
+        and is_vto(compose(v4, v2)) is not None
+        and is_vto(compose(v2, v4)) is None
     )
     _gate(2, "operator composition including the non-commuting pair", ok)
 
@@ -98,10 +98,10 @@ def test_criterion_3_deductive_systems(four_elt):
     trivial = {frozenset({"1"}), frozenset({"1", "a", "b", "c"})}
     ok = (
         members(enumerate_ds(A)) == everything
-        and members(enumerate_ds_v(A, v1)) == trivial
-        and members(enumerate_ds_v(A, v4)) == trivial
-        and members(enumerate_ds_v(A, v2)) == everything
-        and members(enumerate_ds_v(A, v3)) == everything
+        and members(enumerate_ds_v(v1)) == trivial
+        and members(enumerate_ds_v(v4)) == trivial
+        and members(enumerate_ds_v(v2)) == everything
+        and members(enumerate_ds_v(v3)) == everything
     )
     _gate(3, "deductive systems and their operator-stable families", ok)
 
@@ -128,7 +128,7 @@ def test_criterion_5_valuation_composition(four_elt):
     A = four_elt
     phi = certify(A, (0, 3, 1, 2))
     v2 = next(f for f in enumerate_vto(A) if f.names() == FOUR_VTO[1])
-    got = compose_with_vto(A, phi, v2).values
+    got = compose_with_vto(phi, v2).values
     ok = got == (Fraction(0), Fraction(3), Fraction(1), Fraction(3))
     _gate(5, "exact valuation composition", ok)
 
@@ -146,7 +146,7 @@ def test_criterion_6_substructures(six_sm):
     }
     restrictions = []
     for v in enumerate_vto(A):
-        restr, reason = restrict_vto(A, v, q)
+        restr, reason = restrict_vto(v, q)
         restrictions.append(reason is None and restr.names() in SM_SVTO)
     ok = (
         len(enumerate_vto(A)) == 5

@@ -12,8 +12,8 @@ from psbck.algebra import (
     size_cap,
     validate,
 )
-from psbck.classes import smarandache_search
-from psbck.deduction import enumerate_ds, enumerate_ds_v
+from psbck.classes import smarandache_search, svto
+from psbck.deduction import enumerate_congruences, enumerate_ds, enumerate_ds_v
 from psbck.errors import (
     MalformedInput,
     NotCertified,
@@ -21,8 +21,14 @@ from psbck.errors import (
     WorkbenchError,
 )
 from psbck.generate import goedel_chain
-from psbck.morphisms import enumerate_hom
-from psbck.operators import UnaryMap, enumerate_interior, identity_map
+from psbck.morphisms import enumerate_hom, enumerate_vthom
+from psbck.operators import (
+    UnaryMap,
+    certify_vto,
+    enumerate_interior,
+    enumerate_vto,
+    identity_map,
+)
 
 
 def test_goldens_certify(four_elt, six_elt, six_sm):
@@ -128,25 +134,47 @@ def test_subalgebra_requires_closure(six_sm):
         six_sm.subalgebra({six_sm.index("a")})
 
 
-def test_carrier_cap_enforced():
+def test_carrier_cap_enforced(monkeypatch):
+    monkeypatch.setenv("PSBCK_MAX_N", "4")
     with pytest.raises(MalformedInput):
-        validate(tuple(f"x{i}" for i in range(5)), 0, (), (), max_n=4)
+        validate(tuple(f"x{i}" for i in range(5)), 0, (), ())
 
 
 def _ds_v_of_a_warmed_operator(A):
     v = identity_map(A)
-    enumerate_ds_v(A, v)  # fills v's memo before the cap is overridden
-    return partial(enumerate_ds_v, A, v)
+    enumerate_ds_v(v)  # fills v's memo before the cap is overridden
+    return partial(enumerate_ds_v, v)
+
+
+def _vthom_of_a_certified_operator(A):
+    v = certify_vto(identity_map(A))  # certified before the cap is overridden
+    return partial(enumerate_vthom, A, v, A, v)
+
+
+def _svto_on_a_copy_inside_a_longer_chain(A):
+    """svto on a substructure Q of A's size inside a chain one element
+    longer (Q leaves out its second element); None when A has fewer than
+    the 3 elements a substructure needs.  svto certifies Q as an algebra
+    before it enumerates, so a cap below |Q| stops it at the carrier cap."""
+    if A.n < 3:
+        return None
+    host = goedel_chain(A.n + 1)
+    return partial(svto, host, set(host.elements) - {1})
 
 
 # (search, its default cap); each entry is prepared on an algebra before
-# PSBCK_MAX_N is set, and the override applies to every one of them
+# PSBCK_MAX_N is set, and the override applies to every one of them.  The
+# cap applies to the carrier the search runs on, which is A's size.
 CAPPED_SEARCHES = {
     "validate": (
         lambda A: partial(validate, A.element_names, A.one, A.arrow, A.squig, A.zero),
         24,
     ),
     "enumerate_interior": (lambda A: partial(enumerate_interior, A), 10),
+    "enumerate_vto": (lambda A: partial(enumerate_vto, A), 10),
+    "enumerate_congruences": (lambda A: partial(enumerate_congruences, A), 20),
+    "enumerate_vthom": (_vthom_of_a_certified_operator, 8),
+    "svto": (_svto_on_a_copy_inside_a_longer_chain, 10),
     "enumerate_ds": (lambda A: partial(enumerate_ds, A), 20),
     "enumerate_ds_v": (_ds_v_of_a_warmed_operator, 20),
     "smarandache_search": (lambda A: partial(smarandache_search, A), 16),
@@ -159,6 +187,8 @@ CAPPED_SEARCHES = {
 def test_psbck_max_n_overrides_every_cap(monkeypatch, search, raw):
     prepare, default = CAPPED_SEARCHES[search]
     runs = [(k, prepare(goedel_chain(k))) for k in (1, 3, 4)]  # before the override
+    runs = [(n, run) for n, run in runs if run is not None]
+    assert len(runs) >= 2
     if raw is None:
         monkeypatch.delenv("PSBCK_MAX_N", raising=False)
     else:

@@ -64,7 +64,7 @@ def test_classification_smarandache_has_no_product(six_sm):
     assert r.lattice and not r.pp
     assert r.witness("pp") == "no pseudo-product at (a,a)"
     with pytest.raises(PPRequired):
-        vt_pp_suite(six_sm, enumerate_vto(six_sm)[0])
+        vt_pp_suite(enumerate_vto(six_sm)[0])
     with pytest.raises(NotFLw):
         enumerate_vto_flw(six_sm)
 
@@ -149,7 +149,11 @@ def test_smarandache_search_matches_subset_scan(pool):
                 if classify(sub).mtl:
                     brute.append((q, sub, classify(sub)))
         brute.sort(key=lambda t: (len(t[0]), sum(1 << x for x in t[0])))
-        assert smarandache_search(A) == brute
+        found = smarandache_search(A)
+        assert found == brute
+        # every substructure keeps 0 as its 0
+        for q, sub, _ in found:
+            assert sub.zero == sorted(q).index(A.zero)
 
 
 def test_svto_golden(six_sm):
@@ -172,7 +176,7 @@ def test_restriction_identities(six_sm):
         4: SM_SVTO[1],
     }
     for i, v in enumerate((v1, v2, v3, v4, v5)):
-        restr, reason = restrict_vto(A, v, q)
+        restr, reason = restrict_vto(v, q)
         assert reason is None
         assert restr.names() == expected[i]
 
@@ -188,7 +192,7 @@ def test_vto_flw_requires_join_inequality():
     A = nonlinear_heyting()
     certified = enumerate_vto_flw(A)
     for v in certified:
-        assert is_vto_flw(A, v) is None
+        assert is_vto_flw(v) is None
     plain = enumerate_vto(A)
     assert {f.image for f in certified} <= {f.image for f in plain}
 
@@ -201,7 +205,7 @@ def test_characterizations_agree():
 
 def test_pp_suite_and_equivalence(four_elt):
     for v in enumerate_vto(four_elt):
-        assert vt_pp_suite(four_elt, v).ok
+        assert vt_pp_suite(v).ok
     assert vt4_equivalence_check(four_elt)
     assert vt4_equivalence_check(goedel_chain(4))
 

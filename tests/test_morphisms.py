@@ -4,7 +4,8 @@ import pytest
 
 from psbck import morphisms, suite
 from psbck.deduction import DeductiveSystem
-from psbck.errors import KernelContainmentViolated, SurjectivityRequired
+from psbck.algebra import validate
+from psbck.errors import KernelContainmentViolated, ParentMismatch, SurjectivityRequired
 from psbck.generate import relabel
 from psbck.morphisms import (
     Homomorphism,
@@ -20,7 +21,7 @@ from psbck.morphisms import (
     pushforward_ds,
     transport,
 )
-from psbck.operators import UnaryMap, enumerate_vto
+from psbck.operators import UnaryMap, enumerate_vto, identity_map, is_vtst
 
 PSI = [
     ("1", "1", "1", "1", "1", "1"),
@@ -86,12 +87,32 @@ def test_transport_constant_map_skips_pushforward(six_elt):
         )
 
 
+def test_operators_must_live_on_the_algebras_they_are_checked_on(six_elt, six_sm):
+    # six_sm has as many elements as six_elt, so only the parent check can
+    # tell its operators apart; an equal copy of six_elt is the same algebra
+    A = six_elt
+    v10 = enumerate_vto(A)[-1]
+    psi3 = _hom(A, PSI[2])
+    stranger = identity_map(six_sm)
+    with pytest.raises(ParentMismatch):
+        is_vthom(psi3, stranger, v10)
+    with pytest.raises(ParentMismatch):
+        is_vthom(psi3, v10, stranger)
+    with pytest.raises(ParentMismatch):
+        is_vtst(v10, stranger, identity_map(A))
+    with pytest.raises(ParentMismatch):
+        is_vtst(v10, identity_map(A), stranger)
+    copy = validate(A.element_names, A.one, A.arrow, A.squig, zero=A.zero)
+    assert is_vthom(psi3, UnaryMap(copy, v10.image), v10) is None
+    assert is_vtst(v10, identity_map(copy), identity_map(A)) is None
+
+
 def test_vt_subalgebra_check(six_elt):
     A = six_elt
     v10 = enumerate_vto(A)[-1]
-    assert is_vt_subalgebra(A, v10, set(A.elements))
-    assert is_vt_subalgebra(A, v10, {A.one, A.index("e")})
-    assert not is_vt_subalgebra(A, v10, {A.index("e")})
+    assert is_vt_subalgebra(v10, set(A.elements))
+    assert is_vt_subalgebra(v10, {A.one, A.index("e")})
+    assert not is_vt_subalgebra(v10, {A.index("e")})
 
 
 def test_factor_through_trivial_system(six_elt):
@@ -182,8 +203,8 @@ def test_factor_uniqueness_matches_brute_force(small_pool, monkeypatch):
     visited = []
     real = morphisms.factor
 
-    def recording(g, H, check_unique=True):
-        res = real(g, H, check_unique)
+    def recording(g, H):
+        res = real(g, H)
         visited.append((g, res))
         return res
 

@@ -96,7 +96,7 @@ def test_vto_subset_of_interior(four_elt, six_elt, six_sm):
 def test_closure_enumeration_contains_identity(four_elt):
     clo = enumerate_closure(four_elt)
     assert identity_map(four_elt).image in {f.image for f in clo}
-    assert all(is_closure(four_elt, f) is None for f in clo)
+    assert all(is_closure(f) is None for f in clo)
 
 
 def _by_names(A, names):
@@ -107,9 +107,9 @@ def test_composition_golden(four_elt):
     A = four_elt
     v1, v2, v4 = (_by_names(A, n) for n in (FOUR_VTO[0], FOUR_VTO[1], FOUR_VTO[3]))
     assert compose(v1, v2).image == compose(v2, v1).image == v1.image
-    assert is_vto(A, compose(v1, v2)) is None
+    assert is_vto(compose(v1, v2)) is None
     assert compose(v4, v2).image != compose(v2, v4).image
-    assert is_vto(A, compose(v4, v2)) is not None
+    assert is_vto(compose(v4, v2)) is not None
 
 
 def test_one_sided_composition_can_succeed_without_commuting(four_elt):
@@ -119,14 +119,14 @@ def test_one_sided_composition_can_succeed_without_commuting(four_elt):
     A = four_elt
     v1, v2, v4 = (_by_names(A, n) for n in (FOUR_VTO[0], FOUR_VTO[1], FOUR_VTO[3]))
     assert compose(v2, v4).image == v1.image
-    assert is_vto(A, compose(v2, v4)) is None
+    assert is_vto(compose(v2, v4)) is None
     assert compose(v2, v4).image != compose(v4, v2).image
 
 
 def test_globalization_and_identity(four_elt, six_sm):
     for A in (four_elt, six_sm):
-        assert is_vto(A, identity_map(A)) is None
-        assert is_vto(A, globalization(A)) is None
+        assert is_vto(identity_map(A)) is None
+        assert is_vto(globalization(A)) is None
 
 
 def test_vto_maps_kernel_and_fixpoints(four_elt):
@@ -139,42 +139,42 @@ def test_certify_vto_raises(four_elt):
     bad = UnaryMap(four_elt, (0, 0, 0, 0))
     for _ in range(2):  # a failed certificate is not remembered
         with pytest.raises(NotVto):
-            certify_vto(four_elt, bad)
+            certify_vto(bad)
     assert not bad.memo
 
 
 def test_hedges_are_closures_and_satisfy_axioms(six_elt):
     A = six_elt
     for v in enumerate_vto(A):
-        s1, s2 = sigma_hedges(A, v)
-        assert is_closure(A, s1) is None and is_closure(A, s2) is None
-        assert is_vtst(A, v, s1, s2) is None
+        s1, s2 = sigma_hedges(v)
+        assert is_closure(s1) is None and is_closure(s2) is None
+        assert is_vtst(v, s1, s2) is None
         ident = identity_map(A)
-        assert is_vtst(A, v, ident, ident) is None
+        assert is_vtst(v, ident, ident) is None
         assert ident <= s1 and ident <= s2
 
 
 def test_lift_to_reg_involutive_is_original(six_elt):
     # every element is regular, so the lift is the operator itself
     for v in enumerate_vto(six_elt):
-        sub, lifted = lift_to_reg(six_elt, v, "vto")
+        sub, lifted = lift_to_reg(v, "vto")
         assert sub == six_elt
         assert lifted.image == v.image
 
 
 def test_lift_to_reg_smarandache(six_sm):
     for v in enumerate_vto(six_sm):
-        sub, lifted = lift_to_reg(six_sm, v, "vto")
+        sub, lifted = lift_to_reg(v, "vto")
         assert sub.element_names == ("0", "1")
-        assert is_vto(sub, lifted) is None
+        assert is_vto(lifted) is None
 
 
 def test_lift_to_den_quotient_smarandache(six_sm):
     # the quotient collapses the five dense elements onto the class of 1
     for v in enumerate_vto(six_sm):
-        quot, lifted = lift_to_den_quotient(six_sm, v, "vto")
+        quot, lifted = lift_to_den_quotient(v, "vto")
         assert quot.algebra.n == 2
-        assert is_vto(quot.algebra, lifted) is None
+        assert is_vto(lifted) is None
 
 
 def test_lift_to_den_quotient_direct_image_would_disagree(six_sm):
@@ -186,27 +186,28 @@ def test_lift_to_den_quotient_direct_image_would_disagree(six_sm):
     a = A.index("a")
     assert A.double_neg_ms(a) == A.one
     assert v.image[a] == A.zero and v.image[A.one] == A.one
-    quot, lifted = lift_to_den_quotient(A, v, "vto")
+    quot, lifted = lift_to_den_quotient(v, "vto")
     assert lifted.image == identity_map(quot.algebra).image
 
 
 def test_lift_requires_glivenko(four_elt):
     with pytest.raises(GlivenkoRequired):
-        lift_to_reg(four_elt, identity_map(four_elt), "vto")
+        lift_to_reg(identity_map(four_elt), "vto")
 
 
 def test_interior_lifts(six_sm):
     for f in enumerate_interior(six_sm):
-        sub, lifted = lift_to_reg(six_sm, f, "interior")
-        assert is_interior(sub, lifted) is None
-        quot, liftq = lift_to_den_quotient(six_sm, f, "interior")
-        assert is_interior(quot.algebra, liftq) is None
+        sub, lifted = lift_to_reg(f, "interior")
+        assert is_interior(lifted) is None
+        quot, liftq = lift_to_den_quotient(f, "interior")
+        assert is_interior(liftq) is None
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     A = goldens.six_element_involutive()
+    monkeypatch.setenv("PSBCK_MAX_N", "4")
     with pytest.raises(CarrierTooLarge):
-        enumerate_vto(A, max_n=4)
+        enumerate_vto(A)
 
 
 # -- brute-force oracles on every distinct pool algebra with n <= 4 ----------
@@ -224,7 +225,7 @@ def test_enumeration_cap():
 def test_enumeration_matches_brute_force(small_pool, enumerate_maps, check):
     for A in small_pool:
         every = (UnaryMap(A, im) for im in product(A.elements, repeat=A.n))
-        brute = [f.image for f in every if check(A, f) is None]
+        brute = [f.image for f in every if check(f) is None]
         assert [f.image for f in enumerate_maps(A)] == brute
 
 
@@ -250,9 +251,9 @@ def _endomorphisms(v, homs):
 
 def _fill_memo(v, homs):
     A = v.parent
-    certify_vto(A, v)
-    for H in enumerate_ds_nv(A, v):
-        lift_vto_to_quotient(A, v, H)
+    certify_vto(v)
+    for H in enumerate_ds_nv(v):
+        lift_vto_to_quotient(v, H)
     for g in _endomorphisms(v, homs):
         transport(g)
         first_isomorphism(g)
@@ -261,17 +262,17 @@ def _fill_memo(v, homs):
 def test_cached_derivations_match_fresh_ones(pool):
     for v, homs in _operators(pool):
         A = v.parent
-        first = enumerate_ds_v(A, v)
-        again = enumerate_ds_v(A, v)
-        assert again == first == enumerate_ds_v(A, UnaryMap(A, v.image))
+        first = enumerate_ds_v(v)
+        again = enumerate_ds_v(v)
+        assert again == first == enumerate_ds_v(UnaryMap(A, v.image))
         assert again is not first  # each call gets its own list
-        for H in enumerate_ds_nv(A, v):
-            fresh = lift_vto_to_quotient(A, UnaryMap(A, v.image), H)
+        for H in enumerate_ds_nv(v):
+            fresh = lift_vto_to_quotient(UnaryMap(A, v.image), H)
             for _ in range(2):  # the first call fills the memo, the second reads it
-                quot, lifted = lift_vto_to_quotient(A, v, H)
+                quot, lifted = lift_vto_to_quotient(v, H)
                 assert (quot, lifted) == fresh and quot.by is H
             same = DeductiveSystem.from_members(A, H.members)
-            quot, lifted = lift_vto_to_quotient(A, v, same)
+            quot, lifted = lift_vto_to_quotient(v, same)
             assert (quot, lifted) == fresh and quot.by is same
             assert "vto" in lifted.memo
         for g in _endomorphisms(v, homs):

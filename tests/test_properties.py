@@ -81,29 +81,29 @@ def _ordered_scan(maps, holds):
 
 
 def _planted(real, A, image):
-    def checker(B, f):
-        if B is A and f.image == image:
+    def checker(f):
+        if f.parent is A and f.image == image:
             return Witness("planted", ())
-        return real(B, f)
+        return real(f)
 
     return checker
 
 
-def _three_way(A, interior):
+def _three_way(interior):
     def holds(f, g):
         fg, gf = compose(f, g), compose(g, f)
         a = fg.image == gf.image
-        b = interior(A, fg) is None and interior(A, gf) is None
+        b = interior(fg) is None and interior(gf) is None
         c = compose(fg, fg).image == fg.image and compose(gf, gf).image == gf.image
         return a == b == c
 
     return holds
 
 
-def _vto_commutation(A, vto):
+def _vto_commutation(vto):
     def holds(f, g):
         fg, gf = compose(f, g), compose(g, f)
-        both = vto(A, fg) is None and vto(A, gf) is None
+        both = vto(fg) is None and vto(gf) is None
         return both == (fg.image == gf.image)
 
     return holds
@@ -133,7 +133,7 @@ def test_planted_fault_in_a_pair_family_matches_an_ordered_scan(
             checker = _planted(real, A, compose(maps[i], maps[j]).image)
             monkeypatch.setattr(suite, family, checker)
             got = {r.name: (r.ok, r.detail) for r in run_suite(A)}[name]
-            assert got == _ordered_scan(maps, holds(A, checker)), (A.element_names, i, j)
+            assert got == _ordered_scan(maps, holds(checker)), (A.element_names, i, j)
             if not got[0]:
                 failed.add(got[1])
     assert len(failed) >= 4  # the planted witnesses do change the verdicts

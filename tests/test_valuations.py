@@ -25,7 +25,7 @@ def test_golden_composition(four_elt):
     A = four_elt
     phi = certify(A, (0, 3, 1, 2))
     v = UnaryMap(A, tuple(A.index(n) for n in ("1", "a", "b", "a")))
-    composed = compose_with_vto(A, phi, v)
+    composed = compose_with_vto(phi, v)
     assert composed.values == (
         Fraction(0),
         Fraction(3),
@@ -39,7 +39,7 @@ def test_composition_with_every_operator_stays_valid(four_elt):
 
     phi = certify(four_elt, (0, 3, 1, 2))
     for v in enumerate_vto(four_elt):
-        assert is_pseudo_valuation(four_elt, compose_with_vto(four_elt, phi, v).values) is None
+        assert is_pseudo_valuation(four_elt, compose_with_vto(phi, v).values) is None
 
 
 def test_exact_rationals(four_elt):
