@@ -151,6 +151,15 @@ class FiniteAlgebra:
 
     # -- restriction ---------------------------------------------------
 
+    def unclosed_pair(self, members) -> tuple[int, int] | None:
+        """The first pair (x, y) of ``members``, in id order, with x -> y or
+        x ~> y outside them; None if they are closed under both."""
+        members = frozenset(members)
+        for x, y in product(sorted(members), repeat=2):
+            if self.arrow[x][y] not in members or self.squig[x][y] not in members:
+                return x, y
+        return None
+
     def subalgebra(self, members) -> "FiniteAlgebra":
         """Restrict to a subset closed under both implications.
 
@@ -160,13 +169,12 @@ class FiniteAlgebra:
         keep = sorted(set(members))
         if self.one not in keep:
             raise MalformedInput("subalgebra must contain the constant 1")
+        bad = self.unclosed_pair(keep)
+        if bad is not None:
+            raise MalformedInput(
+                f"subset not closed under implications at ({','.join(map(self.name, bad))})"
+            )
         pos = {x: i for i, x in enumerate(keep)}
-        for x, y in product(keep, repeat=2):
-            if self.arrow[x][y] not in pos or self.squig[x][y] not in pos:
-                raise MalformedInput(
-                    f"subset not closed under implications at "
-                    f"({self.name(x)},{self.name(y)})"
-                )
         names = tuple(self.name(x) for x in keep)
         arrow = tuple(tuple(pos[self.arrow[x][y]] for y in keep) for x in keep)
         squig = tuple(tuple(pos[self.squig[x][y]] for y in keep) for x in keep)

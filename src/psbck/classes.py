@@ -58,12 +58,6 @@ def join(A: FiniteAlgebra, x: int, y: int) -> int | None:
     return _least(A, upper)
 
 
-def join_table(A: FiniteAlgebra) -> list[list[int | None]]:
-    """jt[x][y] = join(A, x, y), built per call for callers that read many
-    joins; it is not kept on the algebra."""
-    return [[join(A, x, y) for y in A.elements] for x in A.elements]
-
-
 def lattice_tables(A: FiniteAlgebra):
     """(meet table, join table) or (None, witness pair) if not a lattice."""
     n = A.n
@@ -345,7 +339,8 @@ def _require_flw(A: FiniteAlgebra) -> ClassificationReport:
 def is_vto_flw(v: UnaryMap) -> Witness | None:
     """VT1-VT4 plus the join axiom VT5; on success the equality variant holds."""
     _require_flw(v.parent)
-    return _vto_flw_witness(join_table(v.parent), v)
+    (_, jt), _ = lattice_tables(v.parent)
+    return _vto_flw_witness(jt, v)
 
 
 def _vto_flw_witness(jt, v: UnaryMap) -> Witness | None:
@@ -371,7 +366,7 @@ def enumerate_vto_flw(A: FiniteAlgebra) -> list[UnaryMap]:
 def _vto_flw(A: FiniteAlgebra):
     """(the VT1-VT5 operators, the join table they were checked on)."""
     vto = enumerate_vto(A)
-    jt = join_table(A)
+    (_, jt), _ = lattice_tables(A)
     return [v for v in vto if _vto_flw_witness(jt, v) is None], jt
 
 
@@ -385,49 +380,44 @@ class CharacterizationResult:
         return self.left == self.right
 
 
+def _every_vto_flw(A: FiniteAlgebra, holds):
+    """(whether ``holds(im, jt, x, y)`` for the image vector im of every
+    VT1-VT5 operator and every pair x, y, A's class tower); jt is the join
+    table."""
+    report = _require_flw(A)
+    ops, jt = _vto_flw(A)
+    pairs = list(product(A.elements, repeat=2))
+    return all(holds(v.image, jt, x, y) for v in ops for x, y in pairs), report
+
+
 def mtl_characterization(A: FiniteAlgebra) -> CharacterizationResult:
     """Prelinearity holds iff every join-compatible operator splits 1.
 
     Left: every enumerated VT1-VT5 operator v satisfies
     v(x->y) v v(y->x) = 1 (and the ~> twin).  Right: prelinearity.
     """
-    _require_flw(A)
-    ops, jt = _vto_flw(A)
-    left = True
-    for v in ops:
-        im = v.image
-        for x, y in product(A.elements, repeat=2):
-            if (
-                jt[im[A.arrow[x][y]]][im[A.arrow[y][x]]] != A.one
-                or jt[im[A.squig[x][y]]][im[A.squig[y][x]]] != A.one
-            ):
-                left = False
-                break
-        if not left:
-            break
-    right = classify(A).mtl
-    return CharacterizationResult(left, right)
+    ar, sq, one = A.arrow, A.squig, A.one
+
+    def splits_one(im, jt, x, y):
+        return (
+            jt[im[ar[x][y]]][im[ar[y][x]]] == one
+            and jt[im[sq[x][y]]][im[sq[y][x]]] == one
+        )
+
+    left, report = _every_vto_flw(A, splits_one)
+    return CharacterizationResult(left, report.mtl)
 
 
 def mv_characterization(A: FiniteAlgebra) -> CharacterizationResult:
     """Involutive join identities hold for all operators iff the algebra is MV."""
-    _require_flw(A)
-    ops, jt = _vto_flw(A)
-    left = True
-    for v in ops:
-        im = v.image
-        for x, y in product(A.elements, repeat=2):
-            j = im[jt[x][y]]
-            if (
-                j != A.squig[A.arrow[im[x]][im[y]]][im[y]]
-                or j != A.arrow[A.squig[im[x]][im[y]]][im[y]]
-            ):
-                left = False
-                break
-        if not left:
-            break
-    right = classify(A).mv
-    return CharacterizationResult(left, right)
+    ar, sq = A.arrow, A.squig
+
+    def join_identity(im, jt, x, y):
+        j = im[jt[x][y]]
+        return j == sq[ar[im[x]][im[y]]][im[y]] == ar[sq[im[x]][im[y]]][im[y]]
+
+    left, report = _every_vto_flw(A, join_identity)
+    return CharacterizationResult(left, report.mv)
 
 
 # -- Smarandache substructures -----------------------------------------
@@ -477,8 +467,7 @@ def _certify_smarandache(A: FiniteAlgebra, q) -> FiniteAlgebra:
         raise NotSmarandache("Q must contain both constants")
     if not 3 <= len(q) < A.n:
         raise NotSmarandache("Q must be proper with at least 3 elements")
-    mask = sum(1 << x for x in q)
-    if _close_implications(A, mask) != mask:
+    if A.unclosed_pair(q) is not None:
         raise NotSmarandache("Q is not closed under the implications")
     sub = A.subalgebra(q)
     if not classify(sub).mtl:
@@ -494,10 +483,11 @@ def svto(A: FiniteAlgebra, q) -> list[UnaryMap]:
 def restrict_vto(v: UnaryMap, q):
     """(restriction of v to Q, None) or (None, reason)."""
     certify_vto(v)
+    q = frozenset(q)
     sub = _certify_smarandache(v.parent, q)
-    members = sorted(frozenset(q))
-    if any(v.image[x] not in frozenset(q) for x in members):
+    if not v.preserves(q):
         return None, "v does not map Q into Q"
+    members = sorted(q)
     pos = {x: i for i, x in enumerate(members)}
     restr = UnaryMap(sub, tuple(pos[v.image[x]] for x in members))
     w = is_vto_flw(restr)

@@ -23,7 +23,7 @@ from .errors import (
     NotVds,
     WellDefinednessFailure,
 )
-from .operators import UnaryMap, certify_vto, is_vto
+from .operators import UnaryMap, _require_on, certify_vto, is_vto
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -78,9 +78,6 @@ class DeductiveSystem:
             raise MalformedInput("subset is not a deductive system")
         return cls(A, members, _is_normal(A, members))
 
-    def stable_under(self, v: UnaryMap) -> bool:
-        return all(v.image[x] in self.members for x in self.members)
-
     def names(self) -> tuple[str, ...]:
         return tuple(
             self.parent.name(x) for x in sorted(self.members)
@@ -127,7 +124,7 @@ def enumerate_ds_v(v: UnaryMap) -> list[DeductiveSystem]:
     _check_subset_cap(v.parent)
     memo = v.memo
     if "ds_v" not in memo:
-        memo["ds_v"] = tuple(d for d in enumerate_ds(v.parent) if d.stable_under(v))
+        memo["ds_v"] = tuple(d for d in enumerate_ds(v.parent) if v.preserves(d.members))
     return list(memo["ds_v"])
 
 
@@ -171,6 +168,7 @@ def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
     are checked to be independent of representatives and the quotient is
     re-certified as a pseudo-BCK algebra.
     """
+    _require_on(A, H, "H must be a deductive system of the algebra")
     if not H.normal:
         raise NotNormal("quotients require a normal deductive system")
     mem = H.members
@@ -229,9 +227,10 @@ def lift_vto_to_quotient(
     stored quotient is handed back with ``by`` set to this H.
     """
     certify_vto(v)
+    _require_on(v.parent, H, "H must be a deductive system of v's algebra")
     if not H.normal:
         raise NotNormal("lifting requires a normal deductive system")
-    if not H.stable_under(v):
+    if not v.preserves(H.members):
         raise NotVds("H is not stable under the operator")
     memo = v.memo
     key = ("lift", H.members)

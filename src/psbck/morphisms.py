@@ -100,6 +100,12 @@ def _require_ends(A: FiniteAlgebra, v: UnaryMap, B: FiniteAlgebra, u: UnaryMap):
     _require_on(B, u, "u must live on the target algebra")
 
 
+def intertwine_failure(m, v: UnaryMap, u: UnaryMap) -> int | None:
+    """The least x with m(v(x)) != u(m(x)), or None if the map vector m
+    intertwines v and u."""
+    return next((x for x, vx in enumerate(v.image) if m[vx] != u.image[m[x]]), None)
+
+
 def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
     _require_ends(f.source, v, f.target, u)
     w = is_hom(f)
@@ -107,10 +113,8 @@ def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
         return w
     certify_vto(v)
     certify_vto(u)
-    for x in f.source.elements:
-        if f.map[v.image[x]] != u.image[f.map[x]]:
-            return Witness("intertwine", (f.source.name(x),))
-    return None
+    x = intertwine_failure(f.map, v, u)
+    return None if x is None else Witness("intertwine", (f.source.name(x),))
 
 
 def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, candidates, injective=False):
@@ -139,22 +143,13 @@ def enumerate_vthom(
     _require_ends(A, v, B, u)
     certify_vto(v)
     certify_vto(u)
-    return [
-        f
-        for f in enumerate_hom(A, B)
-        if all(f.map[v.image[x]] == u.image[f.map[x]] for x in A.elements)
-    ]
+    return [f for f in enumerate_hom(A, B) if intertwine_failure(f.map, v, u) is None]
 
 
 def is_vt_subalgebra(v: UnaryMap, members) -> bool:
     """Subset closed under ->, ~>, containing 1 and stable under v."""
     A, members = v.parent, frozenset(members)
-    if A.one not in members:
-        return False
-    for x, y in product(sorted(members), repeat=2):
-        if A.arrow[x][y] not in members or A.squig[x][y] not in members:
-            return False
-    return all(v.image[x] in members for x in members)
+    return A.one in members and A.unclosed_pair(members) is None and v.preserves(members)
 
 
 @dataclass(frozen=True)
@@ -181,7 +176,7 @@ class TransportReport:
 
 
 def _is_vds(v: UnaryMap, members: frozenset[int]) -> bool:
-    return _is_ds(v.parent, members) and all(v.image[x] in members for x in members)
+    return _is_ds(v.parent, members) and v.preserves(members)
 
 
 def _restrict_to_image(u: UnaryMap, image: frozenset[int]):
@@ -312,7 +307,7 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     matches = [
         g
         for g in _hom_search(q, B, [[y] for y in m])
-        if all(g[vhat.image[c]] == f.u.image[g[c]] for c in q.elements)
+        if intertwine_failure(g, vhat, f.u) is None
     ]
     unique = matches == [base.map]
 

@@ -62,8 +62,14 @@ class UnaryMap:
             self.parent.leq(a, b) for a, b in zip(self.image, other.image)
         )
 
+    def preserves(self, members) -> bool:
+        """The map sends the set ``members`` into itself."""
+        return all(self.image[x] in members for x in members)
 
-def _require_on(A: FiniteAlgebra, f: UnaryMap, message: str):
+
+def _require_on(A: FiniteAlgebra, f, message: str):
+    """Raise ParentMismatch unless f (a map or a deductive system) lives on
+    A; an equal algebra built separately counts as A."""
     if f.parent is not A and f.parent != A:
         raise ParentMismatch(message)
 
@@ -234,22 +240,18 @@ def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok):
     ]
 
 
+def _idempotent(v) -> bool:
+    return all(v[y] == y for y in v)
+
+
 def enumerate_interior(A: FiniteAlgebra) -> list[UnaryMap]:
     allowed = [sorted(A.down_set(x)) for x in A.elements]
-
-    def final_ok(v):
-        return all(v[v[x]] == v[x] for x in A.elements)
-
-    return _enumerate_monotone(A, allowed, final_ok)
+    return _enumerate_monotone(A, allowed, _idempotent)
 
 
 def enumerate_closure(A: FiniteAlgebra) -> list[UnaryMap]:
     allowed = [sorted(A.up_set(x)) for x in A.elements]
-
-    def final_ok(v):
-        return all(v[v[x]] == v[x] for x in A.elements)
-
-    return _enumerate_monotone(A, allowed, final_ok)
+    return _enumerate_monotone(A, allowed, _idempotent)
 
 
 def enumerate_vto(A: FiniteAlgebra) -> list[UnaryMap]:
@@ -324,34 +326,50 @@ def _require_glivenko(A: FiniteAlgebra):
         )
 
 
-def lift_to_reg(f: UnaryMap, kind: str = "vto"):
-    """Transport f to the regular-element subalgebra via double negation.
+def _lift_checks(f: UnaryMap):
+    """The checks f passes, which its lift must pass too: ``is_interior``,
+    and ``is_vto`` as well when f is very true (every very true operator is
+    interior).  Raises NotVto unless f is an interior operator."""
+    if is_vto(f) is None:
+        return is_interior, is_vto
+    w = is_interior(f)
+    if w is not None:
+        raise NotVto(f"input map fails {w}")
+    return (is_interior,)
 
-    Returns (subalgebra, lifted map).  ``kind`` selects which certificate
-    is re-checked on the subalgebra ("interior" or "vto").
+
+def _certify_lift(checks, lifted: UnaryMap):
+    for check in checks:
+        w = check(lifted)
+        if w is not None:
+            raise WellDefinednessFailure(f"lifted map fails {w}")
+
+
+def lift_to_reg(f: UnaryMap):
+    """Transport the interior operator f to the regular-element subalgebra
+    via double negation.
+
+    Returns (subalgebra, lifted map); the lifted map passes every check of
+    ``_lift_checks`` that f passes.
     """
     A = f.parent
     _require_glivenko(A)
-    checker = is_interior if kind == "interior" else is_vto
-    w = checker(f)
-    if w is not None:
-        raise NotVto(f"input map fails {w}")
+    checks = _lift_checks(f)
     reg = sorted(A.regular_elements())
     sub = A.subalgebra(reg)
     pos = {x: i for i, x in enumerate(reg)}
     lifted = UnaryMap(
         sub, tuple(pos[A.double_neg_ms(f.image[x])] for x in reg)
     )
-    w = checker(lifted)
-    if w is not None:
-        raise WellDefinednessFailure(f"lifted map fails {w}")
+    _certify_lift(checks, lifted)
     return sub, lifted
 
 
-def lift_to_den_quotient(f: UnaryMap, kind: str = "vto"):
-    """Transport f to the quotient by the dense elements.
+def lift_to_den_quotient(f: UnaryMap):
+    """Transport the interior operator f to the quotient by the dense
+    elements.
 
-    Returns (quotient, lifted map).  The lift sends the class of x to the
+    Returns (quotient, lifted map), checked as in ``lift_to_reg``.  The lift sends the class of x to the
     class of f applied to the double negation of x; applying f directly to
     a representative is not class-independent (globalization on any algebra
     with a dense element below 1 already breaks it), whereas the double
@@ -364,10 +382,7 @@ def lift_to_den_quotient(f: UnaryMap, kind: str = "vto"):
 
     A = f.parent
     _require_glivenko(A)
-    checker = is_interior if kind == "interior" else is_vto
-    w = checker(f)
-    if w is not None:
-        raise NotVto(f"input map fails {w}")
+    checks = _lift_checks(f)
     den = DeductiveSystem.from_members(A, A.dense_elements())
     if not den.normal:
         raise WellDefinednessFailure("Den(A) is not a normal deductive system")
@@ -375,7 +390,5 @@ def lift_to_den_quotient(f: UnaryMap, kind: str = "vto"):
     q = quot.algebra
     values = [quot.class_of[f.image[A.double_neg_ms(x)]] for x in A.elements]
     lifted = UnaryMap(q, quot.induce(values))
-    w = checker(lifted)
-    if w is not None:
-        raise WellDefinednessFailure(f"lifted map fails {w}")
+    _certify_lift(checks, lifted)
     return quot, lifted

@@ -107,7 +107,7 @@ def parse_raw(text: str) -> RawDocument:
     current: AlgebraBlock | None = None
     table: list[list[Token]] | None = None
 
-    def new_name(kind: str, tok: Token) -> str:
+    def new_name(tok: Token) -> str:
         for pool in (blocks, maps, valuations, subsets):
             if tok.text in pool:
                 _fail(f"duplicate definition of {tok.text!r}", tok)
@@ -123,7 +123,7 @@ def parse_raw(text: str) -> RawDocument:
         target = Token(target.text[:-1], target.line, target.column)
         if not target.text:
             _fail("missing algebra name", toks[3])
-        return new_name(kind, toks[1]), (target, toks[4:])
+        return new_name(toks[1]), (target, toks[4:])
 
     for toks in lines:
         if not toks:
@@ -133,7 +133,7 @@ def parse_raw(text: str) -> RawDocument:
             if len(toks) != 2:
                 _fail("expected 'algebra <name>'", head)
             current = AlgebraBlock(name=toks[1])
-            blocks[new_name("algebra", toks[1])] = current
+            blocks[new_name(toks[1])] = current
             table = None
             continue
         if head.text in ("map", "valuation", "subset"):

@@ -12,7 +12,7 @@ from psbck.algebra import (
     size_cap,
     validate,
 )
-from psbck.classes import smarandache_search, svto
+from psbck.classes import _close_implications, smarandache_search, svto
 from psbck.deduction import enumerate_congruences, enumerate_ds, enumerate_ds_v
 from psbck.errors import (
     MalformedInput,
@@ -132,6 +132,20 @@ def test_subalgebra_requires_closure(six_sm):
         six_sm.subalgebra({six_sm.one, six_sm.index("a"), six_sm.index("d")})
     with pytest.raises(MalformedInput):
         six_sm.subalgebra({six_sm.index("a")})
+
+
+def test_unclosed_pair_matches_the_closure(small_pool):
+    # a subset is closed iff closing it adds nothing, and the pair named
+    # is the first one, in id order, that leads out of it
+    for A in small_pool:
+        for mask in range(1 << A.n):
+            members = frozenset(x for x in A.elements if mask >> x & 1)
+            escapes = [
+                (x, y) for x, y in product(sorted(members), repeat=2)
+                if {A.arrow[x][y], A.squig[x][y]} - members
+            ]
+            assert (_close_implications(A, mask) == mask) == (not escapes)
+            assert A.unclosed_pair(members) == (escapes[0] if escapes else None)
 
 
 def test_carrier_cap_enforced(monkeypatch):

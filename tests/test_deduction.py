@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
+from psbck import goldens
 from psbck.algebra import diagnose
 from psbck.deduction import (
     DeductiveSystem,
@@ -19,10 +20,11 @@ from psbck.errors import (
     MalformedInput,
     NotNormal,
     NotVds,
+    ParentMismatch,
     WellDefinednessFailure,
 )
 from psbck.generate import goedel_chain
-from psbck.operators import UnaryMap, globalization, is_vto
+from psbck.operators import UnaryMap, globalization, identity_map, is_vto
 from psbck.operators import enumerate_vto
 
 
@@ -116,15 +118,32 @@ def test_enumerate_congruences_counts(four_elt, six_sm):
 def test_lift_vto_to_quotient(six_sm):
     A = six_sm
     H = DeductiveSystem.from_members(A, A.dense_elements())
-    stable = [v for v in enumerate_vto(A) if H.stable_under(v)]
+    stable = [v for v in enumerate_vto(A) if v.preserves(H.members)]
     assert stable, "at least the identity is stable"
     for v in stable:
         quot, lifted = lift_vto_to_quotient(v, H)
         assert is_vto(lifted) is None
-    unstable = [v for v in enumerate_vto(A) if not H.stable_under(v)]
+    unstable = [v for v in enumerate_vto(A) if not v.preserves(H.members)]
     for v in unstable:
         with pytest.raises(NotVds):
             lift_vto_to_quotient(v, H)
+
+
+def test_deductive_systems_must_live_on_their_algebra(six_elt, six_sm):
+    # six_elt and six_sm have the same size, so H's member ids are valid
+    # ids of six_elt too; reading them there is still a different system
+    v = identity_map(six_elt)
+    for H in enumerate_ds_n(six_sm):
+        with pytest.raises(ParentMismatch):
+            congruence_from(six_elt, H)
+        with pytest.raises(ParentMismatch):
+            lift_vto_to_quotient(v, H)
+        assert not v.memo.get(("lift", H.members))
+    # an equal algebra built separately counts as the same
+    twin = goldens.six_element_involutive()
+    for H in enumerate_ds_n(twin):
+        assert congruence_from(six_elt, H).by is H
+        assert lift_vto_to_quotient(v, H)[0].by is H
 
 
 def test_congruence_compatibility(four_elt, six_elt, six_sm):
@@ -143,7 +162,7 @@ def test_unstable_system_breaks_compatibility_on_a_chain():
     H = next(
         d for d in enumerate_ds_n(A) if len(d.members) == 2
     )
-    assert not H.stable_under(v)
+    assert not v.preserves(H.members)
     assert H not in enumerate_ds_nv(v)
     mid, top = 1, 2
     assert A.arrow[top][mid] in H.members and A.arrow[mid][top] in H.members

@@ -21,7 +21,7 @@ from psbck.morphisms import (
     pushforward_ds,
     transport,
 )
-from psbck.operators import UnaryMap, enumerate_vto, identity_map, is_vtst
+from psbck.operators import UnaryMap, Witness, enumerate_vto, identity_map, is_vtst
 
 PSI = [
     ("1", "1", "1", "1", "1", "1"),
@@ -182,6 +182,17 @@ def test_is_isomorphic_matches_permutation_search(small_pool):
         assert (iso is not None) == exists
         if iso is not None:
             assert is_hom(iso) is None and iso.is_injective()
+
+
+def test_intertwine_witness_matches_brute_force(small_pool):
+    # the least x with f(v(x)) != u(f(x)), over every endomorphism f and
+    # every pair (v, u) of very true operators
+    for A in small_pool:
+        vto = enumerate_vto(A)
+        for f, v, u in product(enumerate_hom(A, A), vto, vto):
+            clash = [x for x in A.elements if f.map[v.image[x]] != u.image[f.map[x]]]
+            want = Witness("intertwine", (A.name(clash[0]),)) if clash else None
+            assert is_vthom(f, v, u) == want, (f.names(), v.names(), u.names())
 
 
 def _unique_by_brute_force(g, res):

@@ -4,17 +4,18 @@ from itertools import product
 
 import pytest
 
-from psbck import goldens
+from psbck import classes, deduction, goldens, operators, suite
 from psbck.deduction import (
     DeductiveSystem,
     enumerate_ds_nv,
     enumerate_ds_v,
     lift_vto_to_quotient,
 )
-from psbck.errors import CarrierTooLarge, GlivenkoRequired, NotVto
+from psbck.errors import CarrierTooLarge, GlivenkoRequired, NotVto, WellDefinednessFailure
 from psbck.morphisms import VtHomomorphism, enumerate_hom, first_isomorphism, transport
 from psbck.operators import (
     UnaryMap,
+    Witness,
     compose,
     certify_vto,
     enumerate_closure,
@@ -157,14 +158,14 @@ def test_hedges_are_closures_and_satisfy_axioms(six_elt):
 def test_lift_to_reg_involutive_is_original(six_elt):
     # every element is regular, so the lift is the operator itself
     for v in enumerate_vto(six_elt):
-        sub, lifted = lift_to_reg(v, "vto")
+        sub, lifted = lift_to_reg(v)
         assert sub == six_elt
         assert lifted.image == v.image
 
 
 def test_lift_to_reg_smarandache(six_sm):
     for v in enumerate_vto(six_sm):
-        sub, lifted = lift_to_reg(v, "vto")
+        sub, lifted = lift_to_reg(v)
         assert sub.element_names == ("0", "1")
         assert is_vto(lifted) is None
 
@@ -172,7 +173,7 @@ def test_lift_to_reg_smarandache(six_sm):
 def test_lift_to_den_quotient_smarandache(six_sm):
     # the quotient collapses the five dense elements onto the class of 1
     for v in enumerate_vto(six_sm):
-        quot, lifted = lift_to_den_quotient(v, "vto")
+        quot, lifted = lift_to_den_quotient(v)
         assert quot.algebra.n == 2
         assert is_vto(lifted) is None
 
@@ -186,21 +187,54 @@ def test_lift_to_den_quotient_direct_image_would_disagree(six_sm):
     a = A.index("a")
     assert A.double_neg_ms(a) == A.one
     assert v.image[a] == A.zero and v.image[A.one] == A.one
-    quot, lifted = lift_to_den_quotient(v, "vto")
+    quot, lifted = lift_to_den_quotient(v)
     assert lifted.image == identity_map(quot.algebra).image
 
 
 def test_lift_requires_glivenko(four_elt):
     with pytest.raises(GlivenkoRequired):
-        lift_to_reg(identity_map(four_elt), "vto")
+        lift_to_reg(identity_map(four_elt))
 
 
 def test_interior_lifts(six_sm):
-    for f in enumerate_interior(six_sm):
-        sub, lifted = lift_to_reg(f, "interior")
+    # an interior map that is not very true is lifted as an interior one
+    into = enumerate_interior(six_sm)
+    assert any(is_vto(f) is not None for f in into)
+    for f in into:
+        sub, lifted = lift_to_reg(f)
         assert is_interior(lifted) is None
-        quot, liftq = lift_to_den_quotient(f, "interior")
+        quot, liftq = lift_to_den_quotient(f)
         assert is_interior(liftq) is None
+
+
+def test_lifts_refuse_a_map_that_is_not_interior(six_sm):
+    top = UnaryMap(six_sm, (six_sm.one,) * six_sm.n)
+    for lift in (lift_to_reg, lift_to_den_quotient):
+        with pytest.raises(NotVto):
+            lift(top)
+
+
+def test_lifts_raise_unless_the_lifted_operator_is_very_true(six_sm, monkeypatch):
+    # a planted fault rejects every map off v's own algebra; each lift must
+    # refuse its result, and run_suite, which no longer re-checks the
+    # lifted operators itself, must let the failure through
+    A = six_sm
+    real = operators.is_vto
+
+    def planted(f):
+        return real(f) if f.parent is A else Witness("planted", ())
+
+    for module in (operators, deduction, classes, suite):
+        monkeypatch.setattr(module, "is_vto", planted)
+    v = identity_map(A)
+    for lift in (lift_to_reg, lift_to_den_quotient):
+        with pytest.raises(WellDefinednessFailure):
+            lift(v)
+    for H in enumerate_ds_nv(v):
+        with pytest.raises(WellDefinednessFailure):
+            lift_vto_to_quotient(v, H)
+    with pytest.raises(WellDefinednessFailure):
+        suite.run_suite(A)
 
 
 def test_enumeration_cap(monkeypatch):

@@ -6,6 +6,8 @@ PSBCK_MAX_N override), and an operator carries its algebra, so neither
 is passed alongside.  This stdlib ``ast`` check pins the (module,
 function, parameter) triple of every defaulted parameter, nested
 functions included, so a new option shows up as an edit to ``OPTIONS``.
+A second check finds parameters, defaulted or not, that the body never
+reads.
 """
 
 import ast
@@ -28,8 +30,6 @@ OPTIONS = {
     ("generate", "relabel", "prefix"),
     ("morphisms", "_hom_search", "injective"),
     ("operators", "_map_search", "injective"),
-    ("operators", "lift_to_den_quotient", "kind"),
-    ("operators", "lift_to_reg", "kind"),
     ("textfmt", "_fail", "tok"),
     ("textfmt", "serialize_algebra", "name"),
 }
@@ -57,7 +57,7 @@ def test_every_option_is_pinned():
         for fn, param in defaulted_parameters(path.read_text(encoding="utf-8"))
     }
     assert census == OPTIONS
-    assert len(OPTIONS) == 18
+    assert len(OPTIONS) == 16
 
 
 def test_defaulted_parameters_are_reported():
@@ -75,4 +75,65 @@ def test_defaulted_parameters_are_reported():
         ("f", "d"),
         ("inner", "x"),
         ("m", "g"),
+    ]
+
+
+def unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) of each parameter of a function or lambda that
+    its body never reads, sorted; ``self``, ``cls`` and names starting with
+    ``_`` are exempt.  A read inside a nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Lambda):
+            name, body = "<lambda>", [node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, body = node.name, node.body
+        else:
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [
+            (name, a.arg)
+            for a in params
+            if a.arg not in read and a.arg not in ("self", "cls") and not a.arg.startswith("_")
+        ]
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    unread = {
+        (path.stem, fn, param)
+        for path in sorted(SRC.glob("*.py"))
+        for fn, param in unread_parameters(path.read_text(encoding="utf-8"))
+    }
+    assert unread == set()
+
+
+def test_unread_parameters_are_reported():
+    source = (
+        "def f(a, b, _c, *args, **kw):\n"
+        "    return a + len(args)\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        return lambda y, z=x: y\n"
+        "    @classmethod\n"
+        "    def k(cls, w, *, s):\n"
+        "        def inner(q):\n"
+        "            return w\n"
+        "        s = 1\n"
+        "        return inner\n"
+    )
+    assert unread_parameters(source) == [
+        ("<lambda>", "z"),
+        ("f", "b"),
+        ("f", "kw"),
+        ("inner", "q"),
+        ("k", "s"),
     ]
