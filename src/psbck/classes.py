@@ -71,12 +71,6 @@ def lattice_tables(A: FiniteAlgebra):
     return (tuple(tuple(r) for r in mt), tuple(tuple(r) for r in jt)), None
 
 
-@dataclass(frozen=True)
-class ProductStructure:
-    algebra: FiniteAlgebra
-    odot: tuple[tuple[int, ...], ...]
-
-
 def _odot_table(A: FiniteAlgebra):
     """(product table, None) or (None, first failing pair)."""
     n = A.n
@@ -92,28 +86,21 @@ def _odot_table(A: FiniteAlgebra):
 
 
 def pseudo_product(A: FiniteAlgebra):
-    """(ProductStructure, None) or (None, first failing pair).
-
-    The product table is derived once per algebra instance and kept in
-    ``A.memo``; the wrapper, which refers back to ``A``, is rebuilt on
-    every call so the memo never forms a reference cycle.
-    """
+    """(product table, None) or (None, first failing pair), derived once
+    per algebra instance and kept in ``A.memo``."""
     memo = A.memo
     if "odot" not in memo:
         memo["odot"] = _odot_table(A)
-    odot, wit = memo["odot"]
-    if odot is None:
-        return None, wit
-    return ProductStructure(A, odot), None
+    return memo["odot"]
 
 
 def cross_check_product(A: FiniteAlgebra, odot) -> tuple[int, int] | None:
     """First pair where a user-supplied product disagrees with the oracle."""
-    ps, wit = pseudo_product(A)
-    if ps is None:
+    od, wit = pseudo_product(A)
+    if od is None:
         return wit
     for x, y in product(A.elements, repeat=2):
-        if odot[x][y] != ps.odot[x][y]:
+        if odot[x][y] != od[x][y]:
             return (x, y)
     return None
 
@@ -169,14 +156,13 @@ def _classify(A: FiniteAlgebra) -> ClassificationReport:
     if not lattice:
         wit.append(("lattice", f"no bound for ({name_pair(lat_wit)})"))
 
-    ps, pp_wit = pseudo_product(A)
-    pp = ps is not None
+    od, pp_wit = pseudo_product(A)
+    pp = od is not None
     if not pp:
         wit.append(("pp", f"no pseudo-product at ({name_pair(pp_wit)})"))
 
     flw = bounded and lattice and pp
     if flw:
-        od = ps.odot
         one = A.one
         for x in A.elements:
             if od[x][one] != x or od[one][x] != x:
@@ -214,7 +200,6 @@ def _classify(A: FiniteAlgebra) -> ClassificationReport:
     divisible = flw
     if flw:
         mt, _ = lat
-        od = ps.odot
         for x, y in product(A.elements, repeat=2):
             if (
                 od[A.arrow[x][y]][x] != mt[x][y]
@@ -288,11 +273,11 @@ def vt_pp_suite(v: UnaryMap) -> PpSuiteReport:
     it is kept so the report states all three formulations.
     """
     A = v.parent
-    ps, _ = pseudo_product(A)
-    if ps is None:
+    od, _ = pseudo_product(A)
+    if od is None:
         raise PPRequired("algebra has no pseudo-product")
     certify_vto(v)
-    od, im = ps.odot, v.image
+    im = v.image
 
     rt = None
     for x, y, z in product(A.elements, repeat=3):
@@ -312,10 +297,9 @@ def vt4_equivalence_check(A: FiniteAlgebra) -> bool:
     hypotheses shared by all three formulations) on a pseudo-product
     algebra.
     """
-    ps, _ = pseudo_product(A)
-    if ps is None:
+    od, _ = pseudo_product(A)
+    if od is None:
         raise PPRequired("algebra has no pseudo-product")
-    od = ps.odot
     for f in enumerate_interior(A):
         if f.image[A.one] != A.one:
             continue
@@ -501,8 +485,7 @@ def flw_arithmetic_suite(A: FiniteAlgebra) -> Witness | None:
     bounded integral residuated lattice (first counterexample or None)."""
     report = _require_flw(A)
     assert report.flw
-    ps, _ = pseudo_product(A)
-    od = ps.odot
+    od, _ = pseudo_product(A)
     lat, _ = lattice_tables(A)
     mt, jt = lat
     ar, sq, leq = A.arrow, A.squig, A.leq

@@ -325,16 +325,11 @@ def cmd_factor(args) -> int:
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
     v = _named_vto(doc, aname, args.vto)
-    u = (
-        operators.certify_vto(_named(doc, "map", aname, args.target_vto, "--target-vto"))
-        if args.target_vto
-        else v
-    )
+    u = _named_vto(doc, aname, args.target_vto) if args.target_vto else v
     f = _named(doc, "map", aname, args.map, "--map")
-    base = morphisms.Homomorphism(A, A, f.image)
-    g = morphisms.VtHomomorphism(base, v, u)
     members = _named(doc, "subset", aname, args.ds, "--ds")
     H = deduction.DeductiveSystem.from_members(A, members)
+    g = morphisms.VtHomomorphism(morphisms.Homomorphism(A, A, f.image), v, u)
     res = morphisms.factor(g, H)
     payload = {
         "command": "factor",

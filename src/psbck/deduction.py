@@ -12,7 +12,7 @@ bitset value) with bit i standing for element id i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .algebra import FiniteAlgebra, size_cap, validate
@@ -23,7 +23,7 @@ from .errors import (
     NotVds,
     WellDefinednessFailure,
 )
-from .operators import UnaryMap, _require_on, certify_vto, is_vto
+from .operators import UnaryMap, _certify_lift, _require_on, certify_vto, is_vto
 
 DEFAULT_SUBSET_CAP = 20
 
@@ -138,7 +138,6 @@ class QuotientAlgebra:
     by: DeductiveSystem
     algebra: FiniteAlgebra
     class_of: tuple[int, ...]
-    representatives: tuple[int, ...] = field(default=())
 
     def class_members(self, cls: int) -> tuple[int, ...]:
         return tuple(x for x in self.parent.elements if self.class_of[x] == cls)
@@ -209,7 +208,7 @@ def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
         tuple(tuple(r) for r in squig),
         zero=zero,
     )
-    return QuotientAlgebra(A, H, quotient, tuple(class_of), tuple(reps))
+    return QuotientAlgebra(A, H, quotient, tuple(class_of))
 
 
 def enumerate_congruences(A: FiniteAlgebra) -> list[QuotientAlgebra]:
@@ -237,10 +236,7 @@ def lift_vto_to_quotient(
     if key not in memo:
         quot = congruence_from(v.parent, H)
         lifted = UnaryMap(quot.algebra, quot.induce([quot.class_of[y] for y in v.image]))
-        w = is_vto(lifted)
-        if w is not None:
-            raise WellDefinednessFailure(f"induced map fails {w}")
-        lifted.memo["vto"] = True  # certify_vto's record: checked just now
+        _certify_lift((is_vto,), lifted)
         memo[key] = quot, lifted
     quot, lifted = memo[key]
     return (quot if quot.by is H else replace(quot, by=H)), lifted

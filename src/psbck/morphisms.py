@@ -67,9 +67,18 @@ class Homomorphism:
 
 @dataclass(frozen=True)
 class VtHomomorphism:
+    """A homomorphism f with f(v(x)) = u(f(x)) for very true operators v on
+    its source and u on its target, certified when built: MalformedInput
+    names the failing law otherwise."""
+
     base: Homomorphism
     v: UnaryMap
     u: UnaryMap
+
+    def __post_init__(self):
+        w = is_vthom(self.base, self.v, self.u)
+        if w is not None:
+            raise MalformedInput(f"not a very true homomorphism: {w}")
 
     def __call__(self, x: int) -> int:
         return self.base.map[x]
@@ -154,7 +163,6 @@ def is_vt_subalgebra(v: UnaryMap, members) -> bool:
 
 @dataclass(frozen=True)
 class TransportReport:
-    image_subalgebra: frozenset[int]
     image_is_vt_subalgebra: bool
     kernel: frozenset[int]
     kernel_is_normal_vds: bool
@@ -202,9 +210,6 @@ def transport(f: VtHomomorphism) -> TransportReport:
     """
     A, B = f.source, f.target
     v, u = f.v, f.u
-    w = is_vthom(f.base, v, u)
-    if w is not None:
-        raise MalformedInput(f"not a very true homomorphism: {w}")
     image = f.base.image()
     image_ok = is_vt_subalgebra(u, image)
     if image_ok:
@@ -247,7 +252,6 @@ def transport(f: VtHomomorphism) -> TransportReport:
         img_ok = None
 
     return TransportReport(
-        image_subalgebra=image,
         image_is_vt_subalgebra=image_ok,
         kernel=ker,
         kernel_is_normal_vds=kernel_ok,
@@ -285,14 +289,12 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     theorem's uniqueness clause rather than tests it: the search runs over
     the very-true homomorphisms on the quotient that commute with the
     projection, commuting pins every class to the one value ``f`` takes on
-    it, and ``is_vthom`` has already accepted that map, so the search can
-    only return the factored map itself.  It is kept as executable
+    it, and ``is_vthom`` has already accepted that map when the factored
+    ``VtHomomorphism`` was built, so the search can only return the
+    factored map itself.  It is kept as executable
     documentation of the statement.
     """
     B = f.target
-    w = is_vthom(f.base, f.v, f.u)
-    if w is not None:
-        raise MalformedInput(f"not a very true homomorphism: {w}")
     if not H.members <= f.base.kernel():
         raise KernelContainmentViolated("H must be contained in the kernel")
     quot, vhat = lift_vto_to_quotient(f.v, H)
@@ -300,9 +302,6 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     m = quot.induce(f.base.map)
     base = Homomorphism(q, B, m)
     lifted = VtHomomorphism(base, vhat, f.u)
-    w = is_vthom(base, vhat, f.u)
-    if w is not None:
-        raise MalformedInput(f"factored map fails {w}")
 
     matches = [
         g

@@ -339,10 +339,14 @@ def _lift_checks(f: UnaryMap):
 
 
 def _certify_lift(checks, lifted: UnaryMap):
+    """Raise WellDefinednessFailure unless ``lifted`` passes ``checks``;
+    a passed ``is_vto`` is kept as ``certify_vto``'s certificate."""
     for check in checks:
         w = check(lifted)
         if w is not None:
             raise WellDefinednessFailure(f"lifted map fails {w}")
+    if is_vto in checks:
+        lifted.memo["vto"] = True
 
 
 def lift_to_reg(f: UnaryMap):

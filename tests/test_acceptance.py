@@ -138,10 +138,10 @@ def test_criterion_6_substructures(six_sm):
     q = frozenset(A.index(n) for n in ("0", "c", "d", "1"))
     found = {frozenset(A.name(x) for x in s) for s, _, _ in smarandache_search(A)}
     sub = A.subalgebra(q)
-    ps, wit = pseudo_product(sub)
+    od, wit = pseudo_product(sub)
     name = sub.name
     rows = {
-        name(x): tuple(name(ps.odot[x][y]) for y in sub.elements)
+        name(x): tuple(name(od[x][y]) for y in sub.elements)
         for x in sub.elements
     }
     restrictions = []

@@ -92,11 +92,11 @@ def test_product_table_on_the_chain_substructure(six_sm):
     # break the unit law; the residuation oracle is authoritative)
     q = frozenset(six_sm.index(n) for n in ("0", "c", "d", "1"))
     sub = six_sm.subalgebra(q)
-    ps, wit = pseudo_product(sub)
+    od, wit = pseudo_product(sub)
     assert wit is None
     name = sub.name
     rows = {
-        name(x): tuple(name(ps.odot[x][y]) for y in sub.elements)
+        name(x): tuple(name(od[x][y]) for y in sub.elements)
         for x in sub.elements
     }
     assert rows["0"] == ("0", "0", "0", "0")
@@ -108,8 +108,8 @@ def test_product_table_on_the_chain_substructure(six_sm):
 def test_cross_check_rejects_the_swapped_table(six_sm):
     q = frozenset(six_sm.index(n) for n in ("0", "c", "d", "1"))
     sub = six_sm.subalgebra(q)
-    ps, _ = pseudo_product(sub)
-    good = [list(r) for r in ps.odot]
+    od, _ = pseudo_product(sub)
+    good = [list(r) for r in od]
     assert cross_check_product(sub, good) is None
     c, d = sub.index("c"), sub.index("d")
     swapped = [list(r) for r in good]

@@ -116,6 +116,18 @@ def test_unknown_map_exits_2():
     assert b"no map named" in res.stderr
 
 
+def test_factor_reports_a_map_that_is_not_very_true_after_the_usage_errors():
+    base = ["factor", EX26, "--map", "psi3", "--vto", "v2"]
+    res = run([*base, "--ds", "T"])
+    assert res.returncode == 2
+    assert res.stderr == b"E_MALFORMED: not a very true homomorphism: intertwine[a]\n"
+    # an unknown --ds is reported first, whatever the map
+    for args in (base, ["factor", EX26, "--map", "v10", "--vto", "v10"]):
+        res = run([*args, "--ds", "nope"])
+        assert res.returncode == 2
+        assert res.stderr == b"E_USAGE: no subset named 'nope'\n"
+
+
 def test_non_normal_quotient_exits_2():
     res = run(["quotient", EX25, "--ds", "D"])
     assert res.returncode == 2

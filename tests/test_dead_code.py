@@ -1,9 +1,12 @@
-"""Dead code: every function, class and method defined in src/psbck is used.
+"""Dead code: every function, class and method defined in src/psbck is used,
+and every dataclass field is read.
 
 A stdlib ``ast`` check, like ``test_imports.py``.  A definition counts as
 used when its name is read somewhere outside its own body: as a name or an
 attribute anywhere in ``src/`` or ``tests/``, or as a word of README.md.
-Dunder methods are called by the language and are not checked.
+Dunder methods are called by the language and are not checked.  A field of
+a ``@dataclass`` counts as read when some attribute load in ``src/`` or
+``tests/`` names it.
 """
 
 import ast
@@ -88,3 +91,58 @@ def test_unreferenced_definitions_are_reported():
     test = "from mod import Box\nassert Box() is not None\n"
     found = unreferenced({"mod.py": source}, {"test_mod.py": test}, "see `documented`")
     assert found == ["mod.recursive", "mod.stale"]
+
+
+def _is_dataclass(node):
+    """``@dataclass`` or ``@dataclass(...)`` decorates the class."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def unread_fields(defined: dict[str, str], others: dict[str, str]) -> list[str]:
+    """Fields of the dataclasses in the ``defined`` sources that no
+    attribute load in ``defined`` or ``others`` names."""
+    trees = {path: ast.parse(src) for path, src in {**others, **defined}.items()}
+    loads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in defined:
+        for node in trees[path].body:
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if item.target.id not in loads:
+                        unread.append(f"{Path(path).stem}.{node.name}.{item.target.id}")
+    return sorted(unread)
+
+
+def test_every_field_is_read():
+    defined = _sources(sorted(SRC.glob("*.py")))
+    others = _sources(sorted((ROOT / "tests").glob("*.py")))
+    assert unread_fields(defined, others) == []
+
+
+def test_unread_fields_are_reported():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int\n"
+        "    spare: tuple = field(default=())\n"
+        "    def total(self):\n"
+        "        return self.left + 1\n"
+        "@dataclass\n"
+        "class Stored:\n"
+        "    written: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+    )
+    test = "from mod import Pair, Stored\nassert Pair(1, 2).right == 2\ns = Stored(0)\ns.written = 1\n"
+    found = unread_fields({"mod.py": source}, {"test_mod.py": test})
+    assert found == ["mod.Pair.spare", "mod.Stored.written"]

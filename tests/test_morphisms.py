@@ -5,7 +5,12 @@ import pytest
 from psbck import morphisms, suite
 from psbck.deduction import DeductiveSystem
 from psbck.algebra import validate
-from psbck.errors import KernelContainmentViolated, ParentMismatch, SurjectivityRequired
+from psbck.errors import (
+    KernelContainmentViolated,
+    MalformedInput,
+    ParentMismatch,
+    SurjectivityRequired,
+)
 from psbck.generate import relabel
 from psbck.morphisms import (
     Homomorphism,
@@ -70,6 +75,18 @@ def test_transport_swap_endomorphism(six_elt):
     assert rep.ok
     assert rep.pushforward_ok is True  # psi3 is bijective
     assert rep.kernel == frozenset({A.one})
+
+
+def test_a_very_true_homomorphism_is_certified_when_built(corpus_docs):
+    doc = corpus_docs["ex_2_6"]
+    A = doc.algebras["A"]
+    psi3, v2, v10 = (doc.maps[name][1] for name in ("psi3", "v2", "v10"))
+    # psi3 is a homomorphism that does not intertwine v2 with itself; v10
+    # read as a map is not a homomorphism at all
+    with pytest.raises(MalformedInput, match=r"^not a very true homomorphism: intertwine\[a\]$"):
+        VtHomomorphism(Homomorphism(A, A, psi3.image), v2, v2)
+    with pytest.raises(MalformedInput, match=r"^not a very true homomorphism: hom-arrow\[a,b\]$"):
+        VtHomomorphism(Homomorphism(A, A, v10.image), v10, v10)
 
 
 def test_transport_constant_map_skips_pushforward(six_elt):
