@@ -8,9 +8,10 @@ isomorphism test.
 Homomorphism enumeration, the isomorphism test and the factor theorem's
 uniqueness check share one search (``_hom_search``): the map search of
 ``operators._map_search`` with the preservation constraints
-f(x->y) = f(x)->f(y) and f(x~>y) = f(x)~>f(y) as its checks, each tested
-as soon as its three elements are assigned.  Enumeration has its own cap
-(|A| <= 8), since the raw space is |B|^|A|.
+f(x->y) = f(x)->f(y) and f(x~>y) = f(x)~>f(y) as its checks: once f(x)
+and f(y) are assigned, each is tested, or forces f(x->y) and f(x~>y) when
+those come later in id order.  Enumeration has its own cap (|A| <= 8),
+since the raw space is |B|^|A|.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
 
 def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, candidates, injective=False):
     """Yield every preserving map vector with f(x) in ``candidates[x]``, in
-    the order of ``operators._map_search``."""
+    the order of ``operators._map_search``: once f(x) and f(y) are set,
+    f(x->y) and f(x~>y) are checked, or forced if they are assigned later."""
     checks = [
         (x, y, tab_a[x][y], tab_b)
         for x, y in product(A.elements, repeat=2)

@@ -7,7 +7,8 @@ subalgebra and the dense-element quotient.
 
 Every search over map vectors runs on ``_map_search``: depth-first over
 element ids, each element's candidates in order, with each table
-constraint f(z) = tab[f(x)][f(y)] tested once its three elements are set.
+constraint f(z) = tab[f(x)][f(y)] decided once f(x) and f(y) are set:
+tested there if z comes no later, else forcing the value of f(z).
 The operator searches restrict f(x) to the down-set (interior/VTO) or
 up-set (closure) of x and state monotonicity as such constraints, so
 results come out in lexicographic order of image vectors; the remaining
@@ -183,28 +184,64 @@ def _vto_witness(A: FiniteAlgebra, im) -> Witness | None:
 def _map_search(n, candidates, checks, injective=False):
     """Yield every map vector m with m[x] in ``candidates[x]`` passing ``checks``.
 
-    A check ``(x, y, z, tab)`` requires ``tab[m[x]][m[y]] == m[z]``; it is
-    tested at depth max(x, y, z), as soon as its three entries are set.
-    Depth-first over element ids, trying each element's candidates in the
-    given order, so vectors come out lexicographic in candidate positions.
+    A check ``(x, y, z, tab)`` requires ``tab[m[x]][m[y]] == m[z]``.  When
+    z <= max(x, y) it is tested at depth max(x, y), once its three entries
+    are set.  When z > max(x, y) it forces m[z] = tab[m[x]][m[y]] at depth
+    max(x, y): the branch is pruned there if that value is not in
+    ``candidates[z]``, differs from a value forced earlier or (``injective``)
+    is already taken, and depth z tries the forced value alone.
+    Depth-first over element ids, trying each element's candidates (distinct
+    values) in the given order, so vectors come out lexicographic in
+    candidate positions; forcing skips only branches the check would fail.
     ``injective`` skips values already taken.
     """
     at = [[] for _ in range(n)]
+    # None at a depth with no forcing check, so that depth pays one test
+    forcing = [None] * n
     for check in checks:
-        at[max(check[:3])].append(check)
+        x, y, z, _ = check
+        d = max(x, y)
+        if z <= d:
+            at[d].append(check)
+        elif forcing[d] is None:
+            forcing[d] = [check]
+        else:
+            forcing[d].append(check)
+    cands = list(candidates)  # candidates[z], or (v,) while v is forced on z
+    undo = [()] * n  # the elements forced at each depth, released with it
     m: list[int] = []
     taken: set[int] = set()
-    pending = [iter(candidates[0])]
+    pending = [iter(cands[0])]
     while pending:
         i = len(pending) - 1
         if len(m) > i:  # back at depth i: release the value tried last
             taken.discard(m.pop())
+            if forcing[i]:
+                for z in undo[i]:
+                    cands[z] = candidates[z]
         for w in pending[i]:
             if injective and w in taken:
                 continue
             m.append(w)
             if all(m[z] == tab[m[x]][m[y]] for x, y, z, tab in at[i]):
-                break
+                if forcing[i] is None:
+                    break
+                done = []
+                for x, y, z, tab in forcing[i]:
+                    v = tab[m[x]][m[y]]
+                    if cands[z] is not candidates[z]:
+                        if cands[z][0] != v:
+                            break
+                    elif v not in cands[z] or injective and (v in taken or v == w):
+                        break
+                    else:
+                        cands[z] = (v,)
+                        done.append(z)
+                else:
+                    undo[i] = done
+                    break
+                for z in done:
+                    cands[z] = candidates[z]
             m.pop()
         else:
             pending.pop()
@@ -213,7 +250,7 @@ def _map_search(n, candidates, checks, injective=False):
             yield tuple(m)
         else:
             taken.add(w)
-            pending.append(iter(candidates[i + 1]))
+            pending.append(iter(cands[i + 1]))
 
 
 def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok):

@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from psbck import goldens
-from psbck.generate import _seed_pool, random_batch
+from psbck import goldens, operators
+from psbck.generate import _seed_pool, random_batch, relabel
 from psbck.suite import run_suite
 from psbck.textfmt import parse
 
@@ -53,6 +53,19 @@ def small_pool(pool):
 
 
 @pytest.fixture(scope="session")
+def small_pool_one_last(small_pool):
+    """Each small pool algebra relabelled so that 1 has the largest id.
+
+    A homomorphism search from such an algebra can force f(1) from f(x)
+    and f(y) for every x <= y, since x->y = 1 comes after both in id order.
+    """
+    return [
+        relabel(A, [A.n - 1 if i == A.one else i - (i > A.one) for i in A.elements])
+        for A in small_pool
+    ]
+
+
+@pytest.fixture(scope="session")
 def random_batch_suites():
     """(algebra, run_suite results) over the seed-2026 batch, run once."""
     return [
@@ -64,6 +77,26 @@ def random_batch_suites():
 def names(A, maps):
     """Image vectors as name tuples, for table-for-table comparisons."""
     return [f.names() for f in maps]
+
+
+def values_tried(search, *args):
+    """(values handed out by the map search's candidate iterators, result).
+
+    ``operators._map_search`` draws every value it tries from ``iter``, so a
+    counting ``iter`` planted on the module sees each one.
+    """
+    tried = 0
+
+    def counting(values):
+        nonlocal tried
+        for w in values:
+            tried += 1
+            yield w
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "iter", counting, raising=False)
+        result = search(*args)
+    return tried, result
 
 
 _CAPTURE = None

@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from conftest import values_tried
 from psbck import morphisms, suite
 from psbck.deduction import DeductiveSystem
 from psbck.algebra import validate
@@ -11,7 +12,7 @@ from psbck.errors import (
     ParentMismatch,
     SurjectivityRequired,
 )
-from psbck.generate import relabel
+from psbck.generate import direct_product, goedel_chain, lukasiewicz_chain, relabel
 from psbck.morphisms import (
     Homomorphism,
     VtHomomorphism,
@@ -181,8 +182,10 @@ def test_isomorphism_detection(four_elt, six_elt):
 # -- brute-force oracles on every distinct pool algebra with n <= 4 ----------
 
 
-def test_enumerate_hom_matches_brute_force(small_pool):
-    for A, B in product(small_pool, repeat=2):
+def test_enumerate_hom_matches_brute_force(small_pool, small_pool_one_last):
+    # the relabelled sources, where 1 has the largest id, make the search
+    # force f(1) from every pair x <= y before it reaches 1
+    for A, B in product(small_pool + small_pool_one_last, small_pool):
         every = (
             Homomorphism(A, B, m) for m in product(range(B.n), repeat=A.n)
         )
@@ -190,8 +193,8 @@ def test_enumerate_hom_matches_brute_force(small_pool):
         assert [f.map for f in enumerate_hom(A, B)] == brute
 
 
-def test_is_isomorphic_matches_permutation_search(small_pool):
-    for A, B in product(small_pool, repeat=2):
+def test_is_isomorphic_matches_permutation_search(small_pool, small_pool_one_last):
+    for A, B in product(small_pool + small_pool_one_last, small_pool):
         exists = A.n == B.n and any(
             is_hom(Homomorphism(A, B, p)) is None for p in permutations(B.elements)
         )
@@ -199,6 +202,28 @@ def test_is_isomorphic_matches_permutation_search(small_pool):
         assert (iso is not None) == exists
         if iso is not None:
             assert is_hom(iso) is None and iso.is_injective()
+
+
+# -- the values the endomorphism search tries, pinned -------------------------
+
+
+@pytest.mark.parametrize(
+    "A, tried, before, homs",
+    [
+        (goedel_chain(8), 3_712, 27_456, 128),
+        (lukasiewicz_chain(8), 541, 39_130, 2),
+        (direct_product(goedel_chain(2), lukasiewicz_chain(4)), 448, 39_258, 10),
+    ],
+    ids=["G8", "L8", "G2xL4"],
+)
+def test_forward_propagation_prunes_the_endomorphism_search(A, tried, before, homs):
+    # 1 has the largest id in all three, so without forcing every order
+    # check x->y = 1 waits for the leaf; ``before`` is the count the search
+    # made then, and forcing must not lose an endomorphism
+    assert A.one == A.n - 1
+    got, found = values_tried(enumerate_hom, A, A)
+    assert (got, len(found)) == (tried, homs)
+    assert got < before
 
 
 def test_intertwine_witness_matches_brute_force(small_pool):

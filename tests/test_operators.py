@@ -1,9 +1,11 @@
 import gc
+import random
 import weakref
 from itertools import product
 
 import pytest
 
+from conftest import values_tried
 from psbck import classes, deduction, goldens, operators, suite
 from psbck.deduction import (
     DeductiveSystem,
@@ -12,6 +14,7 @@ from psbck.deduction import (
     lift_vto_to_quotient,
 )
 from psbck.errors import CarrierTooLarge, GlivenkoRequired, NotVto, WellDefinednessFailure
+from psbck.generate import direct_product, goedel_chain, lukasiewicz_chain
 from psbck.morphisms import VtHomomorphism, enumerate_hom, first_isomorphism, transport
 from psbck.operators import (
     UnaryMap,
@@ -261,6 +264,117 @@ def test_enumeration_matches_brute_force(small_pool, enumerate_maps, check):
         every = (UnaryMap(A, im) for im in product(A.elements, repeat=A.n))
         brute = [f.image for f in every if check(f) is None]
         assert [f.image for f in enumerate_maps(A)] == brute
+
+
+# -- the map search engine against a filtered itertools.product ---------------
+
+
+def _filtered_product(candidates, checks, injective):
+    return [
+        m
+        for m in product(*candidates)
+        if all(m[z] == tab[m[x]][m[y]] for x, y, z, tab in checks)
+        and (not injective or len(set(m)) == len(m))
+    ]
+
+
+def _engine_cases(count, seed):
+    """(candidates, checks, injective) drawn from a fixed seed: n <= 5
+    elements, each with a shuffled subset of k <= 5 values as candidates,
+    and checks on two random k x k tables; half the checks put z after x
+    and y, where it is forced, the rest put it anywhere."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        candidates = [rng.sample(range(k), rng.randint(1, k)) for _ in range(n)]
+        tabs = [
+            [[rng.randrange(k) for _ in range(k)] for _ in range(k)] for _ in range(2)
+        ]
+        checks = []
+        for _ in range(rng.randint(0, n + 1)):
+            x, y = rng.randrange(n), rng.randrange(n)
+            later = max(x, y) + 1
+            z = rng.randrange(later, n) if later < n and rng.random() < 0.5 else rng.randrange(n)
+            checks.append((x, y, z, rng.choice(tabs)))
+        yield candidates, checks, rng.random() < 0.5
+
+
+def _position(x, y, z):
+    if z > max(x, y):
+        return "after"
+    if z < min(x, y):
+        return "before"
+    return "between" if min(x, y) < z < max(x, y) else "on"
+
+
+def test_map_search_matches_filtered_product():
+    seen = set()
+    for candidates, checks, injective in _engine_cases(1000, seed=5):
+        got = list(operators._map_search(len(candidates), candidates, checks, injective))
+        assert got == _filtered_product(candidates, checks, injective), (
+            candidates, checks, injective,
+        )
+        seen.update(_position(*c[:3]) for c in checks)
+        seen.add(("injective", injective, bool(got)))
+    # z before, between, on and after x and y; injective or not, with and
+    # without results
+    assert seen >= {"before", "between", "on", "after"}
+    assert seen >= {("injective", b, r) for b in (False, True) for r in (False, True)}
+
+
+FIRST = [[0, 0], [1, 1]]  # FIRST[a][b] = a
+ZERO = [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize(
+    "candidates, checks, injective, expected",
+    [
+        # m[1] = m[0] is forced at depth 0, but only 1 is a candidate for m[1]
+        ([[0, 1], [1]], [(0, 0, 1, FIRST)], False, [(1, 1)]),
+        # m[1] forced to m[0] and to 0: the two agree on one branch only
+        ([[0, 1], [0, 1]], [(0, 0, 1, FIRST), (0, 0, 1, ZERO)], False, [(0, 0)]),
+        # m[2] = m[0] is forced, then the second check fails on m[0] = 0:
+        # the value forced on m[2] must be released before m[0] = 1
+        ([[0, 1], [1], [0, 1]], [(0, 0, 2, FIRST), (0, 0, 1, FIRST)], False, [(1, 1, 1)]),
+        # m[2] = m[0], released when depth 0 backtracks
+        (
+            [[0, 1], [0, 1], [0, 1]],
+            [(0, 0, 2, FIRST)],
+            False,
+            [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)],
+        ),
+        # m[1] = m[0] is taken already, which matters only when injective
+        ([[0, 1], [0, 1]], [(0, 0, 1, FIRST)], True, []),
+        ([[0, 1], [0, 1]], [(0, 0, 1, FIRST)], False, [(0, 0), (1, 1)]),
+    ],
+    ids=[
+        "forced-outside-candidates",
+        "forced-apart",
+        "released-after-failed-attempt",
+        "released-on-backtrack",
+        "forced-taken-injective",
+        "forced-taken-not-injective",
+    ],
+)
+def test_map_search_forcing_paths(candidates, checks, injective, expected):
+    got = list(operators._map_search(len(candidates), candidates, checks, injective))
+    assert got == _filtered_product(candidates, checks, injective) == expected
+
+
+@pytest.mark.parametrize(
+    "A, tried",
+    [
+        (goedel_chain(8), (4_707, 7_072, 1_704)),
+        (lukasiewicz_chain(8), (4_707, 7_072, 1_704)),
+        (direct_product(goedel_chain(2), lukasiewicz_chain(4)), (1_991, 2_306, 759)),
+    ],
+    ids=["G8", "L8", "G2xL4"],
+)
+def test_monotone_searches_try_the_same_values_as_without_forcing(A, tried):
+    # monotonicity checks f(x) against f(y) with x <= max(x, y), so nothing
+    # is forced; these are the counts the searches made before forcing
+    searches = (enumerate_interior, enumerate_closure, enumerate_vto)
+    assert tuple(values_tried(search, A)[0] for search in searches) == tried
 
 
 # -- what is derived once per operator is kept in UnaryMap.memo --------------
