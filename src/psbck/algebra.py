@@ -3,9 +3,10 @@
 An algebra is a carrier of n named elements with two implication tables
 (``arrow`` for -> and ``squig`` for ~>), a top constant ``one`` and an
 optional bottom ``zero``.  The order is always derived from ``arrow``:
-x <= y iff arrow[x][y] == one.  Instances are only built through
-:func:`validate`, so every ``FiniteAlgebra`` in circulation satisfies the
-six defining axioms (and bottomness of ``zero`` when present).
+x <= y iff arrow[x][y] == one.  Every ``FiniteAlgebra`` satisfies the six
+defining axioms (and bottomness of ``zero`` when present): :func:`validate`
+certifies tables from outside a theorem, and subalgebras and quotients are
+certified by the theorems whose hypotheses they check.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class FiniteAlgebra:
         """Restrict to a subset closed under both implications.
 
         The subset must contain ``one``; ``zero`` is kept iff present in it.
-        Element order follows the parent ids.
+        Element order follows the parent ids (see :func:`restrict`).  The
+        axioms are universal sentences in ->, ~>, 1 and 0, so it inherits them.
         """
         keep = sorted(set(members))
         if self.one not in keep:
@@ -174,12 +176,22 @@ class FiniteAlgebra:
             raise MalformedInput(
                 f"subset not closed under implications at ({','.join(map(self.name, bad))})"
             )
-        pos = {x: i for i, x in enumerate(keep)}
-        names = tuple(self.name(x) for x in keep)
-        arrow = tuple(tuple(pos[self.arrow[x][y]] for y in keep) for x in keep)
-        squig = tuple(tuple(pos[self.squig[x][y]] for y in keep) for x in keep)
-        # the inherited 0 stays the bottom; validate re-checks it
-        return validate(names, pos[self.one], arrow, squig, zero=pos.get(self.zero))
+        return FiniteAlgebra(
+            element_names=tuple(self.name(x) for x in keep),
+            one=keep.index(self.one),
+            arrow=tuple(restrict(self.arrow[x], keep) for x in keep),
+            squig=tuple(restrict(self.squig[x], keep) for x in keep),
+            zero=keep.index(self.zero) if self.zero in keep else None,
+        )
+
+
+def restrict(values, members) -> tuple[int, ...]:
+    """``values`` (parent ids indexed by parent ids: a map's image, a table
+    row) on the subalgebra over ``members``, which numbers its elements in
+    parent-id order."""
+    keep = sorted(members)
+    pos = {x: i for i, x in enumerate(keep)}
+    return tuple(pos[values[x]] for x in keep)
 
 
 def diagnose(element_names, one, arrow, squig, zero=None) -> list[Diagnostic]:

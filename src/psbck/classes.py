@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import FiniteAlgebra, size_cap
+from .algebra import FiniteAlgebra, restrict, size_cap
 from .deduction import _closed_sets
 from .errors import CarrierTooLarge, NotFLw, NotSmarandache, PPRequired
 from .operators import (
@@ -471,9 +471,7 @@ def restrict_vto(v: UnaryMap, q):
     sub = _certify_smarandache(v.parent, q)
     if not v.preserves(q):
         return None, "v does not map Q into Q"
-    members = sorted(q)
-    pos = {x: i for i, x in enumerate(members)}
-    restr = UnaryMap(sub, tuple(pos[v.image[x]] for x in members))
+    restr = UnaryMap(sub, restrict(v.image, q))
     w = is_vto_flw(restr)
     if w is not None:
         return None, f"restriction fails {w}"

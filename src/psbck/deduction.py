@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product
 
-from .algebra import FiniteAlgebra, size_cap, validate
+from .algebra import FiniteAlgebra, size_cap
 from .errors import (
     CarrierTooLarge,
     MalformedInput,
@@ -164,8 +164,8 @@ def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
 
     Classes: x ~ y iff x->y and y->x both lie in H.  Class ids follow the
     least-id representative; class names are "[rep]".  The inherited tables
-    are checked to be independent of representatives and the quotient is
-    re-certified as a pseudo-BCK algebra.
+    are checked to be independent of representatives, which makes the
+    quotient a pseudo-BCK algebra by theorem; it is not re-certified.
     """
     _require_on(A, H, "H must be a deductive system of the algebra")
     if not H.normal:
@@ -197,16 +197,13 @@ def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
             raise WellDefinednessFailure(
                 f"tables disagree on classes of ({A.name(x)},{A.name(y)})"
             )
-    names = tuple(f"[{A.name(r)}]" for r in reps)
-    # the class of 0 is the bottom, since [0] -> [x] = [0 -> x] = [1];
-    # validate re-checks it
-    zero = class_of[A.zero] if A.zero is not None else None
-    quotient = validate(
-        names,
-        class_of[A.one],
-        tuple(tuple(r) for r in arrow),
-        tuple(tuple(r) for r in squig),
-        zero=zero,
+    # the class of 0 is the bottom, since [0] -> [x] = [0 -> x] = [1]
+    quotient = FiniteAlgebra(
+        element_names=tuple(f"[{A.name(r)}]" for r in reps),
+        one=class_of[A.one],
+        arrow=tuple(tuple(r) for r in arrow),
+        squig=tuple(tuple(r) for r in squig),
+        zero=class_of[A.zero] if A.zero is not None else None,
     )
     return QuotientAlgebra(A, H, quotient, tuple(class_of))
 

@@ -1,12 +1,12 @@
 """Seeded generation of certified algebras for the property suites.
 
 Random tables essentially never satisfy the axioms, so instances are drawn
-from constructions that are certified by re-validation: Goedel and
-Lukasiewicz chains, direct products, relative-pseudo-complement algebras
-of small distributive lattices, the three worked noncommutative algebras,
-and random relabelings, subalgebras and quotients of all of these.  Every
-instance goes back through :func:`psbck.algebra.validate`, so nothing
-uncertified can leak into a suite.
+from certified constructions: Goedel and Lukasiewicz chains, direct
+products, relative-pseudo-complement algebras of small distributive
+lattices, the three worked noncommutative algebras, and random quotients
+and relabelings of all of these.  Quotients are certified by theorem
+(:func:`psbck.deduction.congruence_from`), everything else by
+:func:`psbck.algebra.validate`, so nothing uncertified can leak into a suite.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import FiniteAlgebra, size_cap
+from .algebra import FiniteAlgebra, restrict, size_cap
 from .deduction import (
     DeductiveSystem,
     QuotientAlgebra,
@@ -32,7 +32,6 @@ from .errors import (
     CarrierTooLarge,
     KernelContainmentViolated,
     MalformedInput,
-    NotVto,
     SurjectivityRequired,
 )
 from .operators import UnaryMap, Witness, _map_search, _require_on, certify_vto
@@ -194,10 +193,8 @@ def _restrict_to_image(u: UnaryMap, image: frozenset[int]):
     ``u.memo``; the restriction lives on the subalgebra, not on u."""
     key = ("restrict", image)
     if key not in u.memo:
-        members = sorted(image)
-        sub_b = u.parent.subalgebra(members)
-        pos = {x: i for i, x in enumerate(members)}
-        u.memo[key] = sub_b, UnaryMap(sub_b, tuple(pos[u.image[x]] for x in members))
+        sub_b = u.parent.subalgebra(image)
+        u.memo[key] = sub_b, UnaryMap(sub_b, restrict(u.image, image))
     return u.memo[key]
 
 
@@ -213,13 +210,9 @@ def transport(f: VtHomomorphism) -> TransportReport:
     A, B = f.source, f.target
     v, u = f.v, f.u
     image = f.base.image()
+    # VT1-VT4 are universal sentences, so u restricted to a u-stable
+    # subalgebra is a very true operator there
     image_ok = is_vt_subalgebra(u, image)
-    if image_ok:
-        # the restricted operator must itself be a very true operator there
-        try:
-            certify_vto(_restrict_to_image(u, image)[1])
-        except NotVto:
-            image_ok = False
 
     ker = f.base.kernel()
     kernel_ok = _is_vds(v, ker) and _is_normal(A, ker)
@@ -325,8 +318,7 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
     """
     A, image = f.source, f.base.image()
     sub_b, u_restr = _restrict_to_image(f.u, image)
-    pos = {x: i for i, x in enumerate(sorted(image))}
-    base = Homomorphism(A, sub_b, tuple(pos[f.base.map[x]] for x in A.elements))
+    base = Homomorphism(A, sub_b, tuple(map(sub_b.index, f.base.names())))
     g = VtHomomorphism(base, f.v, u_restr)
     H = DeductiveSystem.from_members(A, base.kernel())
     return factor(g, H)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import FiniteAlgebra, size_cap
+from .algebra import FiniteAlgebra, restrict, size_cap
 from .errors import (
     CarrierTooLarge,
     GlivenkoRequired,
@@ -396,12 +396,9 @@ def lift_to_reg(f: UnaryMap):
     A = f.parent
     _require_glivenko(A)
     checks = _lift_checks(f)
-    reg = sorted(A.regular_elements())
+    reg = A.regular_elements()
     sub = A.subalgebra(reg)
-    pos = {x: i for i, x in enumerate(reg)}
-    lifted = UnaryMap(
-        sub, tuple(pos[A.double_neg_ms(f.image[x])] for x in reg)
-    )
+    lifted = UnaryMap(sub, restrict([A.double_neg_ms(y) for y in f.image], reg))
     _certify_lift(checks, lifted)
     return sub, lifted
 

@@ -14,8 +14,9 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, product
 
-from .algebra import FiniteAlgebra, derived_law_suite
+from .algebra import FiniteAlgebra, derived_law_suite, restrict
 from .classes import (
+    _vto_flw_witness,
     classify,
     flw_arithmetic_suite,
     lattice_tables,
@@ -47,7 +48,6 @@ from .morphisms import (
     transport,
 )
 from .operators import (
-    UnaryMap,
     compose,
     enumerate_interior,
     enumerate_vto,
@@ -368,18 +368,14 @@ def run_suite(A: FiniteAlgebra) -> list[SuiteResult]:
         add(SuiteResult("flw-arithmetic", w is None, str(w or "")))
         add(SuiteResult("mtl-characterization", mtl_characterization(A).agree))
         add(SuiteResult("mv-characterization", mv_characterization(A).agree))
-        # once the join inequality holds, monotonicity forces equality
+        # once the join inequality (VT5) holds, monotonicity forces equality
         (_, jt), _ = lattice_tables(A)
 
         def join_equality(v):
-            im = v.image
-            pairs = list(product(A.elements, repeat=2))
-            if any(not A.leq(im[jt[x][y]], jt[im[x]][im[y]]) for x, y in pairs):
+            w = _vto_flw_witness(jt, v)
+            if w is None or w.axiom == "VT5":
                 return True, ""
-            for x, y in pairs:
-                if im[jt[x][y]] != jt[im[x]][im[y]]:
-                    return False, f"{v.names()} at {A.name(x)},{A.name(y)}"
-            return True, ""
+            return False, f"{v.names()} at {','.join(w.elements)}"
 
         add(_all("vto-join-equality", (join_equality(v) for v in vto)))
 
@@ -388,7 +384,7 @@ def run_suite(A: FiniteAlgebra) -> list[SuiteResult]:
         ops = cache(partial(svto, A))  # svto(A, Q) at most once per Q
         nested_ok = True
         detail = ""
-        for (q1, sub1, _), (q2, _, _) in product(subs, repeat=2):
+        for (q1, _, _), (q2, _, _) in product(subs, repeat=2):
             if not (q1 < q2):
                 continue
             for m in ops(q2):
@@ -396,9 +392,7 @@ def run_suite(A: FiniteAlgebra) -> list[SuiteResult]:
                 lifted = {members2[i]: members2[m.image[i]] for i in range(len(members2))}
                 if not all(lifted[x] in q1 for x in q1):
                     continue
-                pos1 = {x: i for i, x in enumerate(sorted(q1))}
-                cand = UnaryMap(sub1, tuple(pos1[lifted[x]] for x in sorted(q1)))
-                if cand.image not in {s.image for s in ops(q1)}:
+                if restrict(lifted, q1) not in {s.image for s in ops(q1)}:
                     nested_ok = False
                     detail = f"{sorted(q1)} in {sorted(q2)}"
                     break

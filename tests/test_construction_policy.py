@@ -1,0 +1,81 @@
+"""Construction policy: every ``FiniteAlgebra`` is certified.
+
+Tables that come from outside a theorem (parsed, golden or generated) are
+certified by ``validate``.  Two constructions build their algebra directly,
+each covered by a theorem that their own hypothesis checks establish:
+
+- ``FiniteAlgebra.subalgebra``: every pseudo-BCK axiom is a universal
+  sentence in ->, ~>, 1 and 0, so a subset closed under both implications
+  and containing 1 inherits them all;
+- ``deduction.congruence_from``: the quotient by a normal deductive system,
+  once its class tables are well defined, is a pseudo-BCK algebra.
+
+This is a stdlib ``ast`` check: it lists each function in src/psbck that
+calls ``FiniteAlgebra(...)``.  A new direct construction fails here until
+the theorem that covers it is named above and its function pinned below.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "psbck"
+
+CERTIFIED = {
+    ("algebra.py", "validate"),
+    ("algebra.py", "FiniteAlgebra.subalgebra"),
+    ("deduction.py", "congruence_from"),
+}
+
+
+def direct_constructions(source: str) -> list[tuple[int, str]]:
+    """(line, qualified name of the enclosing function or "<module>") of
+    each call to ``FiniteAlgebra`` or ``<anything>.FiniteAlgebra``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (
+                func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None
+            )
+            if name == "FiniteAlgebra":
+                found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_certified_functions_build_algebras_directly():
+    found = {
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for _, scope in direct_constructions(path.read_text(encoding="utf-8"))
+    }
+    assert found == CERTIFIED
+
+
+def test_direct_constructions_are_reported():
+    source = (
+        "from . import algebra\n"
+        "from .algebra import FiniteAlgebra, validate\n"
+        "def parse(text):\n"
+        "    return validate(*text)\n"
+        "class Builder:\n"
+        "    def build(self, rows):\n"
+        "        return FiniteAlgebra(*rows)\n"
+        "def copy(A):\n"
+        "    keep = lambda: algebra.FiniteAlgebra(A.element_names)\n"
+        "    return isinstance(A, FiniteAlgebra) and keep()\n"
+        "EMPTY = FiniteAlgebra((), 0, (), ())\n"
+    )
+    assert direct_constructions(source) == [
+        (7, "Builder.build"),
+        (9, "copy"),
+        (11, "<module>"),
+    ]

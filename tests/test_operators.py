@@ -427,10 +427,10 @@ def test_cached_derivations_match_fresh_ones(pool):
             twin = UnaryMap(A, v.image)
             fresh = VtHomomorphism(g.base, twin, twin)
             rep = transport(fresh)
-            # transport keeps the restriction with its certificate
+            res = first_isomorphism(fresh)
+            # first_isomorphism keeps the restriction with its certificate
             sub_b, u_restr = twin.memo[("restrict", g.base.image())]
             assert u_restr.parent is sub_b and "vto" in u_restr.memo
-            res = first_isomorphism(fresh)
             assert res.factored.u is u_restr
             for _ in range(2):  # the first call fills the memo, the second reads it
                 assert (transport(g), first_isomorphism(g)) == (rep, res)

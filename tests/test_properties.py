@@ -10,8 +10,12 @@ from itertools import product
 import pytest
 
 from psbck import goldens, suite
+from psbck.algebra import diagnose, restrict
+from psbck.classes import _close_implications
+from psbck.deduction import _closed_sets, enumerate_congruences
 from psbck.generate import _seed_pool, direct_product, goedel_chain
 from psbck.operators import (
+    UnaryMap,
     Witness,
     compose,
     enumerate_interior,
@@ -65,6 +69,53 @@ def test_suite_on_unbounded_up_sets():
     for U in ups:
         assert U.zero is None
         assert _violations(run_suite(U)) == [], U.element_names
+
+
+# -- structures certified by theorem ------------------------------------------
+#
+# Subalgebras and quotients are built without going back through validate:
+# every pseudo-BCK axiom and VT1-VT4 is a universal sentence in ->, ~>, 1
+# (and v), so a closed subset containing 1 inherits them, and the quotient by
+# a normal deductive system is a pseudo-BCK algebra.  These oracles re-run the
+# checkers the constructions skip.
+
+
+def _theorem_pool(pool):
+    return pool + list(_golden_up_sets())
+
+
+def _closed_subsets(A):
+    """Every subset of A closed under both implications and containing 1."""
+    for mask in _closed_sets(A, _close_implications, 1 << A.one):
+        yield frozenset(x for x in A.elements if mask >> x & 1)
+
+
+def _diagnose(A):
+    return diagnose(A.element_names, A.one, A.arrow, A.squig, A.zero)
+
+
+def test_every_closed_subset_is_a_certified_subalgebra(pool):
+    for A in _theorem_pool(pool):
+        assert _diagnose(A) == [], A.element_names
+        for q in _closed_subsets(A):
+            assert _diagnose(A.subalgebra(q)) == [], (A.element_names, sorted(q))
+
+
+def test_very_true_operators_restrict_to_stable_subalgebras(pool):
+    for A in _theorem_pool(pool):
+        vto = enumerate_vto(A)
+        for q in _closed_subsets(A):
+            sub = A.subalgebra(q)
+            for v in vto:
+                if v.preserves(q):
+                    restr = UnaryMap(sub, restrict(v.image, q))
+                    assert is_vto(restr) is None, (v.names(), sorted(q))
+
+
+def test_every_quotient_is_certified(pool):
+    for A in _theorem_pool(pool):
+        for quot in enumerate_congruences(A):
+            assert _diagnose(quot.algebra) == [], (A.element_names, quot.by.names())
 
 
 # -- the commutation families decide each unordered pair once ----------------
