@@ -323,14 +323,15 @@ def _require_flw(A: FiniteAlgebra) -> ClassificationReport:
 def is_vto_flw(v: UnaryMap) -> Witness | None:
     """VT1-VT4 plus the join axiom VT5; on success the equality variant holds."""
     _require_flw(v.parent)
+    w = is_vto(v)
+    if w is not None:
+        return w
     (_, jt), _ = lattice_tables(v.parent)
     return _vto_flw_witness(jt, v)
 
 
 def _vto_flw_witness(jt, v: UnaryMap) -> Witness | None:
-    w = is_vto(v)
-    if w is not None:
-        return w
+    """VT5, then its equality variant, for a very true v; jt is the join table."""
     A, im = v.parent, v.image
     for x, y in product(A.elements, repeat=2):
         if not A.leq(im[jt[x][y]], jt[im[x]][im[y]]):

@@ -10,10 +10,10 @@ element ids, each element's candidates in order, with each table
 constraint f(z) = tab[f(x)][f(y)] decided once f(x) and f(y) are set:
 tested there if z comes no later, else forcing the value of f(z).
 The operator searches restrict f(x) to the down-set (interior/VTO) or
-up-set (closure) of x and state monotonicity as such constraints, so
-results come out in lexicographic order of image vectors; the remaining
-axioms are a cheap final filter.  ``morphisms`` runs the homomorphism
-searches on the same engine.
+up-set (closure) of x and state monotonicity and idempotence as such
+constraints, so results come out in lexicographic order of image vectors;
+the very true search then tests VT4 alone.  ``morphisms`` runs the
+homomorphism searches on the same engine.
 """
 
 from __future__ import annotations
@@ -253,51 +253,49 @@ def _map_search(n, candidates, checks, injective=False):
             pending.append(iter(cands[i + 1]))
 
 
-def _enumerate_monotone(A: FiniteAlgebra, allowed, final_ok):
-    """Monotone maps with f(x) in ``allowed[x]`` that pass ``final_ok``.
+def _enumerate_monotone(A: FiniteAlgebra, allowed):
+    """Monotone idempotent maps with f(x) in ``allowed[x]``, which lies in
+    the down-set or in the up-set of x.
 
-    Monotonicity is one map-search check per comparable pair x < y on the
-    table low[a][b] = a if a <= b else -1, so f(x) <= f(y) is tested as
-    soon as both are assigned.
+    One check per comparable pair x < y on low[a][b] = a if a <= b else -1
+    tests f(x) <= f(y).  Each pair's copy of low also has -1 in column x off
+    row x (f(y) = x needs f(x) = x) and in row y off column y (f(x) = y needs
+    f(y) = y), so an image point w = f(z) != z that f does not fix fails on
+    the pair (w, z) or (z, w).
     """
     cap = size_cap(DEFAULT_ENUM_CAP)
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds enumeration cap {cap}")
-    leq = A.leq
+    n, leq = A.n, A.leq
     low = [[a if leq(a, b) else -1 for b in A.elements] for a in A.elements]
-    checks = [
-        (x, y, x, low)
-        for x, y in product(A.elements, repeat=2)
-        if x != y and leq(x, y)
-    ]
-    return [
-        UnaryMap(A, v)
-        for v in _map_search(A.n, allowed, checks)
-        if final_ok(v)
-    ]
-
-
-def _idempotent(v) -> bool:
-    return all(v[y] == y for y in v)
+    checks = []
+    for x in A.elements:
+        col = [row[:x] + [-1] + row[x + 1:] for row in low]
+        col[x] = low[x]
+        for y in A.elements:
+            if y != x and leq(x, y):
+                tab = col[:]
+                tab[y] = [-1] * y + [y] + [-1] * (n - 1 - y)
+                checks.append((x, y, x, tab))
+    return [UnaryMap(A, v) for v in _map_search(n, allowed, checks)]
 
 
 def enumerate_interior(A: FiniteAlgebra) -> list[UnaryMap]:
-    allowed = [sorted(A.down_set(x)) for x in A.elements]
-    return _enumerate_monotone(A, allowed, _idempotent)
+    return _enumerate_monotone(A, [sorted(A.down_set(x)) for x in A.elements])
 
 
 def enumerate_closure(A: FiniteAlgebra) -> list[UnaryMap]:
-    allowed = [sorted(A.up_set(x)) for x in A.elements]
-    return _enumerate_monotone(A, allowed, _idempotent)
+    return _enumerate_monotone(A, [sorted(A.up_set(x)) for x in A.elements])
 
 
 def enumerate_vto(A: FiniteAlgebra) -> list[UnaryMap]:
-    # monotonicity is a consequence of VT4, so the monotone DFS loses nothing;
-    # VT1 and VT2 hold on every candidate, so the filter decides VT3 and VT4
+    # VT4 gives monotonicity and VT2, VT3 idempotence, so no operator is
+    # lost; VT1-VT3 hold on every candidate, so the test decides VT4 alone
     allowed = [
         [A.one] if x == A.one else sorted(A.down_set(x)) for x in A.elements
     ]
-    return _enumerate_monotone(A, allowed, lambda v: _vto_witness(A, v) is None)
+    vto = _enumerate_monotone(A, allowed)
+    return [f for f in vto if _vto_witness(A, f.image) is None]
 
 
 def certify_vto(f: UnaryMap) -> UnaryMap:

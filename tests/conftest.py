@@ -74,6 +74,22 @@ def random_batch_suites():
     ]
 
 
+def golden_up_sets():
+    """The up-set of each a other than 0 and 1 in the three goldens.
+
+    An up-set is closed under both implications (y <= x->y and y <= x~>y),
+    and it leaves out the parent's 0, so it comes with no declared zero.
+    """
+    for G in (
+        goldens.four_element_bounded(),
+        goldens.six_element_involutive(),
+        goldens.six_element_smarandache(),
+    ):
+        for a in G.elements:
+            if a not in (G.zero, G.one):
+                yield G.subalgebra(G.up_set(a))
+
+
 def names(A, maps):
     """Image vectors as name tuples, for table-for-table comparisons."""
     return [f.names() for f in maps]

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import values_tried
+from conftest import golden_up_sets, values_tried
 from psbck import classes, deduction, goldens, operators, suite
 from psbck.deduction import (
     DeductiveSystem,
@@ -364,17 +364,51 @@ def test_map_search_forcing_paths(candidates, checks, injective, expected):
 @pytest.mark.parametrize(
     "A, tried",
     [
-        (goedel_chain(8), (4_707, 7_072, 1_704)),
-        (lukasiewicz_chain(8), (4_707, 7_072, 1_704)),
-        (direct_product(goedel_chain(2), lukasiewicz_chain(4)), (1_991, 2_306, 759)),
+        (goedel_chain(8), (897, 1_696, 449)),
+        (lukasiewicz_chain(8), (897, 1_696, 449)),
+        (direct_product(goedel_chain(2), lukasiewicz_chain(4)), (641, 942, 319)),
     ],
     ids=["G8", "L8", "G2xL4"],
 )
 def test_monotone_searches_try_the_same_values_as_without_forcing(A, tried):
-    # monotonicity checks f(x) against f(y) with x <= max(x, y), so nothing
-    # is forced; these are the counts the searches made before forcing
+    # each pair check tests f(x) against f(y) with x <= max(x, y), so nothing
+    # is forced; the idempotence cells of its table prune at the depth where
+    # the pair is complete, not at the leaves
     searches = (enumerate_interior, enumerate_closure, enumerate_vto)
     assert tuple(values_tried(search, A)[0] for search in searches) == tried
+
+
+# -- idempotence in the monotone tables against a final filter ---------------
+
+
+def _monotone_then_idempotent(A, allowed):
+    """The monotone search on the plain low table, filtered afterwards to
+    the maps that fix every value they take."""
+    low = [[a if A.leq(a, b) else -1 for b in A.elements] for a in A.elements]
+    checks = [
+        (x, y, x, low) for x, y in product(A.elements, repeat=2) if x != y and A.leq(x, y)
+    ]
+    every = operators._map_search(A.n, allowed, checks)
+    return [v for v in every if all(v[w] == w for w in v)]
+
+
+@pytest.mark.parametrize("kind", ["interior", "closure", "vto"])
+def test_idempotence_cells_match_a_final_filter(pool, kind):
+    large = [
+        goedel_chain(8),
+        lukasiewicz_chain(8),
+        direct_product(goedel_chain(2), lukasiewicz_chain(4)),
+        direct_product(goedel_chain(2), lukasiewicz_chain(5)),
+    ]
+    for A in pool + list(golden_up_sets()) + large:
+        down = [sorted(A.down_set(x)) for x in A.elements]
+        allowed = {
+            "interior": down,
+            "closure": [sorted(A.up_set(x)) for x in A.elements],
+            "vto": [[A.one] if x == A.one else down[x] for x in A.elements],
+        }[kind]
+        got = [f.image for f in operators._enumerate_monotone(A, allowed)]
+        assert got == _monotone_then_idempotent(A, allowed), A.element_names
 
 
 # -- what is derived once per operator is kept in UnaryMap.memo --------------

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from conftest import golden_up_sets
 from psbck import goldens, suite
 from psbck.algebra import diagnose, restrict
 from psbck.classes import _close_implications
@@ -46,24 +47,8 @@ def test_suite_on_random_batch(random_batch_suites):
         assert _violations(results) == [], A.element_names
 
 
-def _golden_up_sets():
-    """The up-set of each a other than 0 and 1 in the three goldens.
-
-    An up-set is closed under both implications (y <= x->y and y <= x~>y),
-    and it leaves out the parent's 0, so it comes with no declared zero.
-    """
-    for G in (
-        goldens.four_element_bounded(),
-        goldens.six_element_involutive(),
-        goldens.six_element_smarandache(),
-    ):
-        for a in G.elements:
-            if a not in (G.zero, G.one):
-                yield G.subalgebra(G.up_set(a))
-
-
 def test_suite_on_unbounded_up_sets():
-    ups = list(_golden_up_sets())
+    ups = list(golden_up_sets())
     assert len(ups) == 10
     assert sorted(U.n for U in ups) == [2, 2, 2, 2, 3, 3, 3, 4, 4, 4]
     for U in ups:
@@ -81,7 +66,7 @@ def test_suite_on_unbounded_up_sets():
 
 
 def _theorem_pool(pool):
-    return pool + list(_golden_up_sets())
+    return pool + list(golden_up_sets())
 
 
 def _closed_subsets(A):
