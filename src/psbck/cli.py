@@ -154,96 +154,77 @@ def cmd_props(args) -> int:
     return EXIT_OK if payload["derived_laws_ok"] else EXIT_PROPERTY
 
 
-def cmd_enum(args) -> int:
-    doc = parse(_read(args.file))
-    aname, A = _pick_algebra(doc, args.algebra)
+def _enum_table(args, doc, aname, A, payload):
+    """(title, payload key, items, item -> JSON, item -> text) for the
+    kind ``psbck enum`` was asked for; svto also records its Q in
+    ``payload``."""
     kind = args.kind
-    payload = {"command": "enum", "kind": kind, "algebra": aname}
-    lines = []
-
+    as_maps = (lambda f: list(f.names()), lambda f: " ".join(f.names()))
     if kind in ("into", "clo", "vto"):
         fn = {
             "into": operators.enumerate_interior,
             "clo": operators.enumerate_closure,
             "vto": operators.enumerate_vto,
         }[kind]
-        maps = fn(A)
-        payload["maps"] = [list(f.names()) for f in maps]
-        payload["count"] = len(maps)
-        lines.append(f"{kind} maps on {aname} ({len(maps)}):")
-        lines.extend(f"  {' '.join(f.names())}" for f in maps)
-    elif kind in ("ds", "dsn", "dsv"):
+        return f"{kind} maps on {aname}", "maps", fn(A), *as_maps
+    if kind in ("ds", "dsn", "dsv"):
         if kind == "dsv":
             fam = deduction.enumerate_ds_v(_named_vto(doc, aname, args.vto))
         elif kind == "dsn":
             fam = deduction.enumerate_ds_n(A)
         else:
             fam = deduction.enumerate_ds(A)
-        payload["systems"] = [
-            {"members": list(d.names()), "normal": d.normal} for d in fam
-        ]
-        payload["count"] = len(fam)
-        lines.append(f"{kind} on {aname} ({len(fam)}):")
-        lines.extend(
-            "  {" + ", ".join(d.names()) + "}" + (" normal" if d.normal else "")
-            for d in fam
+        return (
+            f"{kind} on {aname}",
+            "systems",
+            fam,
+            lambda d: {"members": list(d.names()), "normal": d.normal},
+            lambda d: "{" + ", ".join(d.names()) + "}" + (" normal" if d.normal else ""),
         )
-    elif kind == "hom":
-        homs = morphisms.enumerate_hom(A, A)
-        payload["maps"] = [list(f.names()) for f in homs]
-        payload["count"] = len(homs)
-        lines.append(f"endomorphisms of {aname} ({len(homs)}):")
-        lines.extend(f"  {' '.join(f.names())}" for f in homs)
-    elif kind == "vthom":
+    if kind == "hom":
+        return f"endomorphisms of {aname}", "maps", morphisms.enumerate_hom(A, A), *as_maps
+    if kind == "vthom":
         v = _named_vto(doc, aname, args.vto)
         homs = morphisms.enumerate_vthom(A, v, A, v)
-        payload["maps"] = [list(f.names()) for f in homs]
-        payload["count"] = len(homs)
-        lines.append(f"very true endomorphisms of ({aname},{args.vto}) ({len(homs)}):")
-        lines.extend(f"  {' '.join(f.names())}" for f in homs)
-    elif kind == "cong":
-        quots = deduction.enumerate_congruences(A)
-        payload["congruences"] = [
-            {
-                "by": list(q.by.names()),
-                "classes": [
-                    list(A.name(x) for x in q.class_members(c))
-                    for c in range(q.algebra.n)
-                ],
-            }
-            for q in quots
-        ]
-        payload["count"] = len(quots)
-        lines.append(f"congruences of {aname} ({len(quots)}):")
-        for q in quots:
-            blocks = " ".join(
-                "{" + ",".join(A.name(x) for x in q.class_members(c)) + "}"
-                for c in range(q.algebra.n)
-            )
-            lines.append(f"  by {{{', '.join(q.by.names())}}}: {blocks}")
-    elif kind == "smarandache":
-        found = classes.smarandache_search(A)
-        payload["subsets"] = [sorted(A.name(x) for x in q) for q, _, _ in found]
-        payload["count"] = len(found)
-        lines.append(f"substructure candidates in {aname} ({len(found)}):")
-        lines.extend(
-            "  {" + ", ".join(sorted(A.name(x) for x in q)) + "}"
-            for q, _, _ in found
-        )
-    elif kind == "svto":
-        members = _named(doc, "subset", aname, args.q, "--q")
-        sub = A.subalgebra(members)
-        maps = classes.svto(A, members)
-        payload["q"] = [sub.name(x) for x in sub.elements]
-        payload["maps"] = [list(f.names()) for f in maps]
-        payload["count"] = len(maps)
-        lines.append(
-            f"substructure operators on {{{', '.join(payload['q'])}}} ({len(maps)}):"
-        )
-        lines.extend(f"  {' '.join(f.names())}" for f in maps)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CommandError(f"unknown enum kind {kind!r}")
+        return f"very true endomorphisms of ({aname},{args.vto})", "maps", homs, *as_maps
+    if kind == "cong":
 
+        def blocks(q):
+            return [[A.name(x) for x in q.class_members(c)] for c in range(q.algebra.n)]
+
+        return (
+            f"congruences of {aname}",
+            "congruences",
+            deduction.enumerate_congruences(A),
+            lambda q: {"by": list(q.by.names()), "classes": blocks(q)},
+            lambda q: f"by {{{', '.join(q.by.names())}}}: "
+            + " ".join("{" + ",".join(b) + "}" for b in blocks(q)),
+        )
+    if kind == "smarandache":
+
+        def names(q):
+            return sorted(A.name(x) for x in q)
+
+        found = [q for q, _, _ in classes.smarandache_search(A)]
+        title = f"substructure candidates in {aname}"
+        return title, "subsets", found, names, lambda q: "{" + ", ".join(names(q)) + "}"
+    # svto: subalgebra raises E_MALFORMED on an unclosed Q before svto runs
+    members = _named(doc, "subset", aname, args.q, "--q")
+    sub = A.subalgebra(members)
+    maps = classes.svto(A, members)
+    payload["q"] = [sub.name(x) for x in sub.elements]
+    title = f"substructure operators on {{{', '.join(payload['q'])}}}"
+    return title, "maps", maps, *as_maps
+
+
+def cmd_enum(args) -> int:
+    doc = parse(_read(args.file))
+    aname, A = _pick_algebra(doc, args.algebra)
+    payload = {"command": "enum", "kind": args.kind, "algebra": aname}
+    title, key, items, as_json, as_text = _enum_table(args, doc, aname, A, payload)
+    payload[key] = [as_json(item) for item in items]
+    payload["count"] = len(items)
+    lines = [f"{title} ({len(items)}):"] + [f"  {as_text(item)}" for item in items]
     _emit(payload, lines, args.json)
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from .errors import (
     MalformedInput,
     SurjectivityRequired,
 )
-from .operators import UnaryMap, Witness, _map_search, _require_on, certify_vto
+from .operators import UnaryMap, Witness, _map_search, _require_on, certify_vto, kernel
 
 DEFAULT_HOM_CAP = 8
 
@@ -44,9 +44,6 @@ class Homomorphism:
     source: FiniteAlgebra
     target: FiniteAlgebra
     map: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
 
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.target.n
@@ -79,9 +76,6 @@ class VtHomomorphism:
         w = is_vthom(self.base, self.v, self.u)
         if w is not None:
             raise MalformedInput(f"not a very true homomorphism: {w}")
-
-    def __call__(self, x: int) -> int:
-        return self.base.map[x]
 
     @property
     def source(self):
@@ -126,7 +120,7 @@ def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
     return None if x is None else Witness("intertwine", (f.source.name(x),))
 
 
-def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, candidates, injective=False):
+def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, candidates):
     """Yield every preserving map vector with f(x) in ``candidates[x]``, in
     the order of ``operators._map_search``: once f(x) and f(y) are set,
     f(x->y) and f(x~>y) are checked, or forced if they are assigned later."""
@@ -135,7 +129,7 @@ def _hom_search(A: FiniteAlgebra, B: FiniteAlgebra, candidates, injective=False)
         for x, y in product(A.elements, repeat=2)
         for tab_a, tab_b in ((A.arrow, B.arrow), (A.squig, B.squig))
     ]
-    return _map_search(A.n, candidates, checks, injective)
+    return _map_search(A.n, candidates, checks)
 
 
 def enumerate_hom(A: FiniteAlgebra, B: FiniteAlgebra) -> list[Homomorphism]:
@@ -207,53 +201,30 @@ def transport(f: VtHomomorphism) -> TransportReport:
     otherwise); pullbacks of u-deductive systems are v-deductive systems;
     plus the kernel-of-operator corollaries.
     """
-    A, B = f.source, f.target
-    v, u = f.v, f.u
-    image = f.base.image()
-    # VT1-VT4 are universal sentences, so u restricted to a u-stable
-    # subalgebra is a very true operator there
-    image_ok = is_vt_subalgebra(u, image)
+    A, v, u, m = f.source, f.v, f.u, f.base.map
+
+    def image(members):
+        return frozenset(m[x] for x in members)
+
+    def preimage(members):
+        return frozenset(x for x in A.elements if m[x] in members)
 
     ker = f.base.kernel()
-    kernel_ok = _is_vds(v, ker) and _is_normal(A, ker)
-
     surjective = f.base.is_surjective()
-    if surjective:
-        push_ok = True
-        for D in enumerate_ds_v(v):
-            img = frozenset(f.base.map[x] for x in D.members)
-            if not _is_vds(u, img):
-                push_ok = False
-                break
-    else:
-        push_ok = None
-
-    pull_ok = True
-    for G in enumerate_ds_v(u):
-        pre = frozenset(x for x in A.elements if f.base.map[x] in G.members)
-        if not _is_vds(v, pre):
-            pull_ok = False
-            break
-
-    ker_u = frozenset(x for x in B.elements if u.image[x] == B.one)
-    pre_ker_u = frozenset(x for x in A.elements if f.base.map[x] in ker_u)
-    pre_ok = _is_vds(v, pre_ker_u)
-
-    if surjective:
-        ker_v = frozenset(x for x in A.elements if v.image[x] == A.one)
-        img_ker_v = frozenset(f.base.map[x] for x in ker_v)
-        img_ok = _is_vds(u, img_ker_v)
-    else:
-        img_ok = None
-
     return TransportReport(
-        image_is_vt_subalgebra=image_ok,
+        # VT1-VT4 are universal sentences, so u restricted to a u-stable
+        # subalgebra is a very true operator there
+        image_is_vt_subalgebra=is_vt_subalgebra(u, f.base.image()),
         kernel=ker,
-        kernel_is_normal_vds=kernel_ok,
-        pushforward_ok=push_ok,
-        pullback_ok=pull_ok,
-        preimage_ker_u_is_vds=pre_ok,
-        image_ker_v_is_uds=img_ok,
+        kernel_is_normal_vds=_is_vds(v, ker) and _is_normal(A, ker),
+        pushforward_ok=(
+            all(_is_vds(u, image(D.members)) for D in enumerate_ds_v(v))
+            if surjective
+            else None
+        ),
+        pullback_ok=all(_is_vds(v, preimage(G.members)) for G in enumerate_ds_v(u)),
+        preimage_ker_u_is_vds=_is_vds(v, preimage(kernel(u))),
+        image_ker_v_is_uds=_is_vds(u, image(kernel(v))) if surjective else None,
     )
 
 
@@ -325,7 +296,15 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
 
 
 def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> Homomorphism | None:
-    """A bijective homomorphism, if one exists (backtracking search)."""
+    """A bijective homomorphism, if one exists: the first homomorphism of
+    the map search whose every f(x) shares x's order profile.
+
+    Only the top has an up-set of size 1, so the candidates give f(x) != 1
+    for x != 1 and the kernel is {1}.  A homomorphism with kernel {1} is
+    injective: f(x) = f(y) gives f(x->y) = f(x)->f(y) = 1, so x->y = 1 and
+    x <= y, and y <= x by symmetry.  With |A| = |B| every map found is a
+    bijection.
+    """
     if A.n != B.n:
         return None
     if (A.zero is None) != (B.zero is None):
@@ -344,5 +323,5 @@ def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> Homomorphism | None:
         else prof_b.get(profile(A, x), [])
         for x in A.elements
     ]
-    m = next(_hom_search(A, B, candidates, injective=True), None)
+    m = next(_hom_search(A, B, candidates), None)
     return None if m is None else Homomorphism(A, B, m)

@@ -51,9 +51,6 @@ class UnaryMap:
         if len(self.image) != n or any(not 0 <= v < n for v in self.image):
             raise ValueError("unary map must be total over the carrier")
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def names(self) -> tuple[str, ...]:
         return tuple(self.parent.name(v) for v in self.image)
 
@@ -181,19 +178,21 @@ def _vto_witness(A: FiniteAlgebra, im) -> Witness | None:
     return None
 
 
-def _map_search(n, candidates, checks, injective=False):
+def _map_search(n, candidates, checks):
     """Yield every map vector m with m[x] in ``candidates[x]`` passing ``checks``.
 
     A check ``(x, y, z, tab)`` requires ``tab[m[x]][m[y]] == m[z]``.  When
     z <= max(x, y) it is tested at depth max(x, y), once its three entries
     are set.  When z > max(x, y) it forces m[z] = tab[m[x]][m[y]] at depth
     max(x, y): the branch is pruned there if that value is not in
-    ``candidates[z]``, differs from a value forced earlier or (``injective``)
-    is already taken, and depth z tries the forced value alone.
+    ``candidates[z]`` or differs from a value forced earlier, and depth z
+    tries the forced value alone.
     Depth-first over element ids, trying each element's candidates (distinct
     values) in the given order, so vectors come out lexicographic in
     candidate positions; forcing skips only branches the check would fail.
-    ``injective`` skips values already taken.
+    The search has no injective mode: a homomorphism with kernel {1} is
+    injective, so a caller after one-to-one homomorphisms leaves 1 out of
+    the candidates of every x != 1 (``morphisms.is_isomorphic``).
     """
     at = [[] for _ in range(n)]
     # None at a depth with no forcing check, so that depth pays one test
@@ -210,18 +209,15 @@ def _map_search(n, candidates, checks, injective=False):
     cands = list(candidates)  # candidates[z], or (v,) while v is forced on z
     undo = [()] * n  # the elements forced at each depth, released with it
     m: list[int] = []
-    taken: set[int] = set()
     pending = [iter(cands[0])]
     while pending:
         i = len(pending) - 1
         if len(m) > i:  # back at depth i: release the value tried last
-            taken.discard(m.pop())
+            m.pop()
             if forcing[i]:
                 for z in undo[i]:
                     cands[z] = candidates[z]
         for w in pending[i]:
-            if injective and w in taken:
-                continue
             m.append(w)
             if all(m[z] == tab[m[x]][m[y]] for x, y, z, tab in at[i]):
                 if forcing[i] is None:
@@ -232,7 +228,7 @@ def _map_search(n, candidates, checks, injective=False):
                     if cands[z] is not candidates[z]:
                         if cands[z][0] != v:
                             break
-                    elif v not in cands[z] or injective and (v in taken or v == w):
+                    elif v not in cands[z]:
                         break
                     else:
                         cands[z] = (v,)
@@ -249,7 +245,6 @@ def _map_search(n, candidates, checks, injective=False):
         if i + 1 == n:
             yield tuple(m)
         else:
-            taken.add(w)
             pending.append(iter(cands[i + 1]))
 
 

@@ -11,19 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .algebra import FiniteAlgebra, derived_law_suite, restrict
 from .classes import (
     _vto_flw_witness,
     classify,
+    enumerate_vto_flw,
     flw_arithmetic_suite,
     lattice_tables,
     mtl_characterization,
     mv_characterization,
     smarandache_search,
-    svto,
     vt4_equivalence_check,
     vt_pp_suite,
 )
@@ -381,7 +381,10 @@ def run_suite(A: FiniteAlgebra) -> list[SuiteResult]:
 
     if A.bounded and A.n <= 12:
         subs = smarandache_search(A)
-        ops = cache(partial(svto, A))  # svto(A, Q) at most once per Q
+        sub_of = {q: sub for q, sub, _ in subs}
+        # each Q is certified by the search: derive its operators once, on
+        # the subalgebra the search classified
+        ops = cache(lambda q: enumerate_vto_flw(sub_of[q]))
         nested_ok = True
         detail = ""
         for (q1, _, _), (q2, _, _) in product(subs, repeat=2):

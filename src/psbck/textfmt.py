@@ -319,7 +319,7 @@ def diagnose_raw(raw: RawDocument) -> dict[str, list]:
 # -- serialization -------------------------------------------------------
 
 
-def serialize_algebra(A: FiniteAlgebra, name: str = "A") -> str:
+def serialize_algebra(A: FiniteAlgebra, name: str) -> str:
     width = max(len(s) for s in A.element_names)
 
     def row(ids):

@@ -27,9 +27,6 @@ class PseudoValuation:
         if len(self.values) != self.parent.n:
             raise MalformedInput("valuation must be total over the carrier")
 
-    def __call__(self, x: int) -> Fraction:
-        return self.values[x]
-
 
 def is_pseudo_valuation(A: FiniteAlgebra, values) -> Witness | None:
     values = tuple(Fraction(v) for v in values)

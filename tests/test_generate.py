@@ -1,4 +1,7 @@
+from itertools import product
+
 from psbck.algebra import derived_law_suite, diagnose
+from psbck.classes import lattice_tables
 from psbck.generate import (
     _seed_pool,
     direct_product,
@@ -23,6 +26,25 @@ def test_chains_are_linear():
         assert goedel_chain(k).is_linear()
         assert lukasiewicz_chain(k).is_linear()
     assert not nonlinear_heyting().is_linear()
+
+
+def test_nonlinear_heyting_is_the_relative_pseudo_complement():
+    # the lattice 0 < a,b < c < 1 with a, b incomparable, and on it
+    # x -> y = x ~> y = max{z : z meet x <= y}
+    A = nonlinear_heyting()
+    assert [[int(A.leq(x, y)) for y in A.elements] for x in A.elements] == [
+        [1, 1, 1, 1, 1],
+        [0, 1, 0, 1, 1],
+        [0, 0, 1, 1, 1],
+        [0, 0, 0, 1, 1],
+        [0, 0, 0, 0, 1],
+    ]
+    (mt, _), witness = lattice_tables(A)
+    assert witness is None
+    for x, y in product(A.elements, repeat=2):
+        below = [z for z in A.elements if A.leq(mt[z][x], y)]
+        greatest = [g for g in below if all(A.leq(z, g) for z in below)]
+        assert greatest == [A.arrow[x][y]] == [A.squig[x][y]]
 
 
 def test_product_size_and_bound():

@@ -190,7 +190,11 @@ def test_enumerate_hom_matches_brute_force(small_pool, small_pool_one_last):
             Homomorphism(A, B, m) for m in product(range(B.n), repeat=A.n)
         )
         brute = [f.map for f in every if is_hom(f) is None]
-        assert [f.map for f in enumerate_hom(A, B)] == brute
+        homs = enumerate_hom(A, B)
+        assert [f.map for f in homs] == brute
+        # the lemma behind is_isomorphic: kernel {1} makes f injective (and
+        # an injective f, with f(1) = 1, has kernel {1})
+        assert all(f.is_injective() == (f.kernel() == {A.one}) for f in homs)
 
 
 def test_is_isomorphic_matches_permutation_search(small_pool, small_pool_one_last):

@@ -269,17 +269,16 @@ def test_enumeration_matches_brute_force(small_pool, enumerate_maps, check):
 # -- the map search engine against a filtered itertools.product ---------------
 
 
-def _filtered_product(candidates, checks, injective):
+def _filtered_product(candidates, checks):
     return [
         m
         for m in product(*candidates)
         if all(m[z] == tab[m[x]][m[y]] for x, y, z, tab in checks)
-        and (not injective or len(set(m)) == len(m))
     ]
 
 
 def _engine_cases(count, seed):
-    """(candidates, checks, injective) drawn from a fixed seed: n <= 5
+    """(candidates, checks) drawn from a fixed seed: n <= 5
     elements, each with a shuffled subset of k <= 5 values as candidates,
     and checks on two random k x k tables; half the checks put z after x
     and y, where it is forced, the rest put it anywhere."""
@@ -296,7 +295,7 @@ def _engine_cases(count, seed):
             later = max(x, y) + 1
             z = rng.randrange(later, n) if later < n and rng.random() < 0.5 else rng.randrange(n)
             checks.append((x, y, z, rng.choice(tabs)))
-        yield candidates, checks, rng.random() < 0.5
+        yield candidates, checks
 
 
 def _position(x, y, z):
@@ -309,17 +308,14 @@ def _position(x, y, z):
 
 def test_map_search_matches_filtered_product():
     seen = set()
-    for candidates, checks, injective in _engine_cases(1000, seed=5):
-        got = list(operators._map_search(len(candidates), candidates, checks, injective))
-        assert got == _filtered_product(candidates, checks, injective), (
-            candidates, checks, injective,
-        )
+    for candidates, checks in _engine_cases(1000, seed=5):
+        got = list(operators._map_search(len(candidates), candidates, checks))
+        assert got == _filtered_product(candidates, checks), (candidates, checks)
         seen.update(_position(*c[:3]) for c in checks)
-        seen.add(("injective", injective, bool(got)))
-    # z before, between, on and after x and y; injective or not, with and
-    # without results
+        seen.add(("results", bool(got)))
+    # z before, between, on and after x and y; with and without results
     assert seen >= {"before", "between", "on", "after"}
-    assert seen >= {("injective", b, r) for b in (False, True) for r in (False, True)}
+    assert seen >= {("results", False), ("results", True)}
 
 
 FIRST = [[0, 0], [1, 1]]  # FIRST[a][b] = a
@@ -327,38 +323,35 @@ ZERO = [[0, 0], [0, 0]]
 
 
 @pytest.mark.parametrize(
-    "candidates, checks, injective, expected",
+    "candidates, checks, expected",
     [
         # m[1] = m[0] is forced at depth 0, but only 1 is a candidate for m[1]
-        ([[0, 1], [1]], [(0, 0, 1, FIRST)], False, [(1, 1)]),
+        ([[0, 1], [1]], [(0, 0, 1, FIRST)], [(1, 1)]),
         # m[1] forced to m[0] and to 0: the two agree on one branch only
-        ([[0, 1], [0, 1]], [(0, 0, 1, FIRST), (0, 0, 1, ZERO)], False, [(0, 0)]),
+        ([[0, 1], [0, 1]], [(0, 0, 1, FIRST), (0, 0, 1, ZERO)], [(0, 0)]),
         # m[2] = m[0] is forced, then the second check fails on m[0] = 0:
         # the value forced on m[2] must be released before m[0] = 1
-        ([[0, 1], [1], [0, 1]], [(0, 0, 2, FIRST), (0, 0, 1, FIRST)], False, [(1, 1, 1)]),
+        ([[0, 1], [1], [0, 1]], [(0, 0, 2, FIRST), (0, 0, 1, FIRST)], [(1, 1, 1)]),
         # m[2] = m[0], released when depth 0 backtracks
         (
             [[0, 1], [0, 1], [0, 1]],
             [(0, 0, 2, FIRST)],
-            False,
             [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)],
         ),
-        # m[1] = m[0] is taken already, which matters only when injective
-        ([[0, 1], [0, 1]], [(0, 0, 1, FIRST)], True, []),
-        ([[0, 1], [0, 1]], [(0, 0, 1, FIRST)], False, [(0, 0), (1, 1)]),
+        # m[1] = m[0] is forced to the value m[0] has taken
+        ([[0, 1], [0, 1]], [(0, 0, 1, FIRST)], [(0, 0), (1, 1)]),
     ],
     ids=[
         "forced-outside-candidates",
         "forced-apart",
         "released-after-failed-attempt",
         "released-on-backtrack",
-        "forced-taken-injective",
         "forced-taken-not-injective",
     ],
 )
-def test_map_search_forcing_paths(candidates, checks, injective, expected):
-    got = list(operators._map_search(len(candidates), candidates, checks, injective))
-    assert got == _filtered_product(candidates, checks, injective) == expected
+def test_map_search_forcing_paths(candidates, checks, expected):
+    got = list(operators._map_search(len(candidates), candidates, checks))
+    assert got == _filtered_product(candidates, checks) == expected
 
 
 @pytest.mark.parametrize(

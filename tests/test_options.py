@@ -24,14 +24,9 @@ OPTIONS = {
     ("cli", "main", "argv"),
     ("errors", "__init__", "column"),
     ("errors", "__init__", "line"),
-    ("generate", "heyting_from_order", "names"),
-    ("generate", "random_algebra", "max_size"),
     ("generate", "random_batch", "max_size"),
     ("generate", "relabel", "prefix"),
-    ("morphisms", "_hom_search", "injective"),
-    ("operators", "_map_search", "injective"),
     ("textfmt", "_fail", "tok"),
-    ("textfmt", "serialize_algebra", "name"),
 }
 
 
@@ -57,7 +52,7 @@ def test_every_option_is_pinned():
         for fn, param in defaulted_parameters(path.read_text(encoding="utf-8"))
     }
     assert census == OPTIONS
-    assert len(OPTIONS) == 16
+    assert len(OPTIONS) == 11
 
 
 def test_defaulted_parameters_are_reported():
