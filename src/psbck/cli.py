@@ -5,6 +5,10 @@ it.  Reports go to stdout (plain text, or JSON with ``--json``); errors go
 to stderr with a stable code.  Exit status: 0 on success, 1 when a checked
 property fails, 2 on input problems, 3 on an internal error (a bug in the
 workbench, not in the input).
+
+Only what parsing and error reporting need is imported here; each command
+imports the library module it runs, so a command loads no module it does not
+use.
 """
 
 from __future__ import annotations
@@ -14,10 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import classes, deduction, morphisms, operators, valuations
-from .algebra import derived_law_suite
+from . import operators, valuations
 from .errors import WellDefinednessFailure, WorkbenchError
-from .suite import run_suite
 from .textfmt import (
     WorkbenchDocument,
     diagnose_raw,
@@ -113,6 +115,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_props(args) -> int:
+    from . import classes
+    from .algebra import derived_law_suite
+
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
     report = classes.classify(A)
@@ -168,6 +173,8 @@ def _enum_table(args, doc, aname, A, payload):
         }[kind]
         return f"{kind} maps on {aname}", "maps", fn(A), *as_maps
     if kind in ("ds", "dsn", "dsv"):
+        from . import deduction
+
         if kind == "dsv":
             fam = deduction.enumerate_ds_v(_named_vto(doc, aname, args.vto))
         elif kind == "dsn":
@@ -182,12 +189,17 @@ def _enum_table(args, doc, aname, A, payload):
             lambda d: "{" + ", ".join(d.names()) + "}" + (" normal" if d.normal else ""),
         )
     if kind == "hom":
+        from . import morphisms
+
         return f"endomorphisms of {aname}", "maps", morphisms.enumerate_hom(A, A), *as_maps
     if kind == "vthom":
+        from . import morphisms
+
         v = _named_vto(doc, aname, args.vto)
         homs = morphisms.enumerate_vthom(A, v, A, v)
         return f"very true endomorphisms of ({aname},{args.vto})", "maps", homs, *as_maps
     if kind == "cong":
+        from . import deduction
 
         def blocks(q):
             return [[A.name(x) for x in q.class_members(c)] for c in range(q.algebra.n)]
@@ -201,6 +213,7 @@ def _enum_table(args, doc, aname, A, payload):
             + " ".join("{" + ",".join(b) + "}" for b in blocks(q)),
         )
     if kind == "smarandache":
+        from . import classes
 
         def names(q):
             return sorted(A.name(x) for x in q)
@@ -209,6 +222,8 @@ def _enum_table(args, doc, aname, A, payload):
         title = f"substructure candidates in {aname}"
         return title, "subsets", found, names, lambda q: "{" + ", ".join(names(q)) + "}"
     # svto: subalgebra raises E_MALFORMED on an unclosed Q before svto runs
+    from . import classes
+
     members = _named(doc, "subset", aname, args.q, "--q")
     sub = A.subalgebra(members)
     maps = classes.svto(A, members)
@@ -240,6 +255,8 @@ def _quotient_payload(A, quot):
 
 
 def cmd_quotient(args) -> int:
+    from . import deduction
+
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
     members = _named(doc, "subset", aname, args.ds, "--ds")
@@ -257,6 +274,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from . import deduction
+
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
     v = _named_vto(doc, aname, args.vto)
@@ -303,6 +322,8 @@ def cmd_hedges(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from . import deduction, morphisms
+
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
     v = _named_vto(doc, aname, args.vto)
@@ -382,6 +403,8 @@ def cmd_valuation(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .suite import run_suite
+
     doc = parse(_read(args.file))
     payload = {"command": "suite", "algebras": {}}
     lines = []

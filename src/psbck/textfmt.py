@@ -25,7 +25,8 @@ reference an algebra with ``on <name>``:
     subset D on A: 1 b
 
 Tables are row-major in the ``elements:`` order.  Valuation entries are
-``name=p`` or ``name=p/q`` (exact rationals).  ``#`` starts a comment.
+``name=p``, ``name=p/q`` or a finite decimal such as ``name=0.25`` (exact
+rationals, no exponent).  ``#`` starts a comment.
 Every algebra is certified before any dependent object is resolved; all
 problems are reported as :class:`ParseError` with 1-based line and column.
 """
@@ -252,6 +253,9 @@ def parse(text: str) -> WorkbenchDocument:
             if len(part) != 2:
                 _fail("expected '<element>=<rational>'", t)
             x = elem(A, Token(part[0], t.line, t.column))
+            # no exponent: Fraction would build 10**k in full, whatever k is
+            if "e" in part[1].lower():
+                _fail(f"bad rational {part[1]!r}", t)
             try:
                 q = Fraction(part[1])
             except (ValueError, ZeroDivisionError):

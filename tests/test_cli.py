@@ -166,3 +166,50 @@ def test_well_definedness_failure_exits_3(monkeypatch, capsys):
     code = _props_raising(monkeypatch, WellDefinednessFailure("map disagrees"))
     assert code == 3
     assert capsys.readouterr().err == "E_NOT_WELL_DEFINED: map disagrees\n"
+
+
+# The psbck modules a fresh interpreter holds after ``cli.main(argv)``: the
+# CLI loads at start-up only what parsing and error reporting need, and each
+# command the library modules it runs.
+START_UP = ["psbck", "psbck.algebra", "psbck.cli", "psbck.errors", "psbck.operators",
+            "psbck.textfmt", "psbck.valuations"]
+FOOTPRINTS = {
+    "validate": (["validate", EX25], []),
+    "enum-vto": (["enum", "vto", EX25], []),
+    "missing-file": (["validate", str(CORPUS / "nope.alg")], []),
+    "enum-ds": (["enum", "ds", EX68], ["psbck.deduction"]),
+    "enum-hom": (["enum", "hom", EX26], ["psbck.deduction", "psbck.morphisms"]),
+    "props": (["props", EX25], ["psbck.classes", "psbck.deduction"]),
+    "suite": (["suite", CHAIN],
+              ["psbck.classes", "psbck.deduction", "psbck.morphisms", "psbck.suite"]),
+}
+
+FOOTPRINT_SCRIPT = """\
+import contextlib, io, json, sys
+from psbck.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m == "psbck" or m.startswith("psbck."))))
+"""
+
+
+@pytest.mark.parametrize("args,extra", FOOTPRINTS.values(), ids=FOOTPRINTS.keys())
+def test_each_command_loads_only_the_modules_it_runs(args, extra):
+    res = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, *args], capture_output=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert json.loads(res.stdout) == sorted(START_UP + extra)
+
+
+@pytest.mark.parametrize("entry", ["1e5000", "1E999999999"])
+def test_valuation_exponent_is_a_parse_error(tmp_path, entry):
+    # Fraction would build 10**k in full: exit 3 past 4300 digits, a hang beyond
+    path = tmp_path / "exp.alg"
+    text = (CORPUS / "ex_2_chain.alg").read_text(encoding="utf-8")
+    path.write_text(text + f"\nvaluation phi on A: 1=0 0={entry}\n", encoding="utf-8")
+    res = run(["valuation", "check", str(path), "--valuation", "phi"])
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"E_PARSE:")
+    assert f"bad rational '{entry}'".encode() in res.stderr

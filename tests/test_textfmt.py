@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from psbck import goldens
@@ -114,12 +116,21 @@ def test_valuation_errors():
     assert "bad rational" in str(
         _err(MINI.replace("0=1/2", "0=zz"))
     )
+    for entry in ("1e0", "2.5E-1", "1e5000"):  # no exponent, however small
+        assert f"bad rational {entry!r}" in str(_err(MINI.replace("0=1/2", f"0={entry}")))
     assert "duplicate entry" in str(
         _err(MINI.replace("1=0 0=1/2", "1=0 1=0"))
     )
     assert "fails" in str(
         _err(MINI.replace("valuation phi on A: 1=0 0=1/2", "valuation phi on A: 1=3 0=0"))
     )
+
+
+@pytest.mark.parametrize("entry,value", [("3", 3), ("1/2", Fraction(1, 2)),
+                                         ("0.25", Fraction(1, 4)), ("+7/14", Fraction(1, 2))])
+def test_valuation_entries_are_exact_rationals(entry, value):
+    phi = parse(MINI.replace("0=1/2", f"0={entry}")).valuations["phi"][1]
+    assert phi.values == (value, 0)
 
 
 def test_quotient_round_trip(six_sm):
