@@ -50,9 +50,9 @@ class FiniteAlgebra:
     squig: tuple[tuple[int, ...], ...]
     zero: int | None = None
     # derived values that hold no reference back to the algebra, filled on
-    # first use (see classes.classify and classes.pseudo_product); a plain
-    # field, since functools.cached_property would materialise the instance
-    # __dict__ and slow every later attribute lookup
+    # first use (order_masks, classes.classify, classes.pseudo_product); a
+    # plain field, since functools.cached_property would materialise the
+    # instance __dict__ and slow every later attribute lookup
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -79,11 +79,26 @@ class FiniteAlgebra:
     def leq(self, x: int, y: int) -> bool:
         return self.arrow[x][y] == self.one
 
+    def order_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The order as bit rows (down, up): bit y of down[x] is set iff
+        y <= x, and bit y of up[x] iff x <= y; derived once per instance
+        and kept in ``memo``."""
+        memo = self.memo
+        if "order" not in memo:
+            rng, ar, one = self.elements, self.arrow, self.one
+            memo["order"] = (
+                tuple(sum(1 << y for y in rng if ar[y][x] == one) for x in rng),
+                tuple(sum(1 << y for y in rng if ar[x][y] == one) for x in rng),
+            )
+        return memo["order"]
+
     def down_set(self, x: int) -> tuple[int, ...]:
-        return tuple(y for y in self.elements if self.leq(y, x))
+        row = self.order_masks()[0][x]
+        return tuple(y for y in self.elements if row >> y & 1)
 
     def up_set(self, x: int) -> tuple[int, ...]:
-        return tuple(y for y in self.elements if self.leq(x, y))
+        row = self.order_masks()[1][x]
+        return tuple(y for y in self.elements if row >> y & 1)
 
     # -- bounded-algebra machinery ------------------------------------
 

@@ -5,7 +5,8 @@ element of {z | x <= y->z}, which must coincide with the least element of
 {z | y <= x~>z}.  User-supplied product tables are cross-checked against
 this oracle, never trusted.  Lattice meets and joins likewise come from
 the derived order; a missing bound is a classification witness, not an
-exception.
+exception.  All three are read off the order rows of
+``FiniteAlgebra.order_masks``.
 
 This module runs no search of its own: its operators come from the map
 search in ``operators``, and its Smarandache candidates Q from the
@@ -34,28 +35,21 @@ from .operators import (
 DEFAULT_SMARANDACHE_CAP = 16
 
 
-def _least(A: FiniteAlgebra, candidates) -> int | None:
-    for m in candidates:
-        if all(A.leq(m, c) for c in candidates):
-            return m
-    return None
-
-
-def _greatest(A: FiniteAlgebra, candidates) -> int | None:
-    for m in candidates:
-        if all(A.leq(c, m) for c in candidates):
-            return m
-    return None
+def _element_with(rows, mask: int) -> int | None:
+    """The element whose order row is ``mask``, or None."""
+    return rows.index(mask) if mask in rows else None
 
 
 def meet(A: FiniteAlgebra, x: int, y: int) -> int | None:
-    lower = [z for z in A.elements if A.leq(z, x) and A.leq(z, y)]
-    return _greatest(A, lower)
+    # the common lower bounds form a down-set, which has a greatest
+    # element g iff it is down[g]
+    down, _ = A.order_masks()
+    return _element_with(down, down[x] & down[y])
 
 
 def join(A: FiniteAlgebra, x: int, y: int) -> int | None:
-    upper = [z for z in A.elements if A.leq(x, z) and A.leq(y, z)]
-    return _least(A, upper)
+    _, up = A.order_masks()
+    return _element_with(up, up[x] & up[y])
 
 
 def lattice_tables(A: FiniteAlgebra):
@@ -72,16 +66,23 @@ def lattice_tables(A: FiniteAlgebra):
 
 
 def _odot_table(A: FiniteAlgebra):
-    """(product table, None) or (None, first failing pair)."""
-    n = A.n
+    """(product table, None) or (None, first failing pair).
+
+    {z | x <= y->z} is an up-set, since -> is monotone in its second
+    argument, so it has a least element m iff it is up[m]; x (.) y exists
+    iff that row also describes {z | y <= x~>z}.
+    """
+    n, rng = A.n, A.elements
+    _, up = A.order_masks()
     table = [[0] * n for _ in range(n)]
-    for x, y in product(A.elements, repeat=2):
-        s1 = [z for z in A.elements if A.leq(x, A.arrow[y][z])]
-        s2 = [z for z in A.elements if A.leq(y, A.squig[x][z])]
-        m1, m2 = _least(A, s1), _least(A, s2)
-        if m1 is None or m2 is None or m1 != m2:
+    for x, y in product(rng, repeat=2):
+        ux, uy, ar_y, sq_x = up[x], up[y], A.arrow[y], A.squig[x]
+        s1 = sum(1 << z for z in rng if ux >> ar_y[z] & 1)
+        s2 = sum(1 << z for z in rng if uy >> sq_x[z] & 1)
+        m = _element_with(up, s1)
+        if m is None or s1 != s2:
             return None, (x, y)
-        table[x][y] = m1
+        table[x][y] = m
     return tuple(tuple(r) for r in table), None
 
 
@@ -345,14 +346,9 @@ def _vto_flw_witness(jt, v: UnaryMap) -> Witness | None:
 
 def enumerate_vto_flw(A: FiniteAlgebra) -> list[UnaryMap]:
     _require_flw(A)
-    return _vto_flw(A)[0]
-
-
-def _vto_flw(A: FiniteAlgebra):
-    """(the VT1-VT5 operators, the join table they were checked on)."""
     vto = enumerate_vto(A)
     (_, jt), _ = lattice_tables(A)
-    return [v for v in vto if _vto_flw_witness(jt, v) is None], jt
+    return [v for v in vto if _vto_flw_witness(jt, v) is None]
 
 
 @dataclass(frozen=True)
@@ -370,7 +366,8 @@ def _every_vto_flw(A: FiniteAlgebra, holds):
     VT1-VT5 operator and every pair x, y, A's class tower); jt is the join
     table."""
     report = _require_flw(A)
-    ops, jt = _vto_flw(A)
+    ops = enumerate_vto_flw(A)
+    (_, jt), _ = lattice_tables(A)
     pairs = list(product(A.elements, repeat=2))
     return all(holds(v.image, jt, x, y) for v in ops for x, y in pairs), report
 

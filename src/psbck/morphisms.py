@@ -182,16 +182,6 @@ def _is_vds(v: UnaryMap, members: frozenset[int]) -> bool:
     return _is_ds(v.parent, members) and v.preserves(members)
 
 
-def _restrict_to_image(u: UnaryMap, image: frozenset[int]):
-    """(subalgebra of u's algebra on ``image``, u restricted to it), kept in
-    ``u.memo``; the restriction lives on the subalgebra, not on u."""
-    key = ("restrict", image)
-    if key not in u.memo:
-        sub_b = u.parent.subalgebra(image)
-        u.memo[key] = sub_b, UnaryMap(sub_b, restrict(u.image, image))
-    return u.memo[key]
-
-
 def transport(f: VtHomomorphism) -> TransportReport:
     """Verify how a very-true homomorphism moves substructures around.
 
@@ -288,7 +278,8 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
     The resulting map is a very-true isomorphism from A/Ker(f) onto Im(f).
     """
     A, image = f.source, f.base.image()
-    sub_b, u_restr = _restrict_to_image(f.u, image)
+    sub_b = f.target.subalgebra(image)
+    u_restr = UnaryMap(sub_b, restrict(f.u.image, image))
     base = Homomorphism(A, sub_b, tuple(map(sub_b.index, f.base.names())))
     g = VtHomomorphism(base, f.v, u_restr)
     H = DeductiveSystem.from_members(A, base.kernel())

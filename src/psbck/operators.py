@@ -40,10 +40,8 @@ class UnaryMap:
     image: tuple[int, ...]
     # what is derived from (parent, operator) alone, filled on first use and
     # freed with the operator: its very true certificate (certify_vto), its
-    # v-deductive systems, its quotient lifts and its restrictions to
-    # homomorphic images (deduction.enumerate_ds_v,
-    # deduction.lift_vto_to_quotient, morphisms._restrict_to_image); nothing
-    # in it refers back to the map
+    # v-deductive systems and its quotient lifts (deduction.enumerate_ds_v,
+    # deduction.lift_vto_to_quotient); nothing in it refers back to the map
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,11 +154,8 @@ def is_closure(f: UnaryMap) -> Witness | None:
 
 
 def is_vto(f: UnaryMap) -> Witness | None:
-    return _vto_witness(f.parent, f.image)
-
-
-def _vto_witness(A: FiniteAlgebra, im) -> Witness | None:
-    """VT1-VT4 for the image vector ``im`` on A."""
+    """None if f is a very true operator, else the first violated axiom."""
+    A, im = f.parent, f.image
     ar, sq, one = A.arrow, A.squig, A.one
     if im[one] != one:
         return _witness(A, "VT1", (one,))
@@ -276,21 +271,18 @@ def _enumerate_monotone(A: FiniteAlgebra, allowed):
 
 
 def enumerate_interior(A: FiniteAlgebra) -> list[UnaryMap]:
-    return _enumerate_monotone(A, [sorted(A.down_set(x)) for x in A.elements])
+    return _enumerate_monotone(A, [A.down_set(x) for x in A.elements])
 
 
 def enumerate_closure(A: FiniteAlgebra) -> list[UnaryMap]:
-    return _enumerate_monotone(A, [sorted(A.up_set(x)) for x in A.elements])
+    return _enumerate_monotone(A, [A.up_set(x) for x in A.elements])
 
 
 def enumerate_vto(A: FiniteAlgebra) -> list[UnaryMap]:
     # VT4 gives monotonicity and VT2, VT3 idempotence, so no operator is
     # lost; VT1-VT3 hold on every candidate, so the test decides VT4 alone
-    allowed = [
-        [A.one] if x == A.one else sorted(A.down_set(x)) for x in A.elements
-    ]
-    vto = _enumerate_monotone(A, allowed)
-    return [f for f in vto if _vto_witness(A, f.image) is None]
+    allowed = [(A.one,) if x == A.one else A.down_set(x) for x in A.elements]
+    return [f for f in _enumerate_monotone(A, allowed) if is_vto(f) is None]
 
 
 def certify_vto(f: UnaryMap) -> UnaryMap:

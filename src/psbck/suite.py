@@ -387,15 +387,15 @@ def run_suite(A: FiniteAlgebra) -> list[SuiteResult]:
         ops = cache(lambda q: enumerate_vto_flw(sub_of[q]))
         nested_ok = True
         detail = ""
-        for (q1, _, _), (q2, _, _) in product(subs, repeat=2):
+        for (q1, _, _), (q2, sub2, _) in product(subs, repeat=2):
             if not (q1 < q2):
                 continue
+            # Q1's ids inside the subalgebra on Q2
+            inner = frozenset(sub2.index(A.name(x)) for x in q1)
             for m in ops(q2):
-                members2 = sorted(q2)
-                lifted = {members2[i]: members2[m.image[i]] for i in range(len(members2))}
-                if not all(lifted[x] in q1 for x in q1):
+                if not m.preserves(inner):
                     continue
-                if restrict(lifted, q1) not in {s.image for s in ops(q1)}:
+                if restrict(m.image, inner) not in {s.image for s in ops(q1)}:
                     nested_ok = False
                     detail = f"{sorted(q1)} in {sorted(q2)}"
                     break

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from psbck.algebra import validate
+from conftest import golden_up_sets
+from psbck.algebra import FiniteAlgebra, validate
 from psbck.classes import (
     classify,
     cross_check_product,
@@ -25,6 +26,7 @@ from psbck.classes import (
 )
 from psbck.errors import NotFLw, NotSmarandache, PPRequired
 from psbck.generate import (
+    direct_product,
     goedel_chain,
     lukasiewicz_chain,
     nonlinear_heyting,
@@ -222,12 +224,22 @@ def _fresh(A):
     return validate(A.element_names, A.one, A.arrow, A.squig, zero=A.zero)
 
 
+def _order_rows(A):
+    """(down, up) order rows built from ``leq`` alone."""
+    down = tuple(sum(1 << y for y in A.elements if A.leq(y, x)) for x in A.elements)
+    up = tuple(sum(1 << y for y in A.elements if A.leq(x, y)) for x in A.elements)
+    return down, up
+
+
 def test_cached_derivations_match_fresh_ones(pool):
     for A in pool:
         first, again = _fresh(A), _fresh(A)
         report, product_first = classify(first), pseudo_product(first)
         assert classify(first) == report
         assert pseudo_product(first) == product_first
+        rows = first.order_masks()
+        assert first.order_masks() is rows
+        assert rows == _order_rows(first) == _fresh(A).order_masks()
         # the product on an algebra classified earlier, and the
         # classification on one whose product was taken first
         classify(again)
@@ -237,11 +249,14 @@ def test_cached_derivations_match_fresh_ones(pool):
         assert classify(other) == report
 
 
+# each fills A.memo: the order rows alone, or with what is derived from them
+FILLS = (FiniteAlgebra.order_masks, classify, pseudo_product)
+
+
 def test_cache_is_invisible_to_equality_hash_and_repr(pool):
-    for A in pool:
+    for A, fill in product(pool, FILLS):
         a, b = _fresh(A), _fresh(A)
-        classify(a)
-        pseudo_product(a)
+        fill(a)
         assert a.memo and not b.memo
         assert a == b
         assert hash(a) == hash(b)
@@ -253,12 +268,69 @@ def test_cached_algebra_is_freed_without_the_cycle_collector(pool):
     # algebra would live until the cyclic collector runs
     gc.disable()
     try:
-        for A in pool:
+        for A, fill in product(pool, FILLS):
             a = _fresh(A)
-            classify(a)
-            pseudo_product(a)
+            fill(a)
             ref = weakref.ref(a)
             del a
-            assert ref() is None, A.element_names
+            assert ref() is None, (A.element_names, fill.__name__)
     finally:
         gc.enable()
+
+
+# -- meets, joins and the product against a least/greatest scan -------------
+
+
+def _least(A, s):
+    return next((m for m in s if all(A.leq(m, c) for c in s)), None)
+
+
+def _greatest(A, s):
+    return next((m for m in s if all(A.leq(c, m) for c in s)), None)
+
+
+def _scan_meet(A, x, y):
+    return _greatest(A, [z for z in A.elements if A.leq(z, x) and A.leq(z, y)])
+
+
+def _scan_join(A, x, y):
+    return _least(A, [z for z in A.elements if A.leq(x, z) and A.leq(y, z)])
+
+
+def _scan_lattice_tables(A):
+    rng = A.elements
+    for x, y in product(rng, repeat=2):
+        if _scan_meet(A, x, y) is None or _scan_join(A, x, y) is None:
+            return None, (x, y)
+    mt = tuple(tuple(_scan_meet(A, x, y) for y in rng) for x in rng)
+    jt = tuple(tuple(_scan_join(A, x, y) for y in rng) for x in rng)
+    return (mt, jt), None
+
+
+def _scan_product(A):
+    rng = A.elements
+    table = [[None] * A.n for _ in rng]
+    for x, y in product(rng, repeat=2):
+        m1 = _least(A, [z for z in rng if A.leq(x, A.arrow[y][z])])
+        m2 = _least(A, [z for z in rng if A.leq(y, A.squig[x][z])])
+        if m1 is None or m1 != m2:
+            return None, (x, y)
+        table[x][y] = m1
+    return tuple(map(tuple, table)), None
+
+
+def test_bounds_and_product_match_a_least_greatest_scan(pool):
+    large = [
+        goedel_chain(8),
+        lukasiewicz_chain(8),
+        direct_product(goedel_chain(2), lukasiewicz_chain(5)),
+    ]
+    missing = 0
+    for A in pool + list(golden_up_sets()) + large:
+        for x, y in product(A.elements, repeat=2):
+            assert meet(A, x, y) == _scan_meet(A, x, y), (A.element_names, x, y)
+            assert join(A, x, y) == _scan_join(A, x, y), (A.element_names, x, y)
+            missing += meet(A, x, y) is None
+        assert lattice_tables(A) == _scan_lattice_tables(A), A.element_names
+        assert pseudo_product(A) == _scan_product(A), A.element_names
+    assert missing  # some inputs do lack meets

@@ -455,10 +455,6 @@ def test_cached_derivations_match_fresh_ones(pool):
             fresh = VtHomomorphism(g.base, twin, twin)
             rep = transport(fresh)
             res = first_isomorphism(fresh)
-            # first_isomorphism keeps the restriction with its certificate
-            sub_b, u_restr = twin.memo[("restrict", g.base.image())]
-            assert u_restr.parent is sub_b and "vto" in u_restr.memo
-            assert res.factored.u is u_restr
             for _ in range(2):  # the first call fills the memo, the second reads it
                 assert (transport(g), first_isomorphism(g)) == (rep, res)
 

@@ -173,3 +173,18 @@ def test_planted_fault_in_a_pair_family_matches_an_ordered_scan(
             if not got[0]:
                 failed.add(got[1])
     assert len(failed) >= 4  # the planted witnesses do change the verdicts
+
+
+def test_planted_fault_in_smarandache_antitone_fails_the_family(six_sm, monkeypatch):
+    # the identity on a substructure Q2 restricts to the identity on each
+    # smaller Q1, so dropping it on the three-element ones must fail the
+    # first nested pair: {0,1,a} inside {0,1,a,b,c}
+    real = suite.enumerate_vto_flw
+
+    def drops_identity(B):
+        return [v for v in real(B) if B.n > 3 or v.image != tuple(B.elements)]
+
+    assert {r.name: r.ok for r in run_suite(six_sm)}["smarandache-antitone"]
+    monkeypatch.setattr(suite, "enumerate_vto_flw", drops_identity)
+    got = {r.name: (r.ok, r.detail) for r in run_suite(six_sm)}["smarandache-antitone"]
+    assert got == (False, "[0, 1, 5] in [0, 1, 2, 3, 5]")
