@@ -1,12 +1,15 @@
 """Residuated-structure classification and Smarandache substructures.
 
 The pseudo-product is always derived from the order: x (.) y is the least
-element of {z | x <= y->z}, which must coincide with the least element of
-{z | y <= x~>z}.  User-supplied product tables are cross-checked against
-this oracle, never trusted.  Lattice meets and joins likewise come from
-the derived order; a missing bound is a classification witness, not an
+element of {z | x <= y->z}, which is also the least element of
+{z | y <= x~>z}, since x <= y->z iff y <= x~>z in every pseudo-BCK
+algebra.  User-supplied product tables are cross-checked against this
+oracle, never trusted.  Lattice meets and joins likewise come from the
+derived order; a missing bound is a classification witness, not an
 exception.  All three are read off the order rows of
-``FiniteAlgebra.order_masks``.
+``FiniteAlgebra.order_masks``.  The FLw level is decided by theorem:
+a bounded lattice with a pseudo-product is a bounded integral residuated
+lattice (see ``_classify``).
 
 This module runs no search of its own: its operators come from the map
 search in ``operators``, and its Smarandache candidates Q from the
@@ -69,18 +72,17 @@ def _odot_table(A: FiniteAlgebra):
     """(product table, None) or (None, first failing pair).
 
     {z | x <= y->z} is an up-set, since -> is monotone in its second
-    argument, so it has a least element m iff it is up[m]; x (.) y exists
-    iff that row also describes {z | y <= x~>z}.
+    argument, so it has a least element m iff it is up[m], and then
+    x (.) y = m.  The set equals {z | y <= x~>z}, since x <= y->z iff
+    y <= x~>z, so one mask per pair decides both.
     """
     n, rng = A.n, A.elements
     _, up = A.order_masks()
     table = [[0] * n for _ in range(n)]
     for x, y in product(rng, repeat=2):
-        ux, uy, ar_y, sq_x = up[x], up[y], A.arrow[y], A.squig[x]
-        s1 = sum(1 << z for z in rng if ux >> ar_y[z] & 1)
-        s2 = sum(1 << z for z in rng if uy >> sq_x[z] & 1)
-        m = _element_with(up, s1)
-        if m is None or s1 != s2:
+        ux, ar_y = up[x], A.arrow[y]
+        m = _element_with(up, sum(1 << z for z in rng if ux >> ar_y[z] & 1))
+        if m is None:
             return None, (x, y)
         table[x][y] = m
     return tuple(tuple(r) for r in table), None
@@ -143,6 +145,11 @@ def classify(A: FiniteAlgebra) -> ClassificationReport:
 
 
 def _classify(A: FiniteAlgebra) -> ClassificationReport:
+    """FLw is bounded and lattice and pP, by theorem: the unit law and
+    residuation hold because of how (.) is defined (x (.) y <= z iff
+    x <= y->z iff y <= x~>z), and associativity follows from
+    (x (.) y)->z = x->(y->z) in pseudo-BCK(pP) algebras.
+    ``flw_arithmetic_suite`` checks these statements."""
     wit: list[tuple[str, str]] = []
 
     def name_pair(t):
@@ -163,66 +170,34 @@ def _classify(A: FiniteAlgebra) -> ClassificationReport:
         wit.append(("pp", f"no pseudo-product at ({name_pair(pp_wit)})"))
 
     flw = bounded and lattice and pp
-    if flw:
-        one = A.one
-        for x in A.elements:
-            if od[x][one] != x or od[one][x] != x:
-                flw = False
-                wit.append(("flw", f"unit law fails at {A.name(x)}"))
-                break
-        if flw:
-            for x, y, z in product(A.elements, repeat=3):
-                if od[od[x][y]][z] != od[x][od[y][z]]:
-                    flw = False
-                    wit.append(("flw", f"associativity fails at ({name_pair((x, y, z))})"))
-                    break
-        if flw:
-            for x, y, z in product(A.elements, repeat=3):
-                a = A.leq(od[x][y], z)
-                if a != A.leq(x, A.arrow[y][z]) or a != A.leq(y, A.squig[x][z]):
-                    flw = False
-                    wit.append(("flw", f"residuation fails at ({name_pair((x, y, z))})"))
-                    break
-    elif bounded or lattice or pp:
+    if not flw and (bounded or lattice or pp):
         wit.append(("flw", "requires bounded + lattice + pseudo-product"))
 
-    mtl = flw
-    if flw:
-        _, jt = lat
-        for x, y in product(A.elements, repeat=2):
-            if (
-                jt[A.arrow[x][y]][A.arrow[y][x]] != A.one
-                or jt[A.squig[x][y]][A.squig[y][x]] != A.one
-            ):
-                mtl = False
-                wit.append(("mtl", f"prelinearity fails at ({name_pair((x, y))})"))
-                break
+    pairs = list(product(A.elements, repeat=2))
 
-    divisible = flw
-    if flw:
-        mt, _ = lat
-        for x, y in product(A.elements, repeat=2):
-            if (
-                od[A.arrow[x][y]][x] != mt[x][y]
-                or od[x][A.squig[x][y]] != mt[x][y]
-            ):
-                divisible = False
-                wit.append(("divisible", f"divisibility fails at ({name_pair((x, y))})"))
-                break
+    def holds(level, law, fails):
+        # the first pair that fails is the witness
+        bad = next((t for t in pairs if fails(*t)), None)
+        if bad is not None:
+            wit.append((level, f"{law} fails at ({name_pair(bad)})"))
+        return bad is None
 
-    bl = mtl and divisible
-    mv = flw
-    if flw:
-        _, jt = lat
-        for x, y in product(A.elements, repeat=2):
-            j = jt[x][y]
-            if j != A.squig[A.arrow[x][y]][y] or j != A.arrow[A.squig[x][y]][y]:
-                mv = False
-                wit.append(("mv", f"join identity fails at ({name_pair((x, y))})"))
-                break
-
+    ar, sq, one = A.arrow, A.squig, A.one
+    mt, jt = lat if flw else (None, None)
+    mtl = flw and holds(
+        "mtl", "prelinearity",
+        lambda x, y: jt[ar[x][y]][ar[y][x]] != one or jt[sq[x][y]][sq[y][x]] != one,
+    )
+    divisible = flw and holds(
+        "divisible", "divisibility",
+        lambda x, y: od[ar[x][y]][x] != mt[x][y] or od[x][sq[x][y]] != mt[x][y],
+    )
+    mv = flw and holds(
+        "mv", "join identity",
+        lambda x, y: not jt[x][y] == sq[ar[x][y]][y] == ar[sq[x][y]][y],
+    )
     return ClassificationReport(
-        bounded, lattice, pp, flw, mtl, divisible, bl, mv, tuple(wit)
+        bounded, lattice, pp, flw, mtl, divisible, mtl and divisible, mv, tuple(wit)
     )
 
 
@@ -361,21 +336,21 @@ class CharacterizationResult:
         return self.left == self.right
 
 
-def _every_vto_flw(A: FiniteAlgebra, holds):
+def _every_vto_flw(A: FiniteAlgebra, ops, holds):
     """(whether ``holds(im, jt, x, y)`` for the image vector im of every
-    VT1-VT5 operator and every pair x, y, A's class tower); jt is the join
-    table."""
+    operator in ``ops`` and every pair x, y, A's class tower); jt is the
+    join table."""
     report = _require_flw(A)
-    ops = enumerate_vto_flw(A)
     (_, jt), _ = lattice_tables(A)
     pairs = list(product(A.elements, repeat=2))
     return all(holds(v.image, jt, x, y) for v in ops for x, y in pairs), report
 
 
-def mtl_characterization(A: FiniteAlgebra) -> CharacterizationResult:
+def mtl_characterization(A: FiniteAlgebra, ops) -> CharacterizationResult:
     """Prelinearity holds iff every join-compatible operator splits 1.
 
-    Left: every enumerated VT1-VT5 operator v satisfies
+    ``ops`` are the VT1-VT5 operators on A, as ``enumerate_vto_flw(A)``
+    gives them.  Left: every v in ``ops`` satisfies
     v(x->y) v v(y->x) = 1 (and the ~> twin).  Right: prelinearity.
     """
     ar, sq, one = A.arrow, A.squig, A.one
@@ -386,19 +361,22 @@ def mtl_characterization(A: FiniteAlgebra) -> CharacterizationResult:
             and jt[im[sq[x][y]]][im[sq[y][x]]] == one
         )
 
-    left, report = _every_vto_flw(A, splits_one)
+    left, report = _every_vto_flw(A, ops, splits_one)
     return CharacterizationResult(left, report.mtl)
 
 
-def mv_characterization(A: FiniteAlgebra) -> CharacterizationResult:
-    """Involutive join identities hold for all operators iff the algebra is MV."""
+def mv_characterization(A: FiniteAlgebra, ops) -> CharacterizationResult:
+    """Involutive join identities hold for all operators iff the algebra is MV.
+
+    ``ops`` are the VT1-VT5 operators on A, as for ``mtl_characterization``.
+    """
     ar, sq = A.arrow, A.squig
 
     def join_identity(im, jt, x, y):
         j = im[jt[x][y]]
         return j == sq[ar[im[x]][im[y]]][im[y]] == ar[sq[im[x]][im[y]]][im[y]]
 
-    left, report = _every_vto_flw(A, join_identity)
+    left, report = _every_vto_flw(A, ops, join_identity)
     return CharacterizationResult(left, report.mv)
 
 
@@ -478,16 +456,30 @@ def restrict_vto(v: UnaryMap, q):
 
 def flw_arithmetic_suite(A: FiniteAlgebra) -> Witness | None:
     """Residuated-lattice arithmetic that must hold on every certified
-    bounded integral residuated lattice (first counterexample or None)."""
-    report = _require_flw(A)
-    assert report.flw
+    bounded integral residuated lattice (first counterexample or None).
+
+    The first checks state the theorems by which ``_classify`` decides FLw:
+    the unit law, associativity, residuation, and (x (.) y)->z = x->(y->z)
+    with its twin (x (.) y)~>z = y~>(x~>z); a <= b is read as a->b = 1.
+    """
+    _require_flw(A)
     od, _ = pseudo_product(A)
-    lat, _ = lattice_tables(A)
-    mt, jt = lat
-    ar, sq, leq = A.arrow, A.squig, A.leq
+    (mt, jt), _ = lattice_tables(A)
+    ar, sq, leq, one = A.arrow, A.squig, A.leq, A.one
+    for x in A.elements:
+        if od[x][one] != x or od[one][x] != x:
+            return _witness(A, "unit", (x,))
+    for x, y, z in product(A.elements, repeat=3):
+        xy = od[x][y]
+        if od[xy][z] != od[x][od[y][z]]:
+            return _witness(A, "associativity", (x, y, z))
+        if not (ar[xy][z] == one) == (ar[x][ar[y][z]] == one) == (ar[y][sq[x][z]] == one):
+            return _witness(A, "residuation", (x, y, z))
+        if ar[xy][z] != ar[x][ar[y][z]] or sq[xy][z] != sq[y][sq[x][z]]:
+            return _witness(A, "product-implication", (x, y, z))
     for x, y in product(A.elements, repeat=2):
         if not leq(od[x][y], x) or not leq(od[x][y], y):
-            return Witness("product-below-factors", (A.name(x), A.name(y)))
+            return _witness(A, "product-below-factors", (x, y))
     for x, y, z in product(A.elements, repeat=3):
         if not (
             leq(ar[x][y], ar[od[x][z]][od[y][z]])
@@ -495,17 +487,17 @@ def flw_arithmetic_suite(A: FiniteAlgebra) -> Witness | None:
             and leq(sq[x][y], sq[od[z][x]][od[z][y]])
             and leq(sq[od[z][x]][od[z][y]], sq[x][sq[z][y]])
         ):
-            return Witness("product-monotone", tuple(A.name(t) for t in (x, y, z)))
+            return _witness(A, "product-monotone", (x, y, z))
         if not leq(od[ar[x][y]][x], mt[x][y]) or not leq(od[x][sq[x][y]], mt[x][y]):
-            return Witness("semidivisibility", (A.name(x), A.name(y)))
+            return _witness(A, "semidivisibility", (x, y))
         if (
             mt[ar[x][z]][ar[y][z]] != ar[jt[x][y]][z]
             or mt[sq[x][z]][sq[y][z]] != sq[jt[x][y]][z]
         ):
-            return Witness("join-to-meet", tuple(A.name(t) for t in (x, y, z)))
+            return _witness(A, "join-to-meet", (x, y, z))
         if not (
             leq(jt[x][y], mt[sq[ar[x][y]][y]][sq[ar[y][x]][x]])
             and leq(jt[x][y], mt[ar[sq[x][y]][y]][ar[sq[y][x]][x]])
         ):
-            return Witness("join-bound", (A.name(x), A.name(y)))
+            return _witness(A, "join-bound", (x, y))
     return None

@@ -366,18 +366,19 @@ def run_suite(A: FiniteAlgebra) -> list[SuiteResult]:
     if report.flw:
         w = flw_arithmetic_suite(A)
         add(SuiteResult("flw-arithmetic", w is None, str(w or "")))
-        add(SuiteResult("mtl-characterization", mtl_characterization(A).agree))
-        add(SuiteResult("mv-characterization", mv_characterization(A).agree))
-        # once the join inequality (VT5) holds, monotonicity forces equality
         (_, jt), _ = lattice_tables(A)
+        witnessed = [(v, _vto_flw_witness(jt, v)) for v in vto]
+        vt5 = [v for v, w in witnessed if w is None]
+        add(SuiteResult("mtl-characterization", mtl_characterization(A, vt5).agree))
+        add(SuiteResult("mv-characterization", mv_characterization(A, vt5).agree))
 
-        def join_equality(v):
-            w = _vto_flw_witness(jt, v)
+        # once the join inequality (VT5) holds, monotonicity forces equality
+        def join_equality(v, w):
             if w is None or w.axiom == "VT5":
                 return True, ""
             return False, f"{v.names()} at {','.join(w.elements)}"
 
-        add(_all("vto-join-equality", (join_equality(v) for v in vto)))
+        add(_all("vto-join-equality", (join_equality(v, w) for v, w in witnessed)))
 
     if A.bounded and A.n <= 12:
         subs = smarandache_search(A)

@@ -5,8 +5,10 @@ from itertools import product
 import pytest
 
 from conftest import golden_up_sets
+from psbck import classes
 from psbck.algebra import FiniteAlgebra, validate
 from psbck.classes import (
+    ClassificationReport,
     classify,
     cross_check_product,
     enumerate_vto_flw,
@@ -30,6 +32,7 @@ from psbck.generate import (
     goedel_chain,
     lukasiewicz_chain,
     nonlinear_heyting,
+    random_batch,
 )
 from psbck.operators import UnaryMap, enumerate_vto
 
@@ -201,8 +204,9 @@ def test_vto_flw_requires_join_inequality():
 
 def test_characterizations_agree():
     for A in (goedel_chain(4), lukasiewicz_chain(4), nonlinear_heyting()):
-        assert mtl_characterization(A).agree
-        assert mv_characterization(A).agree
+        ops = enumerate_vto_flw(A)
+        assert mtl_characterization(A, ops).agree
+        assert mv_characterization(A, ops).agree
 
 
 def test_pp_suite_and_equivalence(four_elt):
@@ -215,6 +219,49 @@ def test_pp_suite_and_equivalence(four_elt):
 def test_flw_arithmetic():
     for A in (goedel_chain(5), lukasiewicz_chain(5), nonlinear_heyting()):
         assert flw_arithmetic_suite(A) is None
+
+
+def _chain_substructure(six_sm):
+    q = frozenset(six_sm.index(n) for n in ("0", "c", "d", "1"))
+    return six_sm.subalgebra(q)
+
+
+def _swap_rows_c_d(sub, table):
+    # the published rendering named in test_product_table_on_the_chain_substructure
+    c, d = sub.index("c"), sub.index("d")
+    table[c], table[d] = table[d], table[c]
+
+
+def _set_cell(x, y, v):
+    def edit(sub, table):
+        table[sub.index(x)][sub.index(y)] = sub.index(v)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, witness",
+    [
+        (_swap_rows_c_d, "unit[c]"),
+        (_set_cell("c", "d", "1"), "associativity[c,c,c]"),
+        (_set_cell("c", "c", "1"), "residuation[c,c,c]"),
+    ],
+    ids=["unit", "associativity", "residuation"],
+)
+def test_planted_product_fault_fails_the_flw_statements(six_sm, monkeypatch, edit, witness):
+    # classify decides FLw without these laws, so a wrong product table
+    # still reaches the suite, and the suite's own statements must catch it
+    sub = _chain_substructure(six_sm)
+    od, _ = pseudo_product(sub)
+    table = [list(r) for r in od]
+    edit(sub, table)
+    planted = tuple(map(tuple, table))
+    real = classes.pseudo_product
+    monkeypatch.setattr(
+        classes, "pseudo_product", lambda A: (planted, None) if A is sub else real(A)
+    )
+    assert classify(sub).flw
+    assert str(flw_arithmetic_suite(sub)) == witness
 
 
 # -- classification and pseudo-product, derived once per instance ----------
@@ -334,3 +381,91 @@ def test_bounds_and_product_match_a_least_greatest_scan(pool):
         assert lattice_tables(A) == _scan_lattice_tables(A), A.element_names
         assert pseudo_product(A) == _scan_product(A), A.element_names
     assert missing  # some inputs do lack meets
+
+
+# -- classify against a reference that still tests the FLw theorems ---------
+
+
+def _reference_classify(A):
+    """The class tower with the unit, associativity and residuation loops
+    that ``classify`` leaves to theorems, on the product scanned from both
+    residuation sets (``_scan_product`` compares the two)."""
+    wit = []
+
+    def name_pair(t):
+        return ",".join(A.name(v) for v in t)
+
+    bounded = A.zero is not None
+    if not bounded:
+        wit.append(("bounded", "no bottom element"))
+    lat, lat_wit = _scan_lattice_tables(A)
+    lattice = lat is not None
+    if not lattice:
+        wit.append(("lattice", f"no bound for ({name_pair(lat_wit)})"))
+    od, pp_wit = _scan_product(A)
+    pp = od is not None
+    if not pp:
+        wit.append(("pp", f"no pseudo-product at ({name_pair(pp_wit)})"))
+
+    def first(level, message, points, fails):
+        bad = next((t for t in points if fails(*t)), None)
+        if bad is not None:
+            wit.append((level, f"{message} at ({name_pair(bad)})"))
+        return bad is None
+
+    rng, ar, sq, one = A.elements, A.arrow, A.squig, A.one
+    pairs, triples = list(product(rng, repeat=2)), list(product(rng, repeat=3))
+    flw = bounded and lattice and pp
+    if flw:
+        unit = next((x for x in rng if od[x][one] != x or od[one][x] != x), None)
+        if unit is not None:
+            wit.append(("flw", f"unit law fails at {A.name(unit)}"))
+        flw = (
+            unit is None
+            and first(
+                "flw", "associativity fails", triples,
+                lambda x, y, z: od[od[x][y]][z] != od[x][od[y][z]],
+            )
+            and first(
+                "flw", "residuation fails", triples,
+                lambda x, y, z: not (
+                    A.leq(od[x][y], z) == A.leq(x, ar[y][z]) == A.leq(y, sq[x][z])
+                ),
+            )
+        )
+    elif bounded or lattice or pp:
+        wit.append(("flw", "requires bounded + lattice + pseudo-product"))
+    mt, jt = lat if flw else (None, None)
+    mtl = flw and first(
+        "mtl", "prelinearity fails", pairs,
+        lambda x, y: jt[ar[x][y]][ar[y][x]] != one or jt[sq[x][y]][sq[y][x]] != one,
+    )
+    divisible = flw and first(
+        "divisible", "divisibility fails", pairs,
+        lambda x, y: od[ar[x][y]][x] != mt[x][y] or od[x][sq[x][y]] != mt[x][y],
+    )
+    mv = flw and first(
+        "mv", "join identity fails", pairs,
+        lambda x, y: not jt[x][y] == sq[ar[x][y]][y] == ar[sq[x][y]][y],
+    )
+    return ClassificationReport(
+        bounded, lattice, pp, flw, mtl, divisible, mtl and divisible, mv, tuple(wit)
+    )
+
+
+def test_classify_matches_a_reference_that_tests_the_theorems(pool):
+    large = [
+        goedel_chain(8),
+        lukasiewicz_chain(8),
+        direct_product(goedel_chain(2), lukasiewicz_chain(4)),
+        direct_product(goedel_chain(2), lukasiewicz_chain(5)),
+    ]
+    algebras = pool + list(golden_up_sets()) + large + random_batch(7, 40)
+    levels = set()
+    for A in algebras:
+        report = classify(A)
+        assert report == _reference_classify(A), A.element_names
+        if report.flw:
+            assert flw_arithmetic_suite(A) is None, A.element_names
+        levels.add(tuple(report.levels().values()))
+    assert len(levels) >= 5  # the inputs reach several different towers
