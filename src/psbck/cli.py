@@ -18,7 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import operators, valuations
 from .errors import WellDefinednessFailure, WorkbenchError
 from .textfmt import (
     WorkbenchDocument,
@@ -76,6 +75,8 @@ def _named(doc: WorkbenchDocument, kind: str, aname: str, name: str | None, flag
 
 
 def _named_vto(doc, aname, name):
+    from . import operators
+
     return operators.certify_vto(_named(doc, "map", aname, name, "--vto"))
 
 
@@ -166,6 +167,8 @@ def _enum_table(args, doc, aname, A, payload):
     kind = args.kind
     as_maps = (lambda f: list(f.names()), lambda f: " ".join(f.names()))
     if kind in ("into", "clo", "vto"):
+        from . import operators
+
         fn = {
             "into": operators.enumerate_interior,
             "clo": operators.enumerate_closure,
@@ -298,6 +301,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_hedges(args) -> int:
+    from . import operators
+
     doc = parse(_read(args.file))
     aname, _ = _pick_algebra(doc, args.algebra)
     v = _named_vto(doc, aname, args.vto)
@@ -358,6 +363,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_valuation(args) -> int:
+    from . import valuations
+
     doc = parse(_read(args.file))
     aname, A = _pick_algebra(doc, args.algebra)
     phi = _named(doc, "valuation", aname, args.valuation, "--valuation")

@@ -54,9 +54,8 @@ class UnaryMap:
 
     def __le__(self, other: "UnaryMap") -> bool:
         _same_parent(self, other)
-        return all(
-            self.parent.leq(a, b) for a, b in zip(self.image, other.image)
-        )
+        ar, one = self.parent.arrow, self.parent.one
+        return all(ar[a][b] == one for a, b in zip(self.image, other.image))
 
     def preserves(self, members) -> bool:
         """The map sends the set ``members`` into itself."""
@@ -125,15 +124,22 @@ def _witness(A: FiniteAlgebra, axiom: str, tup) -> Witness:
 
 def is_interior(f: UnaryMap) -> Witness | None:
     """None if f is an interior operator, else the first violated axiom."""
-    A = f.parent
-    im, ar, one = f.image, A.arrow, A.one
-    for x in A.elements:
+    return _interior_witness(f.parent, f.image)
+
+
+def _interior_witness(A: FiniteAlgebra, im) -> Witness | None:
+    """``is_interior`` on the image vector ``im`` of a map on A; callers
+    that compose maps pass the composite's vector and build no UnaryMap."""
+    els, ar, one = A.elements, A.arrow, A.one
+    for x in els:
         if ar[im[x]][x] != one:
             return _witness(A, "IO1", (x,))
-    for x, y in product(A.elements, repeat=2):
-        if ar[x][y] == one and ar[im[x]][im[y]] != one:
-            return _witness(A, "IO2", (x, y))
-    for x in A.elements:
+    for x in els:
+        arx, ari = ar[x], ar[im[x]]
+        for y in els:
+            if arx[y] == one and ari[im[y]] != one:
+                return _witness(A, "IO2", (x, y))
+    for x in els:
         if im[im[x]] != im[x]:
             return _witness(A, "IO3", (x,))
     return None
@@ -155,21 +161,28 @@ def is_closure(f: UnaryMap) -> Witness | None:
 
 def is_vto(f: UnaryMap) -> Witness | None:
     """None if f is a very true operator, else the first violated axiom."""
-    A, im = f.parent, f.image
-    ar, sq, one = A.arrow, A.squig, A.one
+    return _vto_witness(f.parent, f.image)
+
+
+def _vto_witness(A: FiniteAlgebra, im) -> Witness | None:
+    """``is_vto`` on the image vector ``im`` of a map on A, as
+    ``_interior_witness``."""
+    els, ar, sq, one = A.elements, A.arrow, A.squig, A.one
     if im[one] != one:
         return _witness(A, "VT1", (one,))
-    for x in A.elements:
+    for x in els:
         if ar[im[x]][x] != one:
             return _witness(A, "VT2", (x,))
-    for x in A.elements:
+    for x in els:
         if ar[im[x]][im[im[x]]] != one:
             return _witness(A, "VT3", (x,))
-    for x, y in product(A.elements, repeat=2):
-        if ar[im[ar[x][y]]][ar[im[x]][im[y]]] != one:
-            return _witness(A, "VT4", (x, y))
-        if ar[im[sq[x][y]]][sq[im[x]][im[y]]] != one:
-            return _witness(A, "VT4", (x, y))
+    for x in els:
+        arx, sqx, ari, sqi = ar[x], sq[x], ar[im[x]], sq[im[x]]
+        for y in els:
+            if ar[im[arx[y]]][ari[im[y]]] != one:
+                return _witness(A, "VT4", (x, y))
+            if ar[im[sqx[y]]][sqi[im[y]]] != one:
+                return _witness(A, "VT4", (x, y))
     return None
 
 

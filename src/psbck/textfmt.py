@@ -35,11 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import FiniteAlgebra, diagnose, validate
 from .errors import NotCertified, ParseError
-from .operators import UnaryMap
-from .valuations import PseudoValuation, is_pseudo_valuation
+
+if TYPE_CHECKING:
+    from .operators import UnaryMap
+    from .valuations import PseudoValuation
 
 
 @dataclass(frozen=True)
@@ -223,6 +226,11 @@ def _resolve_algebra(block: AlgebraBlock) -> FiniteAlgebra:
 
 
 def parse(text: str) -> WorkbenchDocument:
+    # maps and valuations are built here alone: parse_raw/diagnose_raw
+    # (psbck validate) load neither module
+    from .operators import UnaryMap
+    from .valuations import PseudoValuation, is_pseudo_valuation
+
     raw = parse_raw(text)
     algebras = {name: _resolve_algebra(b) for name, b in raw.blocks.items()}
 

@@ -170,18 +170,21 @@ def test_well_definedness_failure_exits_3(monkeypatch, capsys):
 
 # The psbck modules a fresh interpreter holds after ``cli.main(argv)``: the
 # CLI loads at start-up only what parsing and error reporting need, and each
-# command the library modules it runs.
-START_UP = ["psbck", "psbck.algebra", "psbck.cli", "psbck.errors", "psbck.operators",
-            "psbck.textfmt", "psbck.valuations"]
+# command the library modules it runs.  ``textfmt.parse``, which builds maps
+# and valuations, loads their modules; ``validate`` diagnoses the raw blocks
+# and loads neither.
+START_UP = ["psbck", "psbck.algebra", "psbck.cli", "psbck.errors", "psbck.textfmt"]
+PARSE = ["psbck.operators", "psbck.valuations"]
 FOOTPRINTS = {
     "validate": (["validate", EX25], []),
-    "enum-vto": (["enum", "vto", EX25], []),
+    "enum-vto": (["enum", "vto", EX25], PARSE),
     "missing-file": (["validate", str(CORPUS / "nope.alg")], []),
-    "enum-ds": (["enum", "ds", EX68], ["psbck.deduction"]),
-    "enum-hom": (["enum", "hom", EX26], ["psbck.deduction", "psbck.morphisms"]),
-    "props": (["props", EX25], ["psbck.classes", "psbck.deduction"]),
+    "enum-ds": (["enum", "ds", EX68], [*PARSE, "psbck.deduction"]),
+    "enum-hom": (["enum", "hom", EX26], [*PARSE, "psbck.deduction", "psbck.morphisms"]),
+    "props": (["props", EX25], [*PARSE, "psbck.classes", "psbck.deduction"]),
     "suite": (["suite", CHAIN],
-              ["psbck.classes", "psbck.deduction", "psbck.morphisms", "psbck.suite"]),
+              [*PARSE, "psbck.classes", "psbck.deduction", "psbck.morphisms",
+               "psbck.suite"]),
 }
 
 FOOTPRINT_SCRIPT = """\

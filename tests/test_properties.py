@@ -18,10 +18,11 @@ from psbck.generate import _seed_pool, direct_product, goedel_chain
 from psbck.operators import (
     UnaryMap,
     Witness,
+    _interior_witness,
+    _vto_witness,
     compose,
     enumerate_interior,
     enumerate_vto,
-    is_interior,
     is_vto,
 )
 from psbck.suite import run_suite
@@ -107,6 +108,8 @@ def test_every_quotient_is_certified(pool):
 #
 # A checker that reports a planted witness for one composite must change the
 # verdict and the "f/g" detail exactly as a scan over every ordered pair would.
+# The families test each composite's image vector with the law code of
+# is_interior/is_vto, so the checker is planted on that code.
 
 
 def _ordered_scan(maps, holds):
@@ -117,19 +120,20 @@ def _ordered_scan(maps, holds):
 
 
 def _planted(real, A, image):
-    def checker(f):
-        if f.parent is A and f.image == image:
+    def checker(B, im):
+        if B is A and im == image:
             return Witness("planted", ())
-        return real(f)
+        return real(B, im)
 
     return checker
 
 
 def _three_way(interior):
     def holds(f, g):
+        A = f.parent
         fg, gf = compose(f, g), compose(g, f)
         a = fg.image == gf.image
-        b = interior(fg) is None and interior(gf) is None
+        b = interior(A, fg.image) is None and interior(A, gf.image) is None
         c = compose(fg, fg).image == fg.image and compose(gf, gf).image == gf.image
         return a == b == c
 
@@ -138,8 +142,9 @@ def _three_way(interior):
 
 def _vto_commutation(vto):
     def holds(f, g):
+        A = f.parent
         fg, gf = compose(f, g), compose(g, f)
-        both = vto(fg) is None and vto(gf) is None
+        both = vto(A, fg.image) is None and vto(A, gf.image) is None
         return both == (fg.image == gf.image)
 
     return holds
@@ -148,8 +153,10 @@ def _vto_commutation(vto):
 @pytest.mark.parametrize(
     "family, name, enumerate_maps, real, holds",
     [
-        ("is_interior", "interior-commutation", enumerate_interior, is_interior, _three_way),
-        ("is_vto", "vto-composition-commutation", enumerate_vto, is_vto, _vto_commutation),
+        ("_interior_witness", "interior-commutation", enumerate_interior, _interior_witness,
+         _three_way),
+        ("_vto_witness", "vto-composition-commutation", enumerate_vto, _vto_witness,
+         _vto_commutation),
     ],
     ids=["interior", "vto"],
 )
