@@ -224,19 +224,26 @@ class PpSuiteReport:
 
 
 def _vt4_prime(A, im) -> Witness | None:
-    for x, y, z in product(A.elements, repeat=3):
-        if not (
-            A.leq(im[A.arrow[x][y]], A.arrow[im[x]][A.arrow[im[z]][im[y]]])
-            and A.leq(im[A.squig[x][y]], A.squig[im[x]][A.squig[im[z]][im[y]]])
-        ):
-            return _witness(A, "vt4-prime", (x, y, z))
+    els, ar, sq, one = A.elements, A.arrow, A.squig, A.one
+    for x in els:
+        arx, sqx, arvx, sqvx = ar[x], sq[x], ar[im[x]], sq[im[x]]
+        for y in els:
+            # rows of v(x->y) and v(x~>y) on the left of <=
+            left_ar, left_sq, vy = ar[im[arx[y]]], ar[im[sqx[y]]], im[y]
+            for z in els:
+                vz = im[z]
+                if left_ar[arvx[ar[vz][vy]]] != one or left_sq[sqvx[sq[vz][vy]]] != one:
+                    return _witness(A, "vt4-prime", (x, y, z))
     return None
 
 
 def _vt4_dprime(A, od, im) -> Witness | None:
-    for x, y in product(A.elements, repeat=2):
-        if not A.leq(od[im[x]][im[y]], im[od[x][y]]):
-            return _witness(A, "pp-submult", (x, y))
+    els, ar, one = A.elements, A.arrow, A.one
+    for x in els:
+        odx, odvx = od[x], od[im[x]]
+        for y in els:
+            if ar[odvx[im[y]]][im[odx[y]]] != one:
+                return _witness(A, "pp-submult", (x, y))
     return None
 
 
@@ -256,8 +263,11 @@ def vt_pp_suite(v: UnaryMap) -> PpSuiteReport:
     im = v.image
 
     rt = None
-    for x, y, z in product(A.elements, repeat=3):
-        if A.leq(od[x][y], z) and not A.leq(od[im[x]][im[y]], im[z]):
+    els, ar, one = A.elements, A.arrow, A.one
+    for x, y in product(els, repeat=2):
+        row, vrow = ar[od[x][y]], ar[od[im[x]][im[y]]]
+        z = next((z for z in els if row[z] == one and vrow[im[z]] != one), None)
+        if z is not None:
             rt = Witness("pp-transfer", tuple(A.name(t) for t in (x, y, z)))
             break
     sm = _vt4_dprime(A, od, im)

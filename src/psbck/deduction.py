@@ -30,16 +30,18 @@ DEFAULT_SUBSET_CAP = 20
 
 def _saturate(A: FiniteAlgebra, mask: int) -> int:
     """Close a bitset under modus ponens for both implications."""
+    els, ar, sq = A.elements, A.arrow, A.squig
     changed = True
     while changed:
         changed = False
-        for x in A.elements:
+        for x in els:
             if not mask >> x & 1:
                 continue
-            for y in A.elements:
+            arx, sqx = ar[x], sq[x]
+            for y in els:
                 if mask >> y & 1:
                     continue
-                if mask >> A.arrow[x][y] & 1 or mask >> A.squig[x][y] & 1:
+                if mask >> arx[y] & 1 or mask >> sqx[y] & 1:
                     mask |= 1 << y
                     changed = True
     return mask

@@ -12,11 +12,17 @@ f(x->y) = f(x)->f(y) and f(x~>y) = f(x)~>f(y) as its checks: once f(x)
 and f(y) are assigned, each is tested, or forces f(x->y) and f(x~>y) when
 those come later in id order.  Enumeration has its own cap (|A| <= 8),
 since the raw space is |B|^|A|.
+
+What depends on a homomorphism alone is kept in ``Homomorphism.memo``:
+its passed ``is_hom`` check, its corestriction onto the image with its
+kernel, and, per deductive system H, its factored map from A/H with the
+uniqueness search's maps.  A ``VtHomomorphism`` is still certified when
+it is built; only the operator-free part of that check is read back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import FiniteAlgebra, restrict, size_cap
@@ -44,6 +50,12 @@ class Homomorphism:
     source: FiniteAlgebra
     target: FiniteAlgebra
     map: tuple[int, ...]
+    # what is derived from the map alone, filled on first use and freed
+    # with it: its passed ``is_hom`` certificate (is_vthom), its
+    # corestriction onto the image with Ker f (first_isomorphism) and its
+    # factorization through each A/H (factor); nothing in it refers back
+    # to the map
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_surjective(self) -> bool:
         return len(set(self.map)) == self.target.n
@@ -110,10 +122,16 @@ def intertwine_failure(m, v: UnaryMap, u: UnaryMap) -> int | None:
 
 
 def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
+    """None if f is a homomorphism intertwining v and u, else the first
+    failing law.  A passed ``is_hom`` is kept in ``f.memo``, as
+    ``certify_vto`` keeps its certificate; a failed one is not, so it is
+    found again on every call."""
     _require_ends(f.source, v, f.target, u)
-    w = is_hom(f)
-    if w is not None:
-        return w
+    if "hom" not in f.memo:
+        w = is_hom(f)
+        if w is not None:
+            return w
+        f.memo["hom"] = True
     certify_vto(v)
     certify_vto(u)
     x = intertwine_failure(f.map, v, u)
@@ -249,25 +267,34 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     ``VtHomomorphism`` was built, so the search can only return the
     factored map itself.  It is kept as executable
     documentation of the statement.
+
+    What depends on ``f.base`` and H alone is derived once and kept in
+    ``f.base.memo`` under ``H.members``: the induced ``Homomorphism``
+    A/H -> B and the maps of the uniqueness search, before they are
+    filtered by the operators.  Each call lifts ``f.v``, certifies the
+    factored ``VtHomomorphism`` and filters those maps by the lifted
+    operator.  The kept map's source is the quotient of the first call; a
+    later call's ``quotient.algebra`` is an equal algebra built apart.
     """
     B = f.target
-    if not H.members <= f.base.kernel():
+    ker = f.base.kernel()
+    if not H.members <= ker:
         raise KernelContainmentViolated("H must be contained in the kernel")
     quot, vhat = lift_vto_to_quotient(f.v, H)
-    q = quot.algebra
-    m = quot.induce(f.base.map)
-    base = Homomorphism(q, B, m)
+    memo = f.base.memo
+    key = ("factor", H.members)
+    if key not in memo:
+        q = quot.algebra
+        m = quot.induce(f.base.map)
+        memo[key] = Homomorphism(q, B, m), tuple(_hom_search(q, B, [[y] for y in m]))
+    base, maps = memo[key]
     lifted = VtHomomorphism(base, vhat, f.u)
 
-    matches = [
-        g
-        for g in _hom_search(q, B, [[y] for y in m])
-        if intertwine_failure(g, vhat, f.u) is None
-    ]
+    matches = [g for g in maps if intertwine_failure(g, vhat, f.u) is None]
     unique = matches == [base.map]
 
     image_preserved = base.image() == f.base.image()
-    ker_classes = frozenset(quot.class_of[x] for x in f.base.kernel())
+    ker_classes = frozenset(quot.class_of[x] for x in ker)
     kernel_ok = base.kernel() == ker_classes
     return FactorResult(quot, vhat, lifted, unique, image_preserved, kernel_ok)
 
@@ -276,14 +303,19 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
     """Factor at H = Ker(f) with the target cut down to the image.
 
     The resulting map is a very-true isomorphism from A/Ker(f) onto Im(f).
+    The corestriction of ``f.base`` onto its image subalgebra and Ker(f)
+    are derived once and kept in ``f.base.memo``; each call restricts
+    ``f.u`` to the image.
     """
-    A, image = f.source, f.base.image()
-    sub_b = f.target.subalgebra(image)
-    u_restr = UnaryMap(sub_b, restrict(f.u.image, image))
-    base = Homomorphism(A, sub_b, tuple(map(sub_b.index, f.base.names())))
-    g = VtHomomorphism(base, f.v, u_restr)
-    H = DeductiveSystem.from_members(A, base.kernel())
-    return factor(g, H)
+    memo, image = f.base.memo, f.base.image()
+    if "first-iso" not in memo:
+        A = f.source
+        sub_b = f.target.subalgebra(image)
+        base = Homomorphism(A, sub_b, tuple(map(sub_b.index, f.base.names())))
+        memo["first-iso"] = base, DeductiveSystem.from_members(A, base.kernel())
+    base, H = memo["first-iso"]
+    u_restr = UnaryMap(base.target, restrict(f.u.image, image))
+    return factor(VtHomomorphism(base, f.v, u_restr), H)
 
 
 def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> Homomorphism | None:

@@ -4,7 +4,7 @@ A ``functools.cache``/``lru_cache`` at module level keeps every argument it
 has seen, algebras included, for the life of the process, and a
 ``cached_property`` materialises the instance ``__dict__``.  Derived values
 live on the object they are derived from (``FiniteAlgebra.memo``,
-``UnaryMap.memo``) and die with it.  A cache made inside one call, like
+``UnaryMap.memo``, ``Homomorphism.memo``) and die with it.  A cache made inside one call, like
 ``run_suite``'s ``svto`` cache, dies with that call and stays allowed.
 This is a stdlib ``ast`` check: it flags each use of those names that runs
 at import time, i.e. outside every function body.

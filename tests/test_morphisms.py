@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -5,14 +6,14 @@ import pytest
 from conftest import values_tried
 from psbck import morphisms, suite
 from psbck.deduction import DeductiveSystem
-from psbck.algebra import validate
+from psbck.algebra import FiniteAlgebra, validate
 from psbck.errors import (
     KernelContainmentViolated,
     MalformedInput,
     ParentMismatch,
     SurjectivityRequired,
 )
-from psbck.generate import direct_product, goedel_chain, lukasiewicz_chain, relabel
+from psbck.generate import _seed_pool, direct_product, goedel_chain, lukasiewicz_chain, relabel
 from psbck.morphisms import (
     Homomorphism,
     VtHomomorphism,
@@ -273,3 +274,63 @@ def test_factor_uniqueness_matches_brute_force(small_pool, monkeypatch):
     assert any(res.quotient.algebra.n < g.source.n for g, res in visited)
     for g, res in visited:
         assert res.unique == _unique_by_brute_force(g, res), g.base.names()
+
+
+def test_run_suite_checks_each_homomorphism_once(monkeypatch):
+    """A call count, independent of the machine: over the seed pool,
+    ``is_vthom`` runs ``is_hom`` at most once per ``Homomorphism`` object,
+    ``first_isomorphism`` builds the image subalgebra at most once per
+    homomorphism object, and ``factor``'s uniqueness search runs at most
+    once per (homomorphism object, H, target), however many operators the
+    homomorphism intertwines."""
+    keep = []  # every counted object stays alive, so no id is reused
+    hom_checks, subalgebras, searches = Counter(), Counter(), Counter()
+    corestricting, factoring = [], []
+    real_is_hom, real_search = is_hom, morphisms._hom_search
+    real_first_isomorphism, real_factor = first_isomorphism, factor
+    real_subalgebra = FiniteAlgebra.subalgebra
+
+    def counting_is_hom(f):
+        keep.append(f)
+        hom_checks[id(f)] += 1
+        return real_is_hom(f)
+
+    def counting_first_isomorphism(g):
+        keep.append(g)
+        corestricting.append(id(g.base))
+        try:
+            return real_first_isomorphism(g)
+        finally:
+            corestricting.pop()
+
+    def counting_subalgebra(A, members):
+        if corestricting:
+            subalgebras[corestricting[-1]] += 1
+        return real_subalgebra(A, members)
+
+    def counting_factor(g, H):
+        keep.append(g)
+        factoring.append((id(g.base), H.members, id(g.target)))
+        try:
+            return real_factor(g, H)
+        finally:
+            factoring.pop()
+
+    def counting_search(A, B, candidates):
+        if factoring:
+            searches[factoring[-1]] += 1
+        return real_search(A, B, candidates)
+
+    monkeypatch.setattr(morphisms, "is_hom", counting_is_hom)
+    monkeypatch.setattr(FiniteAlgebra, "subalgebra", counting_subalgebra)
+    monkeypatch.setattr(morphisms, "_hom_search", counting_search)
+    # the vthom-transport family calls factor directly and via first_isomorphism
+    monkeypatch.setattr(suite, "first_isomorphism", counting_first_isomorphism)
+    monkeypatch.setattr(morphisms, "factor", counting_factor)
+    monkeypatch.setattr(suite, "factor", counting_factor)
+    for A in _seed_pool():
+        suite.run_suite(A)
+    assert hom_checks and subalgebras and searches
+    assert max(hom_checks.values()) == 1
+    assert max(subalgebras.values()) == 1
+    assert max(searches.values()) == 1

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -13,9 +14,24 @@ from psbck.deduction import (
     enumerate_ds_v,
     lift_vto_to_quotient,
 )
-from psbck.errors import CarrierTooLarge, GlivenkoRequired, NotVto, WellDefinednessFailure
-from psbck.generate import direct_product, goedel_chain, lukasiewicz_chain
-from psbck.morphisms import VtHomomorphism, enumerate_hom, first_isomorphism, transport
+from psbck.errors import (
+    CarrierTooLarge,
+    GlivenkoRequired,
+    MalformedInput,
+    NotVto,
+    WellDefinednessFailure,
+)
+from psbck.generate import _seed_pool, direct_product, goedel_chain, lukasiewicz_chain
+from psbck.morphisms import (
+    FactorResult,
+    Homomorphism,
+    VtHomomorphism,
+    enumerate_hom,
+    factor,
+    first_isomorphism,
+    intertwine_failure,
+    transport,
+)
 from psbck.operators import (
     UnaryMap,
     Witness,
@@ -487,3 +503,95 @@ def test_cached_operator_is_freed_without_the_cycle_collector(pool):
             assert ref() is None, v.names()
     finally:
         gc.enable()
+
+
+# -- what is derived once per homomorphism is kept in Homomorphism.memo ------
+
+
+def _shared_endomorphisms(algebras):
+    """(f, the very true operators v with f.v = v.f) for each endomorphism f
+    that at least two operators share, as run_suite hands it to each v."""
+    for A in algebras:
+        vto = enumerate_vto(A)
+        for f in enumerate_hom(A, A):
+            vs = [v for v in vto if intertwine_failure(f.map, v, v) is None]
+            if len(vs) >= 2:
+                yield f, vs
+
+
+def _factorizations(g):
+    """transport, first_isomorphism and factor at each stable H in Ker g,
+    as the vthom-transport family of run_suite calls them."""
+    ker = g.base.kernel()
+    return (
+        transport(g),
+        first_isomorphism(g),
+        [(H, factor(g, H)) for H in enumerate_ds_nv(g.v) if H.members <= ker],
+    )
+
+
+def _assert_same_factor_result(got, want) -> bool:
+    """Field-by-field equality; True if ``got`` read a factored map kept
+    under another operator."""
+    for fld in fields(FactorResult):
+        assert getattr(got, fld.name) == getattr(want, fld.name), fld.name
+    # the kept factored map's source is the first operator's quotient: an
+    # equal algebra, not always the same object
+    assert got.factored.source == got.quotient.algebra
+    return got.factored.source is not got.quotient.algebra
+
+
+def test_homomorphism_memo_gives_what_fresh_twins_give():
+    reused = 0
+    for f, vs in _shared_endomorphisms(_seed_pool()):
+        A = f.source
+        for v in vs:  # from the second operator on, f.memo is read back
+            rep, iso, factored = _factorizations(VtHomomorphism(f, v, v))
+            twin = UnaryMap(A, v.image)
+            want = _factorizations(VtHomomorphism(Homomorphism(A, A, f.map), twin, twin))
+            assert rep == want[0]
+            reused += _assert_same_factor_result(iso, want[1])
+            assert [H for H, _ in factored] == [H for H, _ in want[2]]
+            for (_, got), (_, res) in zip(factored, want[2]):
+                reused += _assert_same_factor_result(got, res)
+        assert "hom" in f.memo and "first-iso" in f.memo
+    assert reused
+
+
+def test_homomorphism_memo_is_invisible_to_equality_hash_and_repr():
+    for f, vs in _shared_endomorphisms(_seed_pool()):
+        twin = Homomorphism(f.source, f.target, f.map)
+        for v in vs:
+            _factorizations(VtHomomorphism(f, v, v))
+        assert f.memo and not twin.memo
+        assert f == twin
+        assert hash(f) == hash(twin)
+        assert repr(f) == repr(twin)
+
+
+def test_filled_homomorphism_is_freed_without_the_cycle_collector():
+    # the memo must hold no reference back to its homomorphism, or each
+    # one would live until the cyclic collector runs
+    shared = list(_shared_endomorphisms(_seed_pool()))
+    gc.disable()
+    try:
+        for f, vs in shared:
+            h = Homomorphism(f.source, f.target, f.map)
+            for v in vs:
+                _factorizations(VtHomomorphism(h, v, v))
+            assert h.memo
+            ref = weakref.ref(h)
+            del h
+            assert ref() is None, f.names()
+    finally:
+        gc.enable()
+
+
+def test_a_failed_hom_check_is_not_remembered(four_elt):
+    A = four_elt
+    bad = Homomorphism(A, A, (A.zero,) * A.n)
+    v = identity_map(A)
+    for _ in range(2):  # each build checks the map again
+        with pytest.raises(MalformedInput, match="hom-arrow"):
+            VtHomomorphism(bad, v, v)
+    assert not bad.memo
