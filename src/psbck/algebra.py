@@ -50,9 +50,10 @@ class FiniteAlgebra:
     squig: tuple[tuple[int, ...], ...]
     zero: int | None = None
     # derived values that hold no reference back to the algebra, filled on
-    # first use (order_masks, classes.classify, classes.pseudo_product); a
-    # plain field, since functools.cached_property would materialise the
-    # instance __dict__ and slow every later attribute lookup
+    # first use (order_masks, double_negations, is_glivenko,
+    # classes.classify, classes.pseudo_product); a plain field, since
+    # functools.cached_property would materialise the instance __dict__ and
+    # slow every later attribute lookup
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -114,50 +115,47 @@ class FiniteAlgebra:
         self._require_bounded()
         return self.squig[x][self.zero]
 
+    def double_negations(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(x^{-~} = (x -> 0) ~> 0 for each x, x^{~-} = (x ~> 0) -> 0 for
+        each x); derived once per instance and kept in ``memo``."""
+        self._require_bounded()
+        memo = self.memo
+        if "double-neg" not in memo:
+            rng, ar, sq, zero = self.elements, self.arrow, self.squig, self.zero
+            memo["double-neg"] = (
+                tuple(sq[ar[x][zero]][zero] for x in rng),
+                tuple(ar[sq[x][zero]][zero] for x in rng),
+            )
+        return memo["double-neg"]
+
     def double_neg_ms(self, x: int) -> int:
         """x^{-~} = (x -> 0) ~> 0."""
-        return self.neg_sim(self.neg_minus(x))
-
-    def double_neg_sm(self, x: int) -> int:
-        """x^{~-} = (x ~> 0) -> 0."""
-        return self.neg_minus(self.neg_sim(x))
+        return self.double_negations()[0][x]
 
     def regular_elements(self) -> frozenset[int]:
-        self._require_bounded()
-        return frozenset(
-            x for x in self.elements
-            if self.double_neg_ms(x) == x and self.double_neg_sm(x) == x
-        )
+        ms, sm = self.double_negations()
+        return frozenset(x for x in self.elements if ms[x] == x == sm[x])
 
     def dense_elements(self) -> frozenset[int]:
-        self._require_bounded()
+        ms, sm = self.double_negations()
         one = self.one
-        return frozenset(
-            x for x in self.elements
-            if self.double_neg_ms(x) == one and self.double_neg_sm(x) == one
-        )
+        return frozenset(x for x in self.elements if ms[x] == one == sm[x])
 
     def is_good(self) -> bool:
-        self._require_bounded()
-        return all(
-            self.double_neg_ms(x) == self.double_neg_sm(x)
-            for x in self.elements
-        )
+        ms, sm = self.double_negations()
+        return ms == sm
 
     def is_involutive(self) -> bool:
         return self.regular_elements() == frozenset(self.elements)
 
     def is_glivenko(self) -> bool:
-        self._require_bounded()
-        if not self.is_good():
-            return False
-        dn = [self.double_neg_ms(x) for x in self.elements]
-        for x, y in product(self.elements, repeat=2):
-            if dn[self.arrow[x][y]] != self.arrow[x][dn[y]]:
-                return False
-            if dn[self.squig[x][y]] != self.squig[x][dn[y]]:
-                return False
-        return True
+        """Good, with (x -> y)^{-~} = x -> y^{-~} and
+        (x ~> y)^{-~} = x ~> y^{-~} for all x, y; decided once per
+        instance and kept in ``memo``."""
+        memo = self.memo
+        if "glivenko" not in memo:
+            memo["glivenko"] = self.is_good() and _glivenko_law(self)
+        return memo["glivenko"]
 
     def is_linear(self) -> bool:
         return all(
@@ -198,6 +196,18 @@ class FiniteAlgebra:
             squig=tuple(restrict(self.squig[x], keep) for x in keep),
             zero=keep.index(self.zero) if self.zero in keep else None,
         )
+
+
+def _glivenko_law(A: FiniteAlgebra) -> bool:
+    """(x -> y)^{-~} = x -> y^{-~} and (x ~> y)^{-~} = x ~> y^{-~} for all
+    x, y of a good algebra."""
+    dn, ar, sq = A.double_negations()[0], A.arrow, A.squig
+    for x, y in product(A.elements, repeat=2):
+        if dn[ar[x][y]] != ar[x][dn[y]]:
+            return False
+        if dn[sq[x][y]] != sq[x][dn[y]]:
+            return False
+    return True
 
 
 def restrict(values, members) -> tuple[int, ...]:

@@ -14,10 +14,13 @@ those come later in id order.  Enumeration has its own cap (|A| <= 8),
 since the raw space is |B|^|A|.
 
 What depends on a homomorphism alone is kept in ``Homomorphism.memo``:
-its passed ``is_hom`` check, its corestriction onto the image with its
-kernel, and, per deductive system H, its factored map from A/H with the
-uniqueness search's maps.  A ``VtHomomorphism`` is still certified when
-it is built; only the operator-free part of that check is read back.
+its passed ``is_hom`` check, its kernel, its corestriction onto the image
+with Ker f, the operator-free verdicts of ``transport``, and, per
+deductive system H, its factored map from A/H with the uniqueness
+search's maps and ``factor``'s two verdicts.  A ``VtHomomorphism`` is
+still certified when it is built; only the operator-free part of that
+check is read back.  What involves an operator (stability under it,
+intertwining, its certificate) is tested on every call.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class Homomorphism:
     target: FiniteAlgebra
     map: tuple[int, ...]
     # what is derived from the map alone, filled on first use and freed
-    # with it: its passed ``is_hom`` certificate (is_vthom), its
-    # corestriction onto the image with Ker f (first_isomorphism) and its
+    # with it: its passed ``is_hom`` certificate (is_vthom), its kernel,
+    # its corestriction onto the image with Ker f (first_isomorphism), the
+    # verdicts of transport that involve no operator, and its
     # factorization through each A/H (factor); nothing in it refers back
     # to the map
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -64,8 +68,12 @@ class Homomorphism:
         return len(set(self.map)) == self.source.n
 
     def kernel(self) -> frozenset[int]:
-        one = self.target.one
-        return frozenset(x for x in self.source.elements if self.map[x] == one)
+        """{x | f(x) = 1}, derived once and kept in ``memo``."""
+        memo = self.memo
+        if "kernel" not in memo:
+            one, m = self.target.one, self.map
+            memo["kernel"] = frozenset(x for x in self.source.elements if m[x] == one)
+        return memo["kernel"]
 
     def image(self) -> frozenset[int]:
         return frozenset(self.map)
@@ -196,10 +204,6 @@ class TransportReport:
         return all(checks)
 
 
-def _is_vds(v: UnaryMap, members: frozenset[int]) -> bool:
-    return _is_ds(v.parent, members) and v.preserves(members)
-
-
 def transport(f: VtHomomorphism) -> TransportReport:
     """Verify how a very-true homomorphism moves substructures around.
 
@@ -208,31 +212,50 @@ def transport(f: VtHomomorphism) -> TransportReport:
     are u-deductive systems (surjective case only, reported as None
     otherwise); pullbacks of u-deductive systems are v-deductive systems;
     plus the kernel-of-operator corollaries.
+
+    Each check is a verdict that involves no operator (the image is closed
+    under both implications, Ker f is a normal deductive system, f(S) or
+    f^-1(S) is a deductive system) and one that does (the set is v- or
+    u-stable).  The first kind depends on ``f.base`` alone and is kept in
+    its memo, per member set S for the images and preimages; the stability
+    tests run on every call.
     """
-    A, v, u, m = f.source, f.v, f.u, f.base.map
+    A, B, v, u, m = f.source, f.target, f.v, f.u, f.base.map
+    memo = f.base.memo
 
-    def image(members):
-        return frozenset(m[x] for x in members)
+    def kept(key, derive):
+        if key not in memo:
+            memo[key] = derive()
+        return memo[key]
 
-    def preimage(members):
-        return frozenset(x for x in A.elements if m[x] in members)
+    def image_is_ds(w: UnaryMap, members) -> bool:
+        img = frozenset(m[x] for x in members)
+        return kept(("image-ds", members), lambda: _is_ds(B, img)) and w.preserves(img)
 
-    ker = f.base.kernel()
+    def preimage_is_ds(w: UnaryMap, members) -> bool:
+        pre = frozenset(x for x in A.elements if m[x] in members)
+        return kept(("preimage-ds", members), lambda: _is_ds(A, pre)) and w.preserves(pre)
+
+    ker, img = f.base.kernel(), f.base.image()
     surjective = f.base.is_surjective()
     return TransportReport(
         # VT1-VT4 are universal sentences, so u restricted to a u-stable
         # subalgebra is a very true operator there
-        image_is_vt_subalgebra=is_vt_subalgebra(u, f.base.image()),
+        image_is_vt_subalgebra=kept(
+            "image-closed", lambda: B.one in img and B.unclosed_pair(img) is None
+        ) and u.preserves(img),
         kernel=ker,
-        kernel_is_normal_vds=_is_vds(v, ker) and _is_normal(A, ker),
+        kernel_is_normal_vds=kept(
+            "kernel-normal-ds", lambda: _is_ds(A, ker) and _is_normal(A, ker)
+        ) and v.preserves(ker),
         pushforward_ok=(
-            all(_is_vds(u, image(D.members)) for D in enumerate_ds_v(v))
+            all(image_is_ds(u, D.members) for D in enumerate_ds_v(v))
             if surjective
             else None
         ),
-        pullback_ok=all(_is_vds(v, preimage(G.members)) for G in enumerate_ds_v(u)),
-        preimage_ker_u_is_vds=_is_vds(v, preimage(kernel(u))),
-        image_ker_v_is_uds=_is_vds(u, image(kernel(v))) if surjective else None,
+        pullback_ok=all(preimage_is_ds(v, G.members) for G in enumerate_ds_v(u)),
+        preimage_ker_u_is_vds=preimage_is_ds(v, kernel(u)),
+        image_ker_v_is_uds=image_is_ds(u, kernel(v)) if surjective else None,
     )
 
 
@@ -270,11 +293,13 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
 
     What depends on ``f.base`` and H alone is derived once and kept in
     ``f.base.memo`` under ``H.members``: the induced ``Homomorphism``
-    A/H -> B and the maps of the uniqueness search, before they are
-    filtered by the operators.  Each call lifts ``f.v``, certifies the
-    factored ``VtHomomorphism`` and filters those maps by the lifted
-    operator.  The kept map's source is the quotient of the first call; a
-    later call's ``quotient.algebra`` is an equal algebra built apart.
+    A/H -> B, the maps of the uniqueness search, before they are filtered
+    by the operators, and the ``image_preserved`` and
+    ``kernel_is_quotient_of_kernel`` verdicts.  Each call lifts ``f.v``,
+    certifies the factored ``VtHomomorphism`` and filters those maps by
+    the lifted operator.  The kept map's source is the quotient of the
+    first call; a later call's ``quotient.algebra`` is an equal algebra
+    built apart.
     """
     B = f.target
     ker = f.base.kernel()
@@ -285,17 +310,18 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     key = ("factor", H.members)
     if key not in memo:
         q = quot.algebra
-        m = quot.induce(f.base.map)
-        memo[key] = Homomorphism(q, B, m), tuple(_hom_search(q, B, [[y] for y in m]))
-    base, maps = memo[key]
+        base = Homomorphism(q, B, quot.induce(f.base.map))
+        memo[key] = (
+            base,
+            tuple(_hom_search(q, B, [[y] for y in base.map])),
+            base.image() == f.base.image(),
+            base.kernel() == frozenset(quot.class_of[x] for x in ker),
+        )
+    base, maps, image_preserved, kernel_ok = memo[key]
     lifted = VtHomomorphism(base, vhat, f.u)
 
     matches = [g for g in maps if intertwine_failure(g, vhat, f.u) is None]
     unique = matches == [base.map]
-
-    image_preserved = base.image() == f.base.image()
-    ker_classes = frozenset(quot.class_of[x] for x in ker)
-    kernel_ok = base.kernel() == ker_classes
     return FactorResult(quot, vhat, lifted, unique, image_preserved, kernel_ok)
 
 

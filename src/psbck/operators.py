@@ -355,7 +355,7 @@ def is_vtst(v: UnaryMap, s1: UnaryMap, s2: UnaryMap) -> Witness | None:
 
 
 def _require_glivenko(A: FiniteAlgebra):
-    if A.zero is None or not A.is_good() or not A.is_glivenko():
+    if A.zero is None or not A.is_glivenko():
         raise GlivenkoRequired(
             "lifting needs a bounded good algebra with the Glivenko property"
         )
@@ -396,7 +396,8 @@ def lift_to_reg(f: UnaryMap):
     checks = _lift_checks(f)
     reg = A.regular_elements()
     sub = A.subalgebra(reg)
-    lifted = UnaryMap(sub, restrict([A.double_neg_ms(y) for y in f.image], reg))
+    dn = A.double_negations()[0]
+    lifted = UnaryMap(sub, restrict([dn[y] for y in f.image], reg))
     _certify_lift(checks, lifted)
     return sub, lifted
 
@@ -424,7 +425,8 @@ def lift_to_den_quotient(f: UnaryMap):
         raise WellDefinednessFailure("Den(A) is not a normal deductive system")
     quot = congruence_from(A, den)
     q = quot.algebra
-    values = [quot.class_of[f.image[A.double_neg_ms(x)]] for x in A.elements]
+    dn = A.double_negations()[0]
+    values = [quot.class_of[f.image[dn[x]]] for x in A.elements]
     lifted = UnaryMap(q, quot.induce(values))
     _certify_lift(checks, lifted)
     return quot, lifted

@@ -303,7 +303,7 @@ def run_suite(A: FiniteAlgebra) -> list[SuiteResult]:
     add(SuiteResult("quotient-vto", True))
     add(_all("congruence-compatibility", ((vto_congruence_check(v), "") for v in vto)))
 
-    if A.bounded and A.is_good() and A.is_glivenko():
+    if A.bounded and A.is_glivenko():
         for v in vto:
             lift_to_reg(v)
         add(SuiteResult("regular-lift", True))

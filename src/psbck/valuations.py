@@ -4,7 +4,8 @@ A pseudo-valuation sends 1 to 0 and satisfies
 phi(y) - phi(x) <= min(phi(x->y), phi(x~>y)); a valuation additionally
 vanishes only at 1.  All arithmetic is exact (fractions.Fraction); the
 defining inequality is exact, so floats would manufacture spurious
-witnesses.
+witnesses.  The inequality is tested on integers: the values times their
+common denominator, which keeps every comparison.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .algebra import FiniteAlgebra
 from .errors import MalformedInput
@@ -28,22 +30,32 @@ class PseudoValuation:
             raise MalformedInput("valuation must be total over the carrier")
 
 
-def is_pseudo_valuation(A: FiniteAlgebra, values) -> Witness | None:
-    values = tuple(Fraction(v) for v in values)
+def _pv_witness(A: FiniteAlgebra, values: tuple[Fraction, ...]) -> Witness | None:
+    """pv1, then pv2 in (x, y) order, on the integers d * values for the
+    common denominator d > 0: multiplying by d keeps every difference,
+    minimum and comparison, so the first failing law and pair are those of
+    the rationals."""
     if len(values) != A.n:
         raise MalformedInput("valuation must be total over the carrier")
-    if values[A.one] != 0:
+    d = lcm(*(q.denominator for q in values))
+    w = [q.numerator * (d // q.denominator) for q in values]
+    if w[A.one] != 0:
         return Witness("pv1", (A.name(A.one),))
-    for x, y in product(A.elements, repeat=2):
-        bound = min(values[A.arrow[x][y]], values[A.squig[x][y]])
-        if values[y] - values[x] > bound:
-            return Witness("pv2", (A.name(x), A.name(y)))
+    for x in A.elements:
+        arx, sqx, wx = A.arrow[x], A.squig[x], w[x]
+        for y, wy in enumerate(w):
+            if wy - wx > min(w[arx[y]], w[sqx[y]]):
+                return Witness("pv2", (A.name(x), A.name(y)))
     return None
+
+
+def is_pseudo_valuation(A: FiniteAlgebra, values) -> Witness | None:
+    return _pv_witness(A, tuple(Fraction(v) for v in values))
 
 
 def is_valuation(A: FiniteAlgebra, values) -> Witness | None:
     values = tuple(Fraction(v) for v in values)
-    w = is_pseudo_valuation(A, values)
+    w = _pv_witness(A, values)
     if w is not None:
         return w
     for x in A.elements:
@@ -54,7 +66,7 @@ def is_valuation(A: FiniteAlgebra, values) -> Witness | None:
 
 def certify(A: FiniteAlgebra, values) -> PseudoValuation:
     values = tuple(Fraction(v) for v in values)
-    w = is_pseudo_valuation(A, values)
+    w = _pv_witness(A, values)
     if w is not None:
         raise MalformedInput(f"not a pseudo-valuation: {w}")
     return PseudoValuation(A, values)

@@ -296,12 +296,65 @@ def test_cached_derivations_match_fresh_ones(pool):
         assert classify(other) == report
 
 
-# each fills A.memo: the order rows alone, or with what is derived from them
-FILLS = (FiniteAlgebra.order_masks, classify, pseudo_product)
+def _double_negation_facts(A):
+    """Regular and dense elements, goodness and the Glivenko property."""
+    return A.regular_elements(), A.dense_elements(), A.is_good(), A.is_glivenko()
+
+
+def _double_negation_scan(A):
+    """The same four facts from neg_minus and neg_sim, each law scanned in
+    full over the carrier."""
+    ms = [A.neg_sim(A.neg_minus(x)) for x in A.elements]
+    sm = [A.neg_minus(A.neg_sim(x)) for x in A.elements]
+    good = ms == sm
+    law = all(
+        ms[tab[x][y]] == tab[x][ms[y]]
+        for x, y in product(A.elements, repeat=2)
+        for tab in (A.arrow, A.squig)
+    )
+    return (
+        frozenset(x for x in A.elements if ms[x] == x and sm[x] == x),
+        frozenset(x for x in A.elements if ms[x] == A.one and sm[x] == A.one),
+        good,
+        good and law,
+    )
+
+
+def test_double_negations_match_a_fresh_scan(pool):
+    bounded = [A for A in pool if A.bounded]
+    verdicts = set()
+    for A in bounded:
+        first = _fresh(A)
+        want = _double_negation_scan(first)
+        verdicts.add(want[2:])
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            assert _double_negation_facts(first) == want
+        vectors = first.double_negations()
+        assert first.double_negations() is vectors
+        # the verdict first, on an algebra whose vectors are not yet kept
+        other = _fresh(A)
+        assert other.is_glivenko() == want[3]
+        assert _double_negation_facts(other) == want
+    # both verdicts occur (no pool algebra is good without being Glivenko)
+    assert verdicts == {(True, True), (False, False)}
+
+
+# each fills A.memo: the order rows alone, or with what is derived from
+# them; is_glivenko (the double negations and the verdict) needs a bottom
+FILLS = (FiniteAlgebra.order_masks, classify, pseudo_product, FiniteAlgebra.is_glivenko)
+
+
+def _fills(pool):
+    """(algebra, fill) for every fill that applies to the algebra."""
+    return [
+        (A, fill)
+        for A, fill in product(pool, FILLS)
+        if A.bounded or fill is not FiniteAlgebra.is_glivenko
+    ]
 
 
 def test_cache_is_invisible_to_equality_hash_and_repr(pool):
-    for A, fill in product(pool, FILLS):
+    for A, fill in _fills(pool):
         a, b = _fresh(A), _fresh(A)
         fill(a)
         assert a.memo and not b.memo
@@ -315,7 +368,7 @@ def test_cached_algebra_is_freed_without_the_cycle_collector(pool):
     # algebra would live until the cyclic collector runs
     gc.disable()
     try:
-        for A, fill in product(pool, FILLS):
+        for A, fill in _fills(pool):
             a = _fresh(A)
             fill(a)
             ref = weakref.ref(a)

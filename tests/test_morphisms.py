@@ -5,7 +5,7 @@ import pytest
 
 from conftest import values_tried
 from psbck import morphisms, suite
-from psbck.deduction import DeductiveSystem
+from psbck.deduction import DeductiveSystem, enumerate_ds_v
 from psbck.algebra import FiniteAlgebra, validate
 from psbck.errors import (
     KernelContainmentViolated,
@@ -28,7 +28,7 @@ from psbck.morphisms import (
     pushforward_ds,
     transport,
 )
-from psbck.operators import UnaryMap, Witness, enumerate_vto, identity_map, is_vtst
+from psbck.operators import UnaryMap, Witness, enumerate_vto, identity_map, is_vtst, kernel
 
 PSI = [
     ("1", "1", "1", "1", "1", "1"),
@@ -334,3 +334,55 @@ def test_run_suite_checks_each_homomorphism_once(monkeypatch):
     assert max(hom_checks.values()) == 1
     assert max(subalgebras.values()) == 1
     assert max(searches.values()) == 1
+
+
+def _transport_questions(g):
+    """The operator-free questions ``transport(g)`` asks: whether Ker f is a
+    normal deductive system, and whether f(S) or f^-1(S) is a deductive
+    system, as (direction, S)."""
+    asked = {("kernel",), ("preimage", kernel(g.u))}
+    asked |= {("preimage", G.members) for G in enumerate_ds_v(g.u)}
+    if g.base.is_surjective():
+        asked |= {("image", kernel(g.v))}
+        asked |= {("image", D.members) for D in enumerate_ds_v(g.v)}
+    return asked
+
+
+def test_transport_decides_each_operator_free_question_once(monkeypatch):
+    """A call count, independent of the machine: over the seed pool,
+    ``transport`` runs ``_is_ds`` at most once per (homomorphism object,
+    direction, member set) and ``_is_normal`` at most once per homomorphism
+    object, however many operators the homomorphism intertwines."""
+    keep = []  # every counted object stays alive, so no id is reused
+    transports, ds_checks, normal_checks = Counter(), Counter(), Counter()
+    asked, current = {}, []
+    real_transport, real_is_ds, real_is_normal = transport, morphisms._is_ds, morphisms._is_normal
+
+    def counting_transport(g):
+        keep.append(g)
+        transports[id(g.base)] += 1
+        asked.setdefault(id(g.base), set()).update(_transport_questions(g))
+        current.append(id(g.base))
+        try:
+            return real_transport(g)
+        finally:
+            current.pop()
+
+    def counting_is_ds(A, members):
+        if current:
+            ds_checks[current[-1]] += 1
+        return real_is_ds(A, members)
+
+    def counting_is_normal(A, members):
+        if current:
+            normal_checks[current[-1]] += 1
+        return real_is_normal(A, members)
+
+    monkeypatch.setattr(suite, "transport", counting_transport)
+    monkeypatch.setattr(morphisms, "_is_ds", counting_is_ds)
+    monkeypatch.setattr(morphisms, "_is_normal", counting_is_normal)
+    for A in _seed_pool():
+        suite.run_suite(A)
+    assert max(transports.values()) > 1 and ds_checks and normal_checks
+    assert all(ds_checks[h] <= len(asked[h]) for h in asked)
+    assert max(normal_checks.values()) == 1

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import golden_up_sets, values_tried
-from psbck import classes, deduction, goldens, operators, suite
+from psbck import classes, deduction, goldens, morphisms, operators, suite
 from psbck.deduction import (
     DeductiveSystem,
     enumerate_ds_nv,
@@ -23,13 +23,14 @@ from psbck.errors import (
 )
 from psbck.generate import _seed_pool, direct_product, goedel_chain, lukasiewicz_chain
 from psbck.morphisms import (
-    FactorResult,
     Homomorphism,
+    TransportReport,
     VtHomomorphism,
     enumerate_hom,
     factor,
     first_isomorphism,
     intertwine_failure,
+    is_vt_subalgebra,
     transport,
 )
 from psbck.operators import (
@@ -472,12 +473,13 @@ def test_cached_derivations_match_fresh_ones(pool):
             assert (quot, lifted) == fresh and quot.by is same
             assert "vto" in lifted.memo
         for g in _endomorphisms(v, homs):
+            # a fresh operator on a fresh homomorphism: both memos empty;
+            # g.base is shared by every operator of A it intertwines
             twin = UnaryMap(A, v.image)
-            fresh = VtHomomorphism(g.base, twin, twin)
-            rep = transport(fresh)
-            res = first_isomorphism(fresh)
-            for _ in range(2):  # the first call fills the memo, the second reads it
-                assert (transport(g), first_isomorphism(g)) == (rep, res)
+            fresh = VtHomomorphism(Homomorphism(A, A, g.base.map), twin, twin)
+            want = _factorizations(fresh)
+            for _ in range(2):  # the first call fills the memos, the second reads them
+                _assert_same_factorizations(_factorizations(g), want)
 
 
 def test_cache_is_invisible_to_equality_hash_and_repr(pool):
@@ -530,15 +532,30 @@ def _factorizations(g):
     )
 
 
+def _assert_same_fields(got, want):
+    """Field-by-field equality of two reports of one dataclass."""
+    for fld in fields(got):
+        assert getattr(got, fld.name) == getattr(want, fld.name), fld.name
+
+
 def _assert_same_factor_result(got, want) -> bool:
     """Field-by-field equality; True if ``got`` read a factored map kept
     under another operator."""
-    for fld in fields(FactorResult):
-        assert getattr(got, fld.name) == getattr(want, fld.name), fld.name
+    _assert_same_fields(got, want)
     # the kept factored map's source is the first operator's quotient: an
     # equal algebra, not always the same object
     assert got.factored.source == got.quotient.algebra
     return got.factored.source is not got.quotient.algebra
+
+
+def _assert_same_factorizations(got, want) -> int:
+    """Field-by-field equality of two ``_factorizations``; the number of
+    factor results that read a factored map kept under another operator."""
+    (rep, iso, factored), (rep_want, iso_want, factored_want) = got, want
+    _assert_same_fields(rep, rep_want)
+    assert [H for H, _ in factored] == [H for H, _ in factored_want]
+    pairs = [(iso, iso_want)] + [(r, w) for (_, r), (_, w) in zip(factored, factored_want)]
+    return sum(_assert_same_factor_result(r, w) for r, w in pairs)
 
 
 def test_homomorphism_memo_gives_what_fresh_twins_give():
@@ -546,16 +563,67 @@ def test_homomorphism_memo_gives_what_fresh_twins_give():
     for f, vs in _shared_endomorphisms(_seed_pool()):
         A = f.source
         for v in vs:  # from the second operator on, f.memo is read back
-            rep, iso, factored = _factorizations(VtHomomorphism(f, v, v))
+            got = _factorizations(VtHomomorphism(f, v, v))
             twin = UnaryMap(A, v.image)
             want = _factorizations(VtHomomorphism(Homomorphism(A, A, f.map), twin, twin))
-            assert rep == want[0]
-            reused += _assert_same_factor_result(iso, want[1])
-            assert [H for H, _ in factored] == [H for H, _ in want[2]]
-            for (_, got), (_, res) in zip(factored, want[2]):
-                reused += _assert_same_factor_result(got, res)
+            reused += _assert_same_factorizations(got, want)
         assert "hom" in f.memo and "first-iso" in f.memo
     assert reused
+
+
+def _reference_transport(g, is_ds):
+    """``transport(g)`` with every check run afresh: each set is tested by
+    ``is_ds`` on its algebra, then for stability under the operator."""
+    A, B, v, u, m = g.source, g.target, g.v, g.u, g.base.map
+
+    def vds(w, alg, members):
+        return is_ds(alg, members) and w.preserves(members)
+
+    def image(members):
+        return frozenset(m[x] for x in members)
+
+    def preimage(members):
+        return frozenset(x for x in A.elements if m[x] in members)
+
+    ker, surjective = g.base.kernel(), g.base.is_surjective()
+    return TransportReport(
+        image_is_vt_subalgebra=is_vt_subalgebra(u, g.base.image()),
+        kernel=ker,
+        kernel_is_normal_vds=vds(v, A, ker) and deduction._is_normal(A, ker),
+        pushforward_ok=(
+            all(vds(u, B, image(D.members)) for D in enumerate_ds_v(v)) if surjective else None
+        ),
+        pullback_ok=all(vds(v, A, preimage(G.members)) for G in enumerate_ds_v(u)),
+        preimage_ker_u_is_vds=vds(v, A, preimage(kernel(u))),
+        image_ker_v_is_uds=vds(u, B, image(kernel(v))) if surjective else None,
+    )
+
+
+def test_transport_memo_answers_each_question_with_its_own_verdict(monkeypatch):
+    # on certified input every verdict holds, so a memo that answered one
+    # question with another's verdict would go unseen; plant a failing
+    # deductive-system test on one set at a time instead, and compare each
+    # operator's report with the reference under the same plant
+    real = morphisms._is_ds
+    planted = 0
+    for f, vs in _shared_endomorphisms(_seed_pool()):
+        A = f.source
+        asked = set()
+        monkeypatch.setattr(morphisms, "_is_ds", lambda B, s: asked.add(s) or real(B, s))
+        for v in vs:
+            transport(VtHomomorphism(Homomorphism(A, A, f.map), v, v))
+        for bad in asked:
+
+            def is_ds(B, s, bad=bad):
+                return s != bad and real(B, s)
+
+            monkeypatch.setattr(morphisms, "_is_ds", is_ds)
+            h = Homomorphism(A, A, f.map)  # the memo is filled under the plant
+            for v in vs:
+                g = VtHomomorphism(h, v, v)
+                assert transport(g) == _reference_transport(g, is_ds), (f.names(), v.names())
+            planted += 1
+    assert planted
 
 
 def test_homomorphism_memo_is_invisible_to_equality_hash_and_repr():

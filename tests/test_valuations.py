@@ -1,9 +1,13 @@
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psbck.errors import MalformedInput
-from psbck.operators import UnaryMap
+from psbck.operators import UnaryMap, Witness
 from psbck.valuations import (
     PseudoValuation,
     certify,
@@ -78,3 +82,68 @@ def test_certify_rejects(four_elt):
 def test_total_over_carrier(four_elt):
     with pytest.raises(MalformedInput):
         PseudoValuation(four_elt, (Fraction(0),))
+
+
+# -- the integer kernel against the rationals it stands for -----------------
+
+
+def _fraction_witness(A, values):
+    """pv1 to pv3 tested on the rationals themselves, in the documented
+    order: pv1, pv2 over (x, y) in id order, then pv3."""
+    values = tuple(Fraction(v) for v in values)
+    if values[A.one] != 0:
+        return Witness("pv1", (A.name(A.one),)), None
+    for x, y in product(A.elements, repeat=2):
+        if values[y] - values[x] > min(values[A.arrow[x][y]], values[A.squig[x][y]]):
+            return Witness("pv2", (A.name(x), A.name(y))), None
+    zero = next((x for x in A.elements if x != A.one and values[x] == 0), None)
+    return None, None if zero is None else Witness("pv3", (A.name(zero),))
+
+
+# small fractions: their denominators often share a factor without one
+# dividing the other, and their sums often tie
+SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+# any sign, zero, and denominators up to 10**12
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    SMALL,
+    st.fractions(max_denominator=10**12),
+)
+
+
+@st.composite
+def _valued_algebras(draw, pool):
+    A = draw(st.sampled_from(pool))
+    kind = draw(st.sampled_from(("small", "random", "unit", "ties")))
+    if kind in ("small", "random"):
+        values = draw(st.lists(SMALL if kind == "small" else RATIONALS, min_size=A.n, max_size=A.n))
+    elif kind == "unit":
+        # a positive multiple of the unit-cost valuation, perturbed at one
+        # element: pseudo-valuations and near misses with large denominators
+        scale = draw(st.fractions(min_value=0, max_value=10**6, max_denominator=10**12))
+        values = [scale] * A.n
+        values[draw(st.sampled_from(A.elements))] += draw(RATIONALS)
+    else:
+        # sums and differences of two rationals with unrelated denominators,
+        # so that phi(y) - phi(x) meets the bound exactly
+        p, q = draw(RATIONALS), draw(RATIONALS)
+        atoms = (Fraction(0), p, q, p + q, p - q, q - p, -p)
+        values = draw(st.lists(st.sampled_from(atoms), min_size=A.n, max_size=A.n))
+    if draw(st.booleans()):
+        values[A.one] = Fraction(0)
+    return A, values
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_integer_kernel_matches_the_rationals(pool, data):
+    A, values = data.draw(_valued_algebras(pool))
+    pv, pv3 = _fraction_witness(A, values)
+    assert is_pseudo_valuation(A, values) == pv
+    assert is_valuation(A, values) == (pv or pv3)
+    if pv is None:
+        assert certify(A, values).values == tuple(values)
+    else:
+        with pytest.raises(MalformedInput, match=re.escape(f"not a pseudo-valuation: {pv}")):
+            certify(A, values)
