@@ -128,10 +128,6 @@ class FiniteAlgebra:
             )
         return memo["double-neg"]
 
-    def double_neg_ms(self, x: int) -> int:
-        """x^{-~} = (x -> 0) ~> 0."""
-        return self.double_negations()[0][x]
-
     def regular_elements(self) -> frozenset[int]:
         ms, sm = self.double_negations()
         return frozenset(x for x in self.elements if ms[x] == x == sm[x])

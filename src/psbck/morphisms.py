@@ -176,12 +176,6 @@ def enumerate_vthom(
     return [f for f in enumerate_hom(A, B) if intertwine_failure(f.map, v, u) is None]
 
 
-def is_vt_subalgebra(v: UnaryMap, members) -> bool:
-    """Subset closed under ->, ~>, containing 1 and stable under v."""
-    A, members = v.parent, frozenset(members)
-    return A.one in members and A.unclosed_pair(members) is None and v.preserves(members)
-
-
 @dataclass(frozen=True)
 class TransportReport:
     image_is_vt_subalgebra: bool

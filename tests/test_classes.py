@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import golden_up_sets
-from psbck import classes
+from psbck import classes, goldens
 from psbck.algebra import FiniteAlgebra, validate
 from psbck.classes import (
     ClassificationReport,
@@ -513,7 +513,16 @@ def test_classify_matches_a_reference_that_tests_the_theorems(pool):
         direct_product(goedel_chain(2), lukasiewicz_chain(4)),
         direct_product(goedel_chain(2), lukasiewicz_chain(5)),
     ]
-    algebras = pool + list(golden_up_sets()) + large + random_batch(7, 40)
+    # a finite pP algebra has a least element (the product of all its
+    # elements), so pP without a declared zero and without a lattice is the only
+    # kind of input that tells "bounded or lattice or pp" from "bounded or
+    # lattice" when the flw witness is written
+    G = goldens.six_element_involutive()
+    pp_only = validate(G.element_names, G.one, G.arrow, G.squig)
+    report = classify(pp_only)
+    assert (report.bounded, report.lattice, report.pp) == (False, False, True)
+    assert ("flw", "requires bounded + lattice + pseudo-product") in report.witnesses
+    algebras = pool + list(golden_up_sets()) + large + random_batch(7, 40) + [pp_only]
     levels = set()
     for A in algebras:
         report = classify(A)

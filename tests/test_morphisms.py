@@ -23,7 +23,6 @@ from psbck.morphisms import (
     first_isomorphism,
     is_hom,
     is_isomorphic,
-    is_vt_subalgebra,
     is_vthom,
     pushforward_ds,
     transport,
@@ -129,9 +128,14 @@ def test_operators_must_live_on_the_algebras_they_are_checked_on(six_elt, six_sm
 def test_vt_subalgebra_check(six_elt):
     A = six_elt
     v10 = enumerate_vto(A)[-1]
-    assert is_vt_subalgebra(v10, set(A.elements))
-    assert is_vt_subalgebra(v10, {A.one, A.index("e")})
-    assert not is_vt_subalgebra(v10, {A.index("e")})
+
+    def is_vt_subalgebra(members):
+        # contains 1, closed under both implications, stable under v10
+        return A.one in members and A.unclosed_pair(members) is None and v10.preserves(members)
+
+    assert is_vt_subalgebra(set(A.elements))
+    assert is_vt_subalgebra({A.one, A.index("e")})
+    assert not is_vt_subalgebra({A.index("e")})
 
 
 def test_factor_through_trivial_system(six_elt):

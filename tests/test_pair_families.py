@@ -77,11 +77,13 @@ def _reference_families(A):
     """(name, ok, detail) of the six families, in ``run_suite`` order."""
     into, vto = enumerate_interior(A), enumerate_vto(A)
     out = [
-        _all_pairs(
+        (
             "interior-absorption",
-            product(into, repeat=2),
-            lambda f, g: all(A.leq(a, b) for a, b in zip(f.image, g.image))
-            == (compose(f, g).image == f.image),
+            *_all_pairs(
+                product(into, repeat=2),
+                lambda f, g: all(A.leq(a, b) for a, b in zip(f.image, g.image))
+                == (compose(f, g).image == f.image),
+            ),
         )
     ]
 
@@ -93,20 +95,24 @@ def _reference_families(A):
         return a == b == c
 
     out.append(
-        _all_pairs("interior-commutation", combinations_with_replacement(into, 2), three_way)
+        ("interior-commutation", *_all_pairs(combinations_with_replacement(into, 2), three_way))
     )
     out.append(
-        _all_pairs(
+        (
             "interior-fix-injective",
-            combinations(into, 2),
-            lambda f, g: fix_points(f) != fix_points(g) or f.image == g.image,
+            *_all_pairs(
+                combinations(into, 2),
+                lambda f, g: fix_points(f) != fix_points(g) or f.image == g.image,
+            ),
         )
     )
     out.append(
-        _all_pairs(
+        (
             "vto-image-injective",
-            combinations(vto, 2),
-            lambda f, g: image_set(f) != image_set(g) or f.image == g.image,
+            *_all_pairs(
+                combinations(vto, 2),
+                lambda f, g: image_set(f) != image_set(g) or f.image == g.image,
+            ),
         )
     )
 
@@ -116,17 +122,16 @@ def _reference_families(A):
         return both == (fg.image == gf.image)
 
     out.append(
-        _all_pairs(
+        (
             "vto-composition-commutation",
-            combinations_with_replacement(vto, 2),
-            vto_commutation,
+            *_all_pairs(combinations_with_replacement(vto, 2), vto_commutation),
         )
     )
     if A.bounded:
         out.append(
-            _all("interior-negation-arithmetic", (_reference_negation(A, f) for f in into))
+            ("interior-negation-arithmetic", *_all(_reference_negation(A, f) for f in into))
         )
-    return [(r.name, r.ok, r.detail) for r in out]
+    return out
 
 
 def _interior_axioms(f):
