@@ -3,13 +3,11 @@
 The pseudo-product is always derived from the order: x (.) y is the least
 element of {z | x <= y->z}, which is also the least element of
 {z | y <= x~>z}, since x <= y->z iff y <= x~>z in every pseudo-BCK
-algebra.  User-supplied product tables are cross-checked against this
-oracle, never trusted.  Lattice meets and joins likewise come from the
-derived order; a missing bound is a classification witness, not an
-exception.  All three are read off the order rows of
-``FiniteAlgebra.order_masks``.  The FLw level is decided by theorem:
-a bounded lattice with a pseudo-product is a bounded integral residuated
-lattice (see ``_classify``).
+algebra.  Lattice meets and joins likewise come from the derived order;
+a missing bound is a classification witness, not an exception.  All
+three are read off the order rows of ``FiniteAlgebra.order_masks``.  The
+FLw level is decided by theorem: a bounded lattice with a pseudo-product
+is a bounded integral residuated lattice (see ``_classify``).
 
 This module runs no search of its own: its operators come from the map
 search in ``operators``, and its Smarandache candidates Q from the
@@ -19,7 +17,7 @@ implications from {0, 1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 from .algebra import FiniteAlgebra, restrict, size_cap
@@ -97,17 +95,6 @@ def pseudo_product(A: FiniteAlgebra):
     return memo["odot"]
 
 
-def cross_check_product(A: FiniteAlgebra, odot) -> tuple[int, int] | None:
-    """First pair where a user-supplied product disagrees with the oracle."""
-    od, wit = pseudo_product(A)
-    if od is None:
-        return wit
-    for x, y in product(A.elements, repeat=2):
-        if odot[x][y] != od[x][y]:
-            return (x, y)
-    return None
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     bounded: bool
@@ -124,16 +111,8 @@ class ClassificationReport:
         return dict(self.witnesses).get(level)
 
     def levels(self) -> dict[str, bool]:
-        return {
-            "bounded": self.bounded,
-            "lattice": self.lattice,
-            "pp": self.pp,
-            "flw": self.flw,
-            "mtl": self.mtl,
-            "divisible": self.divisible,
-            "bl": self.bl,
-            "mv": self.mv,
-        }
+        """Each class level by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witnesses"}
 
 
 def classify(A: FiniteAlgebra) -> ClassificationReport:

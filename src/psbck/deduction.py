@@ -149,16 +149,20 @@ class QuotientAlgebra:
 
         Raises WellDefinednessFailure if ``values`` differs inside a class.
         """
-        img = [None] * self.algebra.n
-        for x, val in enumerate(values):
-            cls = self.class_of[x]
-            if img[cls] is None:
-                img[cls] = val
-            elif img[cls] != val:
-                raise WellDefinednessFailure(
-                    f"map disagrees inside class of {self.parent.name(x)}"
-                )
-        return tuple(img)
+        return _induce(self.parent, self.class_of, values)
+
+
+def _induce(A: FiniteAlgebra, class_of, values) -> tuple:
+    """``QuotientAlgebra.induce`` on the classes ``class_of``, before the
+    quotient algebra exists."""
+    img = [None] * (max(class_of) + 1)
+    for x, val in enumerate(values):
+        cls = class_of[x]
+        if img[cls] is None:
+            img[cls] = val
+        elif img[cls] != val:
+            raise WellDefinednessFailure(f"map disagrees inside class of {A.name(x)}")
+    return tuple(img)
 
 
 def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
@@ -187,24 +191,18 @@ def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
         for y in range(x, A.n):
             if related[x][y]:
                 class_of[y] = cls
-    k = len(reps)
-    arrow = [[None] * k for _ in range(k)]
-    squig = [[None] * k for _ in range(k)]
-    for x, y in product(A.elements, repeat=2):
-        cx, cy = class_of[x], class_of[y]
-        va, vs = class_of[A.arrow[x][y]], class_of[A.squig[x][y]]
-        if arrow[cx][cy] is None:
-            arrow[cx][cy], squig[cx][cy] = va, vs
-        elif arrow[cx][cy] != va or squig[cx][cy] != vs:
-            raise WellDefinednessFailure(
-                f"tables disagree on classes of ({A.name(x)},{A.name(y)})"
-            )
+
+    def table(rows):
+        # [x]->[y] = [x->y]: each row induced on the classes of y, then the
+        # rows on the classes of x
+        return _induce(A, class_of, [_induce(A, class_of, [class_of[z] for z in r]) for r in rows])
+
     # the class of 0 is the bottom, since [0] -> [x] = [0 -> x] = [1]
     quotient = FiniteAlgebra(
         element_names=tuple(f"[{A.name(r)}]" for r in reps),
         one=class_of[A.one],
-        arrow=tuple(tuple(r) for r in arrow),
-        squig=tuple(tuple(r) for r in squig),
+        arrow=table(A.arrow),
+        squig=table(A.squig),
         zero=class_of[A.zero] if A.zero is not None else None,
     )
     return QuotientAlgebra(A, H, quotient, tuple(class_of))

@@ -180,15 +180,13 @@ def parse_raw(text: str) -> RawDocument:
     return RawDocument(blocks, maps, valuations, subsets)
 
 
-def _resolve_algebra(block: AlgebraBlock) -> FiniteAlgebra:
+def _element_ids(block: AlgebraBlock):
+    """(element names, ``elem``) of a block: ``elem`` maps an element token
+    to its id and fails located at an unknown name.  Duplicate names are
+    left to the caller."""
     if not block.elements:
         _fail("algebra block is missing 'elements:'", block.name)
-    names = [t.text for t in block.elements]
-    seen = {}
-    for t in block.elements:
-        if t.text in seen:
-            _fail(f"duplicate element name {t.text!r}", t)
-        seen[t.text] = t
+    names = tuple(t.text for t in block.elements)
     idx = {s: i for i, s in enumerate(names)}
 
     def elem(tok: Token) -> int:
@@ -196,6 +194,16 @@ def _resolve_algebra(block: AlgebraBlock) -> FiniteAlgebra:
             _fail(f"unknown element {tok.text!r}", tok)
         return idx[tok.text]
 
+    return names, elem
+
+
+def _resolve_algebra(block: AlgebraBlock) -> FiniteAlgebra:
+    names, elem = _element_ids(block)
+    seen = set()
+    for t in block.elements:
+        if t.text in seen:
+            _fail(f"duplicate element name {t.text!r}", t)
+        seen.add(t.text)
     if block.one is None:
         _fail("algebra block is missing 'one:'", block.name)
     one = elem(block.one)
@@ -220,7 +228,7 @@ def _resolve_algebra(block: AlgebraBlock) -> FiniteAlgebra:
     arrow = table(block.arrow, "arrow")
     squig = table(block.squig, "squig")
     try:
-        return validate(tuple(names), one, arrow, squig, zero=zero)
+        return validate(names, one, arrow, squig, zero=zero)
     except NotCertified as exc:
         _fail(f"algebra {block.name.text!r} fails certification: {exc}", block.name)
 
@@ -301,16 +309,7 @@ def diagnose_raw(raw: RawDocument) -> dict[str, list]:
     """
     out = {}
     for name, block in raw.blocks.items():
-        if not block.elements:
-            _fail("algebra block is missing 'elements:'", block.name)
-        names = tuple(t.text for t in block.elements)
-        idx = {s: i for i, s in enumerate(names)}
-
-        def elem(tok: Token) -> int:
-            if tok.text not in idx:
-                _fail(f"unknown element {tok.text!r}", tok)
-            return idx[tok.text]
-
+        names, elem = _element_ids(block)
         if block.one is None:
             _fail("algebra block is missing 'one:'", block.name)
         rows = {}

@@ -10,7 +10,6 @@ from psbck.algebra import FiniteAlgebra, validate
 from psbck.classes import (
     ClassificationReport,
     classify,
-    cross_check_product,
     enumerate_vto_flw,
     flw_arithmetic_suite,
     is_vto_flw,
@@ -108,18 +107,6 @@ def test_product_table_on_the_chain_substructure(six_sm):
     assert rows["c"] == ("0", "d", "d", "c")
     assert rows["d"] == ("0", "d", "d", "d")
     assert rows["1"] == ("0", "c", "d", "1")
-
-
-def test_cross_check_rejects_the_swapped_table(six_sm):
-    q = frozenset(six_sm.index(n) for n in ("0", "c", "d", "1"))
-    sub = six_sm.subalgebra(q)
-    od, _ = pseudo_product(sub)
-    good = [list(r) for r in od]
-    assert cross_check_product(sub, good) is None
-    c, d = sub.index("c"), sub.index("d")
-    swapped = [list(r) for r in good]
-    swapped[c], swapped[d] = swapped[d], swapped[c]
-    assert cross_check_product(sub, swapped) is not None
 
 
 def test_smarandache_search_finds_the_chain(six_sm):

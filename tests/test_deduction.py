@@ -101,6 +101,21 @@ def test_induce_rejects_a_map_that_differs_inside_a_class(six_sm):
         quot.induce(list(A.elements))
 
 
+def test_congruence_from_rejects_a_forged_normal_system(four_elt, six_elt, six_sm):
+    # a system that is not normal, forged as normal, relates elements whose
+    # implications fall in different classes: inducing the tables fails
+    forged = [
+        (A, DeductiveSystem(A, d.members, True))
+        for A in (four_elt, six_elt, six_sm)
+        for d in enumerate_ds(A)
+        if not d.normal
+    ]
+    assert len(forged) == 4
+    for A, H in forged:
+        with pytest.raises(WellDefinednessFailure, match="map disagrees inside class of"):
+            congruence_from(A, H)
+
+
 def test_quotient_requires_normal(four_elt):
     H = DeductiveSystem.from_members(
         four_elt, {four_elt.one, four_elt.index("b")}

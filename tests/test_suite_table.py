@@ -10,12 +10,13 @@ statement, so every family and every gate lives in the table.
 
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import golden_up_sets
 from psbck import goldens, suite
-from psbck.generate import _seed_pool, lukasiewicz_chain
+from psbck.generate import _seed_pool, goedel_chain, lukasiewicz_chain
 from psbck.suite import FAMILIES, Facts, run_suite
 
 SRC = Path(suite.__file__)
@@ -50,6 +51,24 @@ def test_names_are_the_table_rows_whose_gate_holds(suites):
     # every family runs somewhere, and every gate is closed somewhere
     assert reported == set(names)
     assert skipped == {name for name, gate, _ in FAMILIES if gate is not None}
+
+
+def test_the_hom_families_follow_the_cap_override(monkeypatch):
+    # 9 elements are past the default hom cap of 8, not past PSBCK_MAX_N=9
+    A = goedel_chain(9)
+    assert Facts.of(A).homs is None
+    monkeypatch.setenv("PSBCK_MAX_N", "9")
+    assert Facts.of(A).homs is not None
+    results = run_suite(A)
+    assert all(r.ok for r in results)
+    assert {"homs-preserve", "homs-monotone", "vthom-transport"} <= {r.name for r in results}
+
+
+def test_the_smarandache_gate_sets_no_size_limit_of_its_own():
+    # the caps of the searches it runs are the only size limit; the gate is
+    # tested alone, since run_suite on a 13-element chain takes minutes
+    gate = next(gate for name, gate, _ in FAMILIES if name == "smarandache-antitone")
+    assert gate(SimpleNamespace(A=goedel_chain(13)))
 
 
 def test_a_wrapped_table_sees_each_reported_family_once(suites, monkeypatch):

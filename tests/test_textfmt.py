@@ -4,7 +4,7 @@ import pytest
 
 from psbck import goldens
 from psbck.deduction import DeductiveSystem, congruence_from
-from psbck.errors import ParseError
+from psbck.errors import MalformedInput, ParseError
 from psbck.morphisms import is_isomorphic
 from psbck.textfmt import (
     diagnose_raw,
@@ -94,6 +94,49 @@ def test_missing_row():
 def test_duplicate_definition():
     err = _err(MINI + "\nmap f on A: 0 1\n")
     assert "duplicate definition of 'f'" in str(err)
+
+
+TWIN_NAMES = """\
+algebra A
+  elements: a a
+  one: a
+  arrow:
+    a a
+    a a
+  squig:
+    a a
+    a a
+"""
+
+
+def test_parse_and_diagnose_raw_resolve_element_names_alike():
+    # the checks both passes share, with the same message
+    for text, message in (
+        (MINI.replace("  elements: 0 1\n", ""), "algebra block is missing 'elements:'"),
+        (MINI.replace("  one: 1\n", "  one: 2\n"), "unknown element '2'"),
+    ):
+        assert message in str(_err(text))
+        with pytest.raises(ParseError, match=message):
+            diagnose_raw(parse_raw(text))
+
+
+def test_duplicate_element_names_are_found_by_each_pass_in_its_own_way():
+    # parse locates the second name, before it looks for 'one:'
+    err = _err(TWIN_NAMES)
+    assert "duplicate element name 'a'" in str(err)
+    assert (err.line, err.column) == (2, 15)
+    assert "duplicate element name" in str(_err(TWIN_NAMES.replace("  one: a\n", "")))
+    # diagnose_raw leaves it to diagnose, after 'one:'
+    with pytest.raises(MalformedInput, match="duplicate element names"):
+        diagnose_raw(parse_raw(TWIN_NAMES))
+    with pytest.raises(ParseError, match="missing 'one:'"):
+        diagnose_raw(parse_raw(TWIN_NAMES.replace("  one: a\n", "")))
+
+
+def test_diagnose_raw_reports_a_ragged_table_as_not_square():
+    bad = MINI.replace("    1 1\n    0 1\n  squig:", "    1 1 1\n    0 1\n  squig:", 1)
+    with pytest.raises(ParseError, match="arrow table is not square"):
+        diagnose_raw(parse_raw(bad))
 
 
 def test_axiom_failure_reported_at_block():
