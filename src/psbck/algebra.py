@@ -29,17 +29,16 @@ def size_cap(default: int) -> int:
 
 
 @dataclass(frozen=True)
-class Diagnostic:
-    """One violated axiom with a single (lexicographically least) witness."""
+class Witness:
+    """A violated law with its first counterexample, as element names."""
 
     axiom: str
-    witness: tuple[str, ...]
+    elements: tuple[str, ...]
     detail: str = ""
 
     def __str__(self) -> str:
-        w = ",".join(self.witness)
         tail = f" ({self.detail})" if self.detail else ""
-        return f"{self.axiom}[{w}]{tail}"
+        return f"{self.axiom}[{','.join(self.elements)}]{tail}"
 
 
 @dataclass(frozen=True)
@@ -198,12 +197,32 @@ def _glivenko_law(A: FiniteAlgebra) -> bool:
     """(x -> y)^{-~} = x -> y^{-~} and (x ~> y)^{-~} = x ~> y^{-~} for all
     x, y of a good algebra."""
     dn, ar, sq = A.double_negations()[0], A.arrow, A.squig
-    for x, y in product(A.elements, repeat=2):
-        if dn[ar[x][y]] != ar[x][dn[y]]:
-            return False
-        if dn[sq[x][y]] != sq[x][dn[y]]:
-            return False
-    return True
+    return first_failure(
+        A, 2, lambda x, y: dn[ar[x][y]] == ar[x][dn[y]] and dn[sq[x][y]] == sq[x][dn[y]]
+    ) is None
+
+
+def _witness(A: FiniteAlgebra, axiom: str, tup) -> Witness:
+    return Witness(axiom, tuple(A.name(t) for t in tup))
+
+
+def first_failure(A: FiniteAlgebra, arity: int, holds) -> tuple[int, ...] | None:
+    """The first tuple of ``product(A.elements, repeat=arity)`` on which
+    ``holds`` fails, or None: the witness order of every law checker."""
+    for t in product(A.elements, repeat=arity):
+        if not holds(*t):
+            return t
+    return None
+
+
+def first_witness(A: FiniteAlgebra, laws) -> Witness | None:
+    """The first row (name, arity, holds) of ``laws`` that fails, as a
+    Witness of that name at its ``first_failure``; None if all hold."""
+    for name, arity, holds in laws:
+        t = first_failure(A, arity, holds)
+        if t is not None:
+            return _witness(A, name, t)
+    return None
 
 
 def restrict(values, members) -> tuple[int, ...]:
@@ -215,7 +234,8 @@ def restrict(values, members) -> tuple[int, ...]:
     return tuple(pos[values[x]] for x in keep)
 
 
-def diagnose(element_names, one, arrow, squig, zero=None) -> list[Diagnostic]:
+# loops, not law rows: it checks outside input and reports every failing axiom
+def diagnose(element_names, one, arrow, squig, zero=None) -> list[Witness]:
     """Check the pseudo-BCK axioms on raw tables.
 
     Structural problems (ragged rows, out-of-range ids, duplicate names)
@@ -252,7 +272,7 @@ def diagnose(element_names, one, arrow, squig, zero=None) -> list[Diagnostic]:
     diags = []
 
     def record(axiom, witness, detail=""):
-        diags.append(Diagnostic(axiom, tuple(names[w] for w in witness), detail))
+        diags.append(Witness(axiom, tuple(names[w] for w in witness), detail))
 
     rng = range(n)
     for x in rng:
@@ -319,103 +339,49 @@ def validate(element_names, one, arrow, squig, zero=None) -> FiniteAlgebra:
     )
 
 
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    ok: bool
-    witness: tuple[str, ...] = ()
-
-
-def derived_law_suite(algebra: FiniteAlgebra) -> list[LawResult]:
-    """Self-test: the arithmetic facts every certified algebra must satisfy.
+def derived_law_suite(algebra: FiniteAlgebra) -> Witness | None:
+    """Self-test: the arithmetic facts every certified algebra must satisfy
+    (first counterexample or None).
 
     Covers the exchange/monotonicity laws of the implication pair and, on
     bounded algebras, the negation arithmetic.  A failure on a certified
     algebra indicates an internal bug.
     """
     A = algebra
-    rng = A.elements
-    results = []
-
-    def check(law, ok, witness=()):
-        results.append(LawResult(law, ok, tuple(A.name(w) for w in witness)))
-
-    def first_fail(label, pred, arity):
-        for tup in product(rng, repeat=arity):
-            if not pred(*tup):
-                check(label, False, tup)
-                return
-        check(label, True)
-
     ar, sq, leq = A.arrow, A.squig, A.leq
-    first_fail("exchange", lambda x, y, z: ar[x][sq[y][z]] == sq[y][ar[x][z]], 3)
-    first_fail(
-        "left-antitone",
-        lambda x, y, z: not leq(x, y)
-        or (leq(ar[y][z], ar[x][z]) and leq(sq[y][z], sq[x][z])),
-        3,
-    )
-    first_fail(
-        "right-monotone",
-        lambda x, y, z: not leq(x, y)
-        or (leq(ar[z][x], ar[z][y]) and leq(sq[z][x], sq[z][y])),
-        3,
-    )
-    first_fail(
-        "prefixing",
-        lambda x, y, z: leq(ar[x][y], ar[ar[z][x]][ar[z][y]])
-        and leq(sq[x][y], sq[sq[z][x]][sq[z][y]]),
-        3,
-    )
-    if not A.bounded:
-        return results
-
-    nm, ns = A.neg_minus, A.neg_sim
-    first_fail("dn-expansion", lambda x: leq(x, ns(nm(x))) and leq(x, nm(ns(x))), 1)
-    first_fail(
-        "contraposition-swap",
-        lambda x, y: ar[x][ns(y)] == sq[y][nm(x)] and sq[x][nm(y)] == ar[y][ns(x)],
-        2,
-    )
-    first_fail(
-        "dn-contraposition",
-        lambda x, y: ar[ns(x)][ns(nm(y))] == sq[nm(y)][nm(ns(x))]
-        and sq[nm(x)][nm(ns(y))] == ar[ns(y)][ns(nm(x))],
-        2,
-    )
-    first_fail(
-        "neg-antitone",
-        lambda x, y: not leq(x, y)
-        or (
-            leq(nm(y), nm(x))
-            and leq(ns(y), ns(x))
-            and leq(ns(nm(x)), ns(nm(y)))
-            and leq(nm(ns(x)), nm(ns(y)))
-        ),
-        2,
-    )
-    first_fail("triple-neg", lambda x: nm(ns(nm(x))) == nm(x) and ns(nm(ns(x))) == ns(x), 1)
-    first_fail(
-        "dn-implication-1",
-        lambda x, y: ar[x][ns(nm(y))] == sq[nm(y)][nm(x)] == ar[ns(nm(x))][ns(nm(y))]
-        and sq[x][nm(ns(y))] == ar[ns(y)][ns(x)] == sq[nm(ns(x))][nm(ns(y))],
-        2,
-    )
-    first_fail(
-        "dn-implication-2",
-        lambda x, y: ar[x][ns(y)] == sq[nm(ns(y))][nm(x)] == ar[ns(nm(x))][ns(y)]
-        and sq[x][nm(y)] == ar[ns(nm(y))][ns(x)] == sq[nm(ns(x))][nm(y)],
-        2,
-    )
-    first_fail(
-        "dn-stability",
-        lambda x, y: nm(ns(ar[x][nm(ns(y))])) == ar[x][nm(ns(y))]
-        and ns(nm(sq[x][ns(nm(y))])) == sq[x][ns(nm(y))],
-        2,
-    )
-    first_fail(
-        "neg-contraposition",
-        lambda x, y: leq(ar[x][y], sq[nm(y)][nm(x)]) and leq(sq[x][y], ar[ns(y)][ns(x)]),
-        2,
-    )
-    return results
+    laws = [
+        ("exchange", 3, lambda x, y, z: ar[x][sq[y][z]] == sq[y][ar[x][z]]),
+        ("left-antitone", 3, lambda x, y, z: not leq(x, y)
+            or (leq(ar[y][z], ar[x][z]) and leq(sq[y][z], sq[x][z]))),
+        ("right-monotone", 3, lambda x, y, z: not leq(x, y)
+            or (leq(ar[z][x], ar[z][y]) and leq(sq[z][x], sq[z][y]))),
+        ("prefixing", 3, lambda x, y, z: leq(ar[x][y], ar[ar[z][x]][ar[z][y]])
+            and leq(sq[x][y], sq[sq[z][x]][sq[z][y]])),
+    ]
+    if A.bounded:
+        nm, ns = A.neg_minus, A.neg_sim
+        laws += [
+            ("dn-expansion", 1, lambda x: leq(x, ns(nm(x))) and leq(x, nm(ns(x)))),
+            ("contraposition-swap", 2, lambda x, y: ar[x][ns(y)] == sq[y][nm(x)]
+                and sq[x][nm(y)] == ar[y][ns(x)]),
+            ("dn-contraposition", 2, lambda x, y: ar[ns(x)][ns(nm(y))] == sq[nm(y)][nm(ns(x))]
+                and sq[nm(x)][nm(ns(y))] == ar[ns(y)][ns(nm(x))]),
+            ("neg-antitone", 2, lambda x, y: not leq(x, y) or (
+                leq(nm(y), nm(x))
+                and leq(ns(y), ns(x))
+                and leq(ns(nm(x)), ns(nm(y)))
+                and leq(nm(ns(x)), nm(ns(y)))
+            )),
+            ("triple-neg", 1, lambda x: nm(ns(nm(x))) == nm(x) and ns(nm(ns(x))) == ns(x)),
+            ("dn-implication-1", 2, lambda x, y:
+                ar[x][ns(nm(y))] == sq[nm(y)][nm(x)] == ar[ns(nm(x))][ns(nm(y))]
+                and sq[x][nm(ns(y))] == ar[ns(y)][ns(x)] == sq[nm(ns(x))][nm(ns(y))]),
+            ("dn-implication-2", 2, lambda x, y:
+                ar[x][ns(y)] == sq[nm(ns(y))][nm(x)] == ar[ns(nm(x))][ns(y)]
+                and sq[x][nm(y)] == ar[ns(nm(y))][ns(x)] == sq[nm(ns(x))][nm(y)]),
+            ("dn-stability", 2, lambda x, y: nm(ns(ar[x][nm(ns(y))])) == ar[x][nm(ns(y))]
+                and ns(nm(sq[x][ns(nm(y))])) == sq[x][ns(nm(y))]),
+            ("neg-contraposition", 2, lambda x, y: leq(ar[x][y], sq[nm(y)][nm(x)])
+                and leq(sq[x][y], ar[ns(y)][ns(x)])),
+        ]
+    return first_witness(A, laws)

@@ -20,18 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from itertools import product
 
-from .algebra import FiniteAlgebra, restrict, size_cap
-from .deduction import _closed_sets
-from .errors import CarrierTooLarge, NotFLw, NotSmarandache, PPRequired
-from .operators import (
-    UnaryMap,
+from .algebra import (
+    FiniteAlgebra,
     Witness,
     _witness,
-    certify_vto,
-    enumerate_interior,
-    enumerate_vto,
-    is_vto,
+    first_failure,
+    first_witness,
+    restrict,
+    size_cap,
 )
+from .deduction import _closed_sets
+from .errors import CarrierTooLarge, NotFLw, NotSmarandache, PPRequired
+from .operators import UnaryMap, certify_vto, enumerate_vto, is_vto
 
 DEFAULT_SMARANDACHE_CAP = 16
 
@@ -152,29 +152,22 @@ def _classify(A: FiniteAlgebra) -> ClassificationReport:
     if not flw and (bounded or lattice or pp):
         wit.append(("flw", "requires bounded + lattice + pseudo-product"))
 
-    pairs = list(product(A.elements, repeat=2))
-
-    def holds(level, law, fails):
-        # the first pair that fails is the witness
-        bad = next((t for t in pairs if fails(*t)), None)
-        if bad is not None:
-            wit.append((level, f"{law} fails at ({name_pair(bad)})"))
-        return bad is None
-
-    ar, sq, one = A.arrow, A.squig, A.one
-    mt, jt = lat if flw else (None, None)
-    mtl = flw and holds(
-        "mtl", "prelinearity",
-        lambda x, y: jt[ar[x][y]][ar[y][x]] != one or jt[sq[x][y]][sq[y][x]] != one,
-    )
-    divisible = flw and holds(
-        "divisible", "divisibility",
-        lambda x, y: od[ar[x][y]][x] != mt[x][y] or od[x][sq[x][y]] != mt[x][y],
-    )
-    mv = flw and holds(
-        "mv", "join identity",
-        lambda x, y: not jt[x][y] == sq[ar[x][y]][y] == ar[sq[x][y]][y],
-    )
+    found = []
+    if flw:
+        ar, sq, one, (mt, jt) = A.arrow, A.squig, A.one, lat
+        for level, law, holds in (
+            ("mtl", "prelinearity",
+             lambda x, y: jt[ar[x][y]][ar[y][x]] == one == jt[sq[x][y]][sq[y][x]]),
+            ("divisible", "divisibility",
+             lambda x, y: od[ar[x][y]][x] == mt[x][y] == od[x][sq[x][y]]),
+            ("mv", "join identity",
+             lambda x, y: jt[x][y] == sq[ar[x][y]][y] == ar[sq[x][y]][y]),
+        ):
+            bad = first_failure(A, 2, holds)
+            if bad is not None:
+                wit.append((level, f"{law} fails at ({name_pair(bad)})"))
+            found.append(bad is None)
+    mtl, divisible, mv = found or (False, False, False)
     return ClassificationReport(
         bounded, lattice, pp, flw, mtl, divisible, mtl and divisible, mv, tuple(wit)
     )
@@ -202,6 +195,7 @@ class PpSuiteReport:
         )
 
 
+# loops, not law rows: a kernel run on every interior operator, with rows hoisted
 def _vt4_prime(A, im) -> Witness | None:
     els, ar, sq, one = A.elements, A.arrow, A.squig, A.one
     for x in els:
@@ -216,6 +210,7 @@ def _vt4_prime(A, im) -> Witness | None:
     return None
 
 
+# loops, not law rows: a kernel run on every interior operator, with rows hoisted
 def _vt4_dprime(A, od, im) -> Witness | None:
     els, ar, one = A.elements, A.arrow, A.one
     for x in els:
@@ -247,7 +242,7 @@ def vt_pp_suite(v: UnaryMap) -> PpSuiteReport:
         row, vrow = ar[od[x][y]], ar[od[im[x]][im[y]]]
         z = next((z for z in els if row[z] == one and vrow[im[z]] != one), None)
         if z is not None:
-            rt = Witness("pp-transfer", tuple(A.name(t) for t in (x, y, z)))
+            rt = _witness(A, "pp-transfer", (x, y, z))
             break
     sm = _vt4_dprime(A, od, im)
     vp = _vt4_prime(A, im)
@@ -255,17 +250,18 @@ def vt_pp_suite(v: UnaryMap) -> PpSuiteReport:
     return PpSuiteReport(rt, sm, vp, True, vp is None, sm is None)
 
 
-def vt4_equivalence_check(A: FiniteAlgebra) -> bool:
+def vt4_equivalence_check(A: FiniteAlgebra, ops) -> bool:
     """The three sub-multiplicativity formulations agree extensionally.
 
     Quantified over all monotone decreasing idempotent maps fixing 1 (the
     hypotheses shared by all three formulations) on a pseudo-product
-    algebra.
+    algebra: ``ops`` are the interior operators on A, as
+    ``operators.enumerate_interior(A)`` gives them.
     """
     od, _ = pseudo_product(A)
     if od is None:
         raise PPRequired("algebra has no pseudo-product")
-    for f in enumerate_interior(A):
+    for f in ops:
         if f.image[A.one] != A.one:
             continue
         # f fixes 1 and is decreasing and idempotent, so VT1-VT3 hold
@@ -297,15 +293,12 @@ def is_vto_flw(v: UnaryMap) -> Witness | None:
 
 def _vto_flw_witness(jt, v: UnaryMap) -> Witness | None:
     """VT5, then its equality variant, for a very true v; jt is the join table."""
-    A, im = v.parent, v.image
-    for x, y in product(A.elements, repeat=2):
-        if not A.leq(im[jt[x][y]], jt[im[x]][im[y]]):
-            return Witness("VT5", (A.name(x), A.name(y)))
-    # VT5 + monotonicity force equality over joins
-    for x, y in product(A.elements, repeat=2):
-        if im[jt[x][y]] != jt[im[x]][im[y]]:
-            return Witness("VT5-equality", (A.name(x), A.name(y)))
-    return None
+    A, im, leq = v.parent, v.image, v.parent.leq
+    return first_witness(A, (
+        ("VT5", 2, lambda x, y: leq(im[jt[x][y]], jt[im[x]][im[y]])),
+        # VT5 + monotonicity force equality over joins
+        ("VT5-equality", 2, lambda x, y: im[jt[x][y]] == jt[im[x]][im[y]]),
+    ))
 
 
 def enumerate_vto_flw(A: FiniteAlgebra) -> list[UnaryMap]:
@@ -313,16 +306,6 @@ def enumerate_vto_flw(A: FiniteAlgebra) -> list[UnaryMap]:
     vto = enumerate_vto(A)
     (_, jt), _ = lattice_tables(A)
     return [v for v in vto if _vto_flw_witness(jt, v) is None]
-
-
-@dataclass(frozen=True)
-class CharacterizationResult:
-    left: bool
-    right: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.left == self.right
 
 
 def _every_vto_flw(A: FiniteAlgebra, ops, holds):
@@ -335,8 +318,9 @@ def _every_vto_flw(A: FiniteAlgebra, ops, holds):
     return all(holds(v.image, jt, x, y) for v in ops for x, y in pairs), report
 
 
-def mtl_characterization(A: FiniteAlgebra, ops) -> CharacterizationResult:
-    """Prelinearity holds iff every join-compatible operator splits 1.
+def mtl_characterization(A: FiniteAlgebra, ops) -> bool:
+    """Prelinearity holds iff every join-compatible operator splits 1:
+    whether the two sides agree.
 
     ``ops`` are the VT1-VT5 operators on A, as ``enumerate_vto_flw(A)``
     gives them.  Left: every v in ``ops`` satisfies
@@ -351,11 +335,12 @@ def mtl_characterization(A: FiniteAlgebra, ops) -> CharacterizationResult:
         )
 
     left, report = _every_vto_flw(A, ops, splits_one)
-    return CharacterizationResult(left, report.mtl)
+    return left == report.mtl
 
 
-def mv_characterization(A: FiniteAlgebra, ops) -> CharacterizationResult:
-    """Involutive join identities hold for all operators iff the algebra is MV.
+def mv_characterization(A: FiniteAlgebra, ops) -> bool:
+    """Involutive join identities hold for all operators iff the algebra is
+    MV: whether the two sides agree.
 
     ``ops`` are the VT1-VT5 operators on A, as for ``mtl_characterization``.
     """
@@ -366,7 +351,7 @@ def mv_characterization(A: FiniteAlgebra, ops) -> CharacterizationResult:
         return j == sq[ar[im[x]][im[y]]][im[y]] == ar[sq[im[x]][im[y]]][im[y]]
 
     left, report = _every_vto_flw(A, ops, join_identity)
-    return CharacterizationResult(left, report.mv)
+    return left == report.mv
 
 
 # -- Smarandache substructures -----------------------------------------
@@ -443,6 +428,7 @@ def restrict_vto(v: UnaryMap, q):
     return restr, None
 
 
+# loops, not law rows: one pass over the triples tests several laws at once
 def flw_arithmetic_suite(A: FiniteAlgebra) -> Witness | None:
     """Residuated-lattice arithmetic that must hold on every certified
     bounded integral residuated lattice (first counterexample or None).

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import FiniteAlgebra, restrict, size_cap
+from .algebra import FiniteAlgebra, Witness, restrict, size_cap
 from .deduction import (
     DeductiveSystem,
     QuotientAlgebra,
@@ -43,7 +43,7 @@ from .errors import (
     MalformedInput,
     SurjectivityRequired,
 )
-from .operators import UnaryMap, Witness, _map_search, _require_on, certify_vto, kernel
+from .operators import UnaryMap, _map_search, _require_on, certify_vto, kernel
 
 DEFAULT_HOM_CAP = 8
 
@@ -106,6 +106,7 @@ class VtHomomorphism:
         return self.base.target
 
 
+# loops, not law rows: a kernel run on every endomorphism the suite checks
 def is_hom(f: Homomorphism) -> Witness | None:
     A, B, m = f.source, f.target, f.map
     if len(m) != A.n or any(not 0 <= v < B.n for v in m):

@@ -19,9 +19,8 @@ homomorphism searches on the same engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
-from .algebra import FiniteAlgebra, restrict, size_cap
+from .algebra import FiniteAlgebra, Witness, _witness, first_witness, restrict, size_cap
 from .errors import (
     CarrierTooLarge,
     GlivenkoRequired,
@@ -109,24 +108,12 @@ def kernel(f: UnaryMap) -> frozenset[int]:
     return frozenset(x for x in f.parent.elements if f.image[x] == one)
 
 
-@dataclass(frozen=True)
-class Witness:
-    axiom: str
-    elements: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return f"{self.axiom}[{','.join(self.elements)}]"
-
-
-def _witness(A: FiniteAlgebra, axiom: str, tup) -> Witness:
-    return Witness(axiom, tuple(A.name(t) for t in tup))
-
-
 def is_interior(f: UnaryMap) -> Witness | None:
     """None if f is an interior operator, else the first violated axiom."""
     return _interior_witness(f.parent, f.image)
 
 
+# loops, not law rows: a kernel run on every candidate and composite, with rows hoisted
 def _interior_witness(A: FiniteAlgebra, im) -> Witness | None:
     """``is_interior`` on the image vector ``im`` of a map on A; callers
     that compose maps pass the composite's vector and build no UnaryMap."""
@@ -146,17 +133,12 @@ def _interior_witness(A: FiniteAlgebra, im) -> Witness | None:
 
 
 def is_closure(f: UnaryMap) -> Witness | None:
-    A, im = f.parent, f.image
-    for x in A.elements:
-        if not A.leq(x, im[x]):
-            return _witness(A, "CO1", (x,))
-    for x, y in product(A.elements, repeat=2):
-        if A.leq(x, y) and not A.leq(im[x], im[y]):
-            return _witness(A, "CO2", (x, y))
-    for x in A.elements:
-        if im[im[x]] != im[x]:
-            return _witness(A, "CO3", (x,))
-    return None
+    A, im, leq = f.parent, f.image, f.parent.leq
+    return first_witness(A, (
+        ("CO1", 1, lambda x: leq(x, im[x])),
+        ("CO2", 2, lambda x, y: not leq(x, y) or leq(im[x], im[y])),
+        ("CO3", 1, lambda x: im[im[x]] == im[x]),
+    ))
 
 
 def is_vto(f: UnaryMap) -> Witness | None:
@@ -164,6 +146,7 @@ def is_vto(f: UnaryMap) -> Witness | None:
     return _vto_witness(f.parent, f.image)
 
 
+# loops, not law rows: a kernel run on every candidate and composite, with rows hoisted
 def _vto_witness(A: FiniteAlgebra, im) -> Witness | None:
     """``is_vto`` on the image vector ``im`` of a map on A, as
     ``_interior_witness``."""
@@ -340,15 +323,12 @@ def is_vtst(v: UnaryMap, s1: UnaryMap, s2: UnaryMap) -> Witness | None:
     certify_vto(v)
     if s1.image[A.zero] != A.zero or s2.image[A.zero] != A.zero:
         return _witness(A, "ST1", (A.zero,))
-    for x in A.elements:
-        if not A.leq(x, s1.image[x]) or not A.leq(x, s2.image[x]):
-            return _witness(A, "ST2", (x,))
-    for x, y in product(A.elements, repeat=2):
-        if not A.leq(v.image[A.arrow[x][y]], A.arrow[s1.image[x]][s1.image[y]]):
-            return _witness(A, "ST3", (x, y))
-        if not A.leq(v.image[A.squig[x][y]], A.squig[s2.image[x]][s2.image[y]]):
-            return _witness(A, "ST3", (x, y))
-    return None
+    ar, sq, leq, im, t1, t2 = A.arrow, A.squig, A.leq, v.image, s1.image, s2.image
+    return first_witness(A, (
+        ("ST2", 1, lambda x: leq(x, t1[x]) and leq(x, t2[x])),
+        ("ST3", 2, lambda x, y: leq(im[ar[x][y]], ar[t1[x]][t1[y]])
+            and leq(im[sq[x][y]], sq[t2[x]][t2[y]])),
+    ))
 
 
 # -- liftings ----------------------------------------------------------

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, Witness, first_witness
 from .errors import MalformedInput
-from .operators import UnaryMap, Witness, certify_vto
+from .operators import UnaryMap, certify_vto
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,7 @@ class PseudoValuation:
             raise MalformedInput("valuation must be total over the carrier")
 
 
+# loops, not law rows: a kernel run on every composite valuation, with rows hoisted
 def _pv_witness(A: FiniteAlgebra, values: tuple[Fraction, ...]) -> Witness | None:
     """pv1, then pv2 in (x, y) order, on the integers d * values for the
     common denominator d > 0: multiplying by d keeps every difference,
@@ -75,14 +75,11 @@ def certify(A: FiniteAlgebra, values) -> PseudoValuation:
 def derived_facts(phi: PseudoValuation) -> Witness | None:
     """Order-reversal and nonnegativity, which certified valuations must
     satisfy (first counterexample or None)."""
-    A = phi.parent
-    for x, y in product(A.elements, repeat=2):
-        if A.leq(x, y) and phi.values[x] < phi.values[y]:
-            return Witness("pv4", (A.name(x), A.name(y)))
-    for x in A.elements:
-        if phi.values[x] < 0:
-            return Witness("pv5", (A.name(x),))
-    return None
+    A, val = phi.parent, phi.values
+    return first_witness(A, (
+        ("pv4", 2, lambda x, y: not A.leq(x, y) or val[x] >= val[y]),
+        ("pv5", 1, lambda x: val[x] >= 0),
+    ))
 
 
 def compose_with_vto(phi: PseudoValuation, v: UnaryMap) -> PseudoValuation:

@@ -180,7 +180,7 @@ def test_criterion_7_theorem_suites(corpus_docs, random_batch_suites):
 def test_criterion_8_derived_laws(corpus_docs):
     pool = [A for doc in corpus_docs.values() for A in doc.algebras.values()]
     pool.extend(_seed_pool())
-    ok = all(r.ok for A in pool for r in derived_law_suite(A))
+    ok = all(derived_law_suite(A) is None for A in pool)
     _gate(8, "derived implication laws on every instance", ok)
 
 

@@ -76,7 +76,7 @@ def test_diagnose_reports_each_axiom_with_least_witness():
     axioms = {d.axiom for d in diags}
     assert "psBCK3" in axioms
     d3 = next(d for d in diags if d.axiom == "psBCK3")
-    assert d3.witness == ("a",)
+    assert d3.elements == ("a",)
 
 
 def test_validate_raises_with_diagnostics():
@@ -119,8 +119,7 @@ def test_unbounded_negations_raise():
 
 def test_derived_laws_hold_on_goldens(four_elt, six_elt, six_sm):
     for A in (four_elt, six_elt, six_sm):
-        bad = [r for r in derived_law_suite(A) if not r.ok]
-        assert bad == []
+        assert derived_law_suite(A) is None
 
 
 def test_subalgebra_requires_closure(six_sm):

@@ -33,7 +33,7 @@ from psbck.generate import (
     nonlinear_heyting,
     random_batch,
 )
-from psbck.operators import UnaryMap, enumerate_vto
+from psbck.operators import UnaryMap, enumerate_interior, enumerate_vto, globalization
 
 SM_SVTO = [
     ("0", "0", "0", "1"),
@@ -192,15 +192,23 @@ def test_vto_flw_requires_join_inequality():
 def test_characterizations_agree():
     for A in (goedel_chain(4), lukasiewicz_chain(4), nonlinear_heyting()):
         ops = enumerate_vto_flw(A)
-        assert mtl_characterization(A, ops).agree
-        assert mv_characterization(A, ops).agree
+        assert mtl_characterization(A, ops)
+        assert mv_characterization(A, ops)
+
+
+def test_the_mtl_characterization_reports_a_disagreement():
+    # G2xG2 is prelinear, but globalization does not split 1 at the
+    # incomparable pair, so the two sides differ
+    A = direct_product(goedel_chain(2), goedel_chain(2))
+    assert classify(A).mtl
+    assert mtl_characterization(A, [globalization(A)]) is False
 
 
 def test_pp_suite_and_equivalence(four_elt):
     for v in enumerate_vto(four_elt):
         assert vt_pp_suite(v).ok
-    assert vt4_equivalence_check(four_elt)
-    assert vt4_equivalence_check(goedel_chain(4))
+    assert vt4_equivalence_check(four_elt, enumerate_interior(four_elt))
+    assert vt4_equivalence_check(goedel_chain(4), enumerate_interior(goedel_chain(4)))
 
 
 def test_flw_arithmetic():

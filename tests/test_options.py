@@ -7,7 +7,8 @@ is passed alongside.  This stdlib ``ast`` check pins the (module,
 function, parameter) triple of every defaulted parameter, nested
 functions included, so a new option shows up as an edit to ``OPTIONS``.
 A second check finds parameters, defaulted or not, that the body never
-reads.
+reads.  A third pins the ``@dataclass`` classes, so a new verdict or report
+type shows up as an edit to ``DATACLASSES``.
 """
 
 import ast
@@ -16,7 +17,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "psbck"
 
 OPTIONS = {
-    ("algebra", "check", "witness"),
     ("algebra", "diagnose", "zero"),
     ("algebra", "record", "detail"),
     ("algebra", "validate", "zero"),
@@ -52,7 +52,7 @@ def test_every_option_is_pinned():
         for fn, param in defaulted_parameters(path.read_text(encoding="utf-8"))
     }
     assert census == OPTIONS
-    assert len(OPTIONS) == 11
+    assert len(OPTIONS) == 10
 
 
 def test_defaulted_parameters_are_reported():
@@ -132,3 +132,68 @@ def test_unread_parameters_are_reported():
         ("inner", "q"),
         ("k", "s"),
     ]
+
+
+DATACLASSES = {
+    ("algebra", "FiniteAlgebra"),
+    ("algebra", "Witness"),
+    ("classes", "ClassificationReport"),
+    ("classes", "PpSuiteReport"),
+    ("deduction", "DeductiveSystem"),
+    ("deduction", "QuotientAlgebra"),
+    ("morphisms", "FactorResult"),
+    ("morphisms", "Homomorphism"),
+    ("morphisms", "TransportReport"),
+    ("morphisms", "VtHomomorphism"),
+    ("operators", "UnaryMap"),
+    ("suite", "Facts"),
+    ("suite", "SuiteResult"),
+    ("textfmt", "AlgebraBlock"),
+    ("textfmt", "RawDocument"),
+    ("textfmt", "Token"),
+    ("textfmt", "WorkbenchDocument"),
+    ("valuations", "PseudoValuation"),
+}
+
+
+def dataclass_names(source: str) -> list[str]:
+    """Each class decorated with ``dataclass`` or ``dataclass(...)``, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+                    found.append(node.name)
+    return sorted(found)
+
+
+def test_every_dataclass_is_pinned():
+    census = {
+        (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in dataclass_names(path.read_text(encoding="utf-8"))
+    }
+    assert census == DATACLASSES
+    assert len(DATACLASSES) == 18
+
+
+def test_dataclasses_are_reported():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class B:\n"
+        "    @dataclass\n"
+        "    class Inner:\n"
+        "        y: int\n"
+        "@dataclasses.dataclass\n"
+        "class C:\n"
+        "    pass\n"
+        "class D:\n"
+        "    pass\n"
+    )
+    assert dataclass_names(source) == ["A", "B", "C", "Inner"]
