@@ -8,11 +8,18 @@ the documented cap (20) feasible.  Deductive systems close under both
 modus ponens forms from {1}; ``classes.smarandache_search`` closes under
 both implications from {0, 1}.  Results are ordered by (cardinality,
 bitset value) with bit i standing for element id i.
+
+Derived once and kept on the object it is derived from: an algebra's
+closed masks with their normal flags in ``A.memo["ds"]`` (plain ints and
+bools; ``enumerate_ds`` builds fresh systems from them on every call), and
+a normal system's quotient algebra with the class of each element in
+``H.memo`` (``congruence_from``).  Neither refers back to its owner, and a
+quotient is never kept on the algebra it is taken of.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from .algebra import FiniteAlgebra, size_cap
@@ -72,6 +79,10 @@ class DeductiveSystem:
     parent: FiniteAlgebra
     members: frozenset[int]
     normal: bool
+    # its quotient algebra with the class of each element (congruence_from),
+    # filled on first use and freed with the system; neither refers back to
+    # the system or its algebra
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_members(cls, A: FiniteAlgebra, members) -> "DeductiveSystem":
@@ -99,9 +110,8 @@ def _is_normal(A: FiniteAlgebra, members: frozenset[int]) -> bool:
     )
 
 
-def _mask_to_ds(A: FiniteAlgebra, mask: int) -> DeductiveSystem:
-    members = frozenset(x for x in A.elements if mask >> x & 1)
-    return DeductiveSystem(A, members, _is_normal(A, members))
+def _members(A: FiniteAlgebra, mask: int) -> frozenset[int]:
+    return frozenset(x for x in A.elements if mask >> x & 1)
 
 
 def _check_subset_cap(A: FiniteAlgebra):
@@ -111,8 +121,16 @@ def _check_subset_cap(A: FiniteAlgebra):
 
 
 def enumerate_ds(A: FiniteAlgebra) -> list[DeductiveSystem]:
+    """Every deductive system of A.  The closed masks and their normal
+    flags are derived once per algebra and kept in ``A.memo``; the cap is
+    checked on every call, and each call builds fresh systems."""
     _check_subset_cap(A)
-    return [_mask_to_ds(A, m) for m in _closed_sets(A, _saturate, 1 << A.one)]
+    memo = A.memo
+    if "ds" not in memo:
+        memo["ds"] = tuple(
+            (m, _is_normal(A, _members(A, m))) for m in _closed_sets(A, _saturate, 1 << A.one)
+        )
+    return [DeductiveSystem(A, _members(A, m), normal) for m, normal in memo["ds"]]
 
 
 def enumerate_ds_n(A: FiniteAlgebra) -> list[DeductiveSystem]:
@@ -172,40 +190,50 @@ def congruence_from(A: FiniteAlgebra, H: DeductiveSystem) -> QuotientAlgebra:
     least-id representative; class names are "[rep]".  The inherited tables
     are checked to be independent of representatives, which makes the
     quotient a pseudo-BCK algebra by theorem; it is not re-certified.
+
+    The quotient algebra and the class of each element are derived once per
+    system and kept in ``H.memo``; the preconditions are checked on every
+    call, and each call returns a fresh ``QuotientAlgebra`` on this A.  A
+    failed well-definedness check is not kept, so it raises on every call.
     """
     _require_on(A, H, "H must be a deductive system of the algebra")
     if not H.normal:
         raise NotNormal("quotients require a normal deductive system")
-    mem = H.members
-    related = [
-        [A.arrow[x][y] in mem and A.arrow[y][x] in mem for y in A.elements]
-        for x in A.elements
-    ]
-    class_of = [-1] * A.n
-    reps: list[int] = []
-    for x in A.elements:
-        if class_of[x] != -1:
-            continue
-        cls = len(reps)
-        reps.append(x)
-        for y in range(x, A.n):
-            if related[x][y]:
-                class_of[y] = cls
+    memo = H.memo
+    if "quotient" not in memo:
+        mem = H.members
+        related = [
+            [A.arrow[x][y] in mem and A.arrow[y][x] in mem for y in A.elements]
+            for x in A.elements
+        ]
+        class_of = [-1] * A.n
+        reps: list[int] = []
+        for x in A.elements:
+            if class_of[x] != -1:
+                continue
+            cls = len(reps)
+            reps.append(x)
+            for y in range(x, A.n):
+                if related[x][y]:
+                    class_of[y] = cls
 
-    def table(rows):
-        # [x]->[y] = [x->y]: each row induced on the classes of y, then the
-        # rows on the classes of x
-        return _induce(A, class_of, [_induce(A, class_of, [class_of[z] for z in r]) for r in rows])
+        def table(rows):
+            # [x]->[y] = [x->y]: each row induced on the classes of y, then
+            # the rows on the classes of x
+            induced = [_induce(A, class_of, [class_of[z] for z in r]) for r in rows]
+            return _induce(A, class_of, induced)
 
-    # the class of 0 is the bottom, since [0] -> [x] = [0 -> x] = [1]
-    quotient = FiniteAlgebra(
-        element_names=tuple(f"[{A.name(r)}]" for r in reps),
-        one=class_of[A.one],
-        arrow=table(A.arrow),
-        squig=table(A.squig),
-        zero=class_of[A.zero] if A.zero is not None else None,
-    )
-    return QuotientAlgebra(A, H, quotient, tuple(class_of))
+        # the class of 0 is the bottom, since [0] -> [x] = [0 -> x] = [1]
+        quotient = FiniteAlgebra(
+            element_names=tuple(f"[{A.name(r)}]" for r in reps),
+            one=class_of[A.one],
+            arrow=table(A.arrow),
+            squig=table(A.squig),
+            zero=class_of[A.zero] if A.zero is not None else None,
+        )
+        memo["quotient"] = quotient, tuple(class_of)
+    quotient, class_of = memo["quotient"]
+    return QuotientAlgebra(A, H, quotient, class_of)
 
 
 def enumerate_congruences(A: FiniteAlgebra) -> list[QuotientAlgebra]:
@@ -220,7 +248,10 @@ def lift_vto_to_quotient(
 
     The pair is derived once per system and kept in ``v.memo`` under
     ``H.members``; the preconditions are checked on every call, and a
-    stored quotient is handed back with ``by`` set to this H.
+    stored quotient is handed back with ``by`` set to this H.  The quotient
+    comes from ``congruence_from``, so operators lifted over one H object
+    share its quotient algebra: ``run_suite`` lifts every operator over
+    the systems of its ``Facts``, whose quotients are already built.
     """
     certify_vto(v)
     _require_on(v.parent, H, "H must be a deductive system of v's algebra")

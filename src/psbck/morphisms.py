@@ -293,8 +293,9 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     ``kernel_is_quotient_of_kernel`` verdicts.  Each call lifts ``f.v``,
     certifies the factored ``VtHomomorphism`` and filters those maps by
     the lifted operator.  The kept map's source is the quotient of the
-    first call; a later call's ``quotient.algebra`` is an equal algebra
-    built apart.
+    first call; a later call's ``quotient.algebra`` is that algebra when
+    both lifts were taken over one H object (``congruence_from`` keeps it
+    in ``H.memo``), and an equal algebra built apart otherwise.
     """
     B = f.target
     ker = f.base.kernel()

@@ -25,6 +25,7 @@ from psbck.classes import (
     vt4_equivalence_check,
     vt_pp_suite,
 )
+from psbck.deduction import enumerate_ds
 from psbck.errors import NotFLw, NotSmarandache, PPRequired
 from psbck.generate import (
     direct_product,
@@ -335,8 +336,11 @@ def test_double_negations_match_a_fresh_scan(pool):
 
 
 # each fills A.memo: the order rows alone, or with what is derived from
-# them; is_glivenko (the double negations and the verdict) needs a bottom
-FILLS = (FiniteAlgebra.order_masks, classify, pseudo_product, FiniteAlgebra.is_glivenko)
+# them; is_glivenko (the double negations and the verdict) needs a bottom;
+# enumerate_ds keeps the closed masks with their normal flags
+FILLS = (
+    FiniteAlgebra.order_masks, classify, pseudo_product, FiniteAlgebra.is_glivenko, enumerate_ds,
+)
 
 
 def _fills(pool):

@@ -1,11 +1,15 @@
+import gc
+import weakref
+from dataclasses import fields
 from itertools import combinations, product
 
 import pytest
 
 from psbck import goldens
-from psbck.algebra import diagnose
+from psbck.algebra import diagnose, validate
 from psbck.deduction import (
     DeductiveSystem,
+    QuotientAlgebra,
     congruence_from,
     enumerate_congruences,
     enumerate_ds,
@@ -112,8 +116,41 @@ def test_congruence_from_rejects_a_forged_normal_system(four_elt, six_elt, six_s
     ]
     assert len(forged) == 4
     for A, H in forged:
-        with pytest.raises(WellDefinednessFailure, match="map disagrees inside class of"):
-            congruence_from(A, H)
+        for _ in range(2):  # a failed check is not kept, so it fails again
+            with pytest.raises(WellDefinednessFailure, match="map disagrees inside class of"):
+                congruence_from(A, H)
+        assert not H.memo
+
+
+def test_a_kept_quotient_matches_a_fresh_one(pool):
+    # congruence_from keeps A/H in H.memo; a later call, also on an equal
+    # algebra built apart, matches a build on a system with an empty memo
+    for A in pool:
+        twin = validate(A.element_names, A.one, A.arrow, A.squig, zero=A.zero)
+        for H in enumerate_ds_n(A):
+            built = congruence_from(A, H).algebra
+            for B in (A, twin):
+                kept = congruence_from(B, H)
+                assert kept.algebra is built and kept.parent is B and kept.by is H
+                fresh = congruence_from(B, DeductiveSystem(B, H.members, True))
+                for f in fields(QuotientAlgebra):
+                    assert getattr(kept, f.name) == getattr(fresh, f.name), f.name
+
+
+def test_a_system_and_its_kept_quotient_are_freed_without_the_cycle_collector(pool):
+    # the kept quotient holds no reference back to its system or algebra,
+    # so both go as soon as the system is dropped
+    gc.disable()
+    try:
+        for A in pool:
+            systems = enumerate_ds_n(A)
+            refs = []
+            for H in systems:
+                refs += [weakref.ref(H), weakref.ref(congruence_from(A, H).algebra)]
+            del systems, H
+            assert all(ref() is None for ref in refs), A.element_names
+    finally:
+        gc.enable()
 
 
 def test_quotient_requires_normal(four_elt):
@@ -186,6 +223,7 @@ def test_unstable_system_breaks_compatibility_on_a_chain():
 
 def test_subset_cap(monkeypatch):
     A = goedel_chain(5)
+    enumerate_ds(A)  # the masks kept in A.memo do not lift the cap
     monkeypatch.setenv("PSBCK_MAX_N", "3")
     with pytest.raises(CarrierTooLarge):
         enumerate_ds(A)

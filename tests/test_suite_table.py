@@ -9,6 +9,7 @@ statement, so every family and every gate lives in the table.
 """
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -88,6 +89,17 @@ def test_a_wrapped_table_sees_each_reported_family_once(suites, monkeypatch):
         again = run_suite(A)
         assert again == results, A.element_names
         assert seen == [r.name for r in results], A.element_names
+
+
+def test_class_inclusions_fails_on_an_mv_report_that_is_not_bl(monkeypatch):
+    # MV => BL is the clause that states a theorem; the other four hold by
+    # construction of the report, so a forged one is what reaches it
+    A = lukasiewicz_chain(4)
+    real = suite.classify
+    assert {r.name: r.ok for r in run_suite(A)}["class-inclusions"]
+    monkeypatch.setattr(suite, "classify", lambda B: replace(real(B), mv=True, bl=False))
+    got = {r.name: (r.ok, r.detail) for r in run_suite(A)}["class-inclusions"]
+    assert got == (False, "")
 
 
 def _run_suite_node():
