@@ -50,7 +50,8 @@ class FiniteAlgebra:
     zero: int | None = None
     # derived values that hold no reference back to the algebra, filled on
     # first use (order_masks, double_negations, is_glivenko,
-    # classes.classify, classes.pseudo_product); a plain field, since
+    # classes.classify, classes.pseudo_product, the closers' pair tables,
+    # deduction.enumerate_ds); a plain field, since
     # functools.cached_property would materialise the instance __dict__ and
     # slow every later attribute lookup
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)

@@ -12,7 +12,11 @@ is a bounded integral residuated lattice (see ``_classify``).
 This module runs no search of its own: its operators come from the map
 search in ``operators``, and its Smarandache candidates Q from the
 closed-set search ``deduction._closed_sets``, closing under both
-implications from {0, 1}.
+implications from {0, 1}.  Its closer ``_close_implications(A, closed,
+new)`` follows the engine's incremental contract (``closed`` is already
+closed, so only pairs with a newly adjoined member can add anything) and
+reads the bitset of x->y, y->x, x~>y and y~>x for each pair from
+``A.memo["implication-pairs"]``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .algebra import (
     restrict,
     size_cap,
 )
-from .deduction import _closed_sets
+from .deduction import _adjoin, _closed_sets
 from .errors import CarrierTooLarge, NotFLw, NotSmarandache, PPRequired
 from .operators import UnaryMap, certify_vto, enumerate_vto, is_vto
 
@@ -357,18 +361,23 @@ def mv_characterization(A: FiniteAlgebra, ops) -> bool:
 # -- Smarandache substructures -----------------------------------------
 
 
-def _close_implications(A: FiniteAlgebra, mask: int) -> int:
-    """Close a bitset under both implications."""
-    changed = True
-    while changed:
-        changed = False
-        members = [x for x in A.elements if mask >> x & 1]
-        for x, y in product(members, repeat=2):
-            new = 1 << A.arrow[x][y] | 1 << A.squig[x][y]
-            if new & ~mask:
-                mask |= new
-                changed = True
-    return mask
+def _implication_pairs(A: FiniteAlgebra) -> tuple[int, ...]:
+    """``pairs[x * n + y]``: the bitset of x->y, y->x, x~>y and y~>x.
+    Plain ints, derived once per algebra and kept in ``A.memo``."""
+    memo = A.memo
+    if "implication-pairs" not in memo:
+        ar, sq = A.arrow, A.squig
+        memo["implication-pairs"] = tuple(
+            1 << ar[x][y] | 1 << ar[y][x] | 1 << sq[x][y] | 1 << sq[y][x]
+            for x, y in product(A.elements, repeat=2)
+        )
+    return memo["implication-pairs"]
+
+
+def _close_implications(A: FiniteAlgebra, closed: int, new: int) -> int:
+    """The least superset of ``closed | new`` closed under both
+    implications, given that ``closed`` is closed."""
+    return _adjoin(A, _implication_pairs(A), closed, new)
 
 
 def smarandache_search(A: FiniteAlgebra):

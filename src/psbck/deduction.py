@@ -9,9 +9,19 @@ modus ponens forms from {1}; ``classes.smarandache_search`` closes under
 both implications from {0, 1}.  Results are ordered by (cardinality,
 bitset value) with bit i standing for element id i.
 
+A closer is ``close(A, closed, new)``: the least closed superset of
+``closed | new``, given that ``closed`` is already closed.  The walk only
+ever adjoins to a closed set, so a closer is incremental (semi-naive):
+every pair of members of ``closed`` already has its consequences in it,
+and ``_adjoin`` handles each newly adjoined element once, against the
+members at that time, instead of rescanning every pair until nothing
+changes.  Both closers read a per-algebra table of what each pair of
+members yields, kept in ``A.memo`` as plain ints.
+
 Derived once and kept on the object it is derived from: an algebra's
-closed masks with their normal flags in ``A.memo["ds"]`` (plain ints and
-bools; ``enumerate_ds`` builds fresh systems from them on every call), and
+modus ponens pair table (``A.memo["mp-pairs"]``) and closed masks with
+their normal flags (``A.memo["ds"]``), plain ints and bools
+(``enumerate_ds`` builds fresh systems from them on every call), and
 a normal system's quotient algebra with the class of each element in
 ``H.memo`` (``congruence_from``).  Neither refers back to its owner, and a
 quotient is never kept on the algebra it is taken of.
@@ -35,29 +45,68 @@ from .operators import UnaryMap, _certify_lift, _require_on, certify_vto, is_vto
 DEFAULT_SUBSET_CAP = 20
 
 
-def _saturate(A: FiniteAlgebra, mask: int) -> int:
-    """Close a bitset under modus ponens for both implications."""
-    els, ar, sq = A.elements, A.arrow, A.squig
-    changed = True
-    while changed:
-        changed = False
-        for x in els:
-            if not mask >> x & 1:
-                continue
-            arx, sqx = ar[x], sq[x]
-            for y in els:
-                if mask >> y & 1:
-                    continue
-                if mask >> arx[y] & 1 or mask >> sqx[y] & 1:
-                    mask |= 1 << y
-                    changed = True
+def _adjoin(A: FiniteAlgebra, pairs, closed: int, new: int) -> int:
+    """The least superset of ``closed | new`` that holds ``pairs[x * n + y]``
+    for every two members x and y, given that ``closed`` does.
+
+    ``pairs`` is a flat n*n table of bitsets, symmetric in x and y.  A pair
+    within ``closed`` adds nothing, so each newly adjoined element a is
+    handled once, against the members at that time; a later member b meets
+    a when b is handled.
+    """
+    els, n = A.elements, A.n
+    mask = closed | new
+    members = [y for y in els if mask >> y & 1]
+    work = [a for a in members if not closed >> a & 1]
+    while work:
+        row = work.pop() * n
+        fresh = 0
+        for y in members:
+            fresh |= pairs[row + y]
+        fresh &= ~mask
+        if fresh:
+            mask |= fresh
+            added = [y for y in els if fresh >> y & 1]
+            members += added
+            work += added
     return mask
 
 
+def _mp_pairs(A: FiniteAlgebra) -> tuple[int, ...]:
+    """``pairs[x * n + z]``: the bitset of every y that modus ponens yields
+    from the members x and z, i.e. x->y or x~>y is z, or z->y or z~>y is
+    x.  Plain ints, derived once per algebra and kept in ``A.memo``."""
+    memo = A.memo
+    if "mp-pairs" not in memo:
+        n = A.n
+        pairs = [0] * (n * n)
+        for x in A.elements:
+            for y, (z, w) in enumerate(zip(A.arrow[x], A.squig[x])):
+                bit = 1 << y
+                for u in (z, w):
+                    pairs[x * n + u] |= bit
+                    pairs[u * n + x] |= bit
+        memo["mp-pairs"] = tuple(pairs)
+    return memo["mp-pairs"]
+
+
+def _saturate(A: FiniteAlgebra, closed: int, new: int) -> int:
+    """The least superset of ``closed | new`` closed under modus ponens for
+    both implications, given that ``closed`` is closed: y joins once x and
+    x->y, or x and x~>y, are members."""
+    return _adjoin(A, _mp_pairs(A), closed, new)
+
+
 def _closed_sets(A: FiniteAlgebra, close, start: int) -> list[int]:
-    """Every bitset ``close(A, mask) == mask`` containing ``start``, ordered
-    by (cardinality, bitset value)."""
-    bottom = close(A, start)
+    """Every bitset closed under ``close`` containing ``start``, ordered by
+    (cardinality, bitset value).
+
+    ``close(A, closed, new)`` is the least closed superset of
+    ``closed | new`` given that ``closed`` is closed, so the walk closes
+    only what it adjoins: ``close(A, 0, start)``, then
+    ``close(A, mask, 1 << e)`` for each closed mask and each e outside it.
+    """
+    bottom = close(A, 0, start)
     seen = {bottom}
     frontier = [bottom]
     while frontier:
@@ -66,10 +115,10 @@ def _closed_sets(A: FiniteAlgebra, close, start: int) -> list[int]:
             for e in A.elements:
                 if mask >> e & 1:
                     continue
-                closed = close(A, mask | 1 << e)
-                if closed not in seen:
-                    seen.add(closed)
-                    nxt.append(closed)
+                grown = close(A, mask, 1 << e)
+                if grown not in seen:
+                    seen.add(grown)
+                    nxt.append(grown)
         frontier = nxt
     return sorted(seen, key=lambda m: (bin(m).count("1"), m))
 
@@ -100,7 +149,7 @@ class DeductiveSystem:
 def _is_ds(A: FiniteAlgebra, members: frozenset[int]) -> bool:
     """Contains 1 and is closed under modus ponens for both implications."""
     mask = sum(1 << x for x in members)
-    return A.one in members and _saturate(A, mask) == mask
+    return A.one in members and _saturate(A, 0, mask) == mask
 
 
 def _is_normal(A: FiniteAlgebra, members: frozenset[int]) -> bool:

@@ -12,6 +12,7 @@ quotients and relabelings of all of these.  Quotients are certified by theorem
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import product
 
 from .algebra import FiniteAlgebra, validate
@@ -94,39 +95,33 @@ def relabel(A: FiniteAlgebra, perm: list[int], prefix: str = "x") -> FiniteAlgeb
     )
 
 
-_SEEDS = None
+# (carrier size, constructor) of each seed algebra, in pool order.  Every
+# call and every draw builds its algebras afresh, so no memo carries over
+# from one caller to the next.
+_SEEDS = (
+    (1, goldens.one_element),
+    (2, goldens.two_chain),
+    (4, goldens.four_element_bounded),
+    (6, goldens.six_element_involutive),
+    (6, goldens.six_element_smarandache),
+    *((k, partial(goedel_chain, k)) for k in (3, 4, 5, 6)),
+    *((k, partial(lukasiewicz_chain, k)) for k in (3, 4, 5, 6)),
+    (6, lambda: direct_product(goedel_chain(2), goedel_chain(3))),
+    (6, lambda: direct_product(goedel_chain(2), lukasiewicz_chain(3))),
+    (6, lambda: direct_product(lukasiewicz_chain(2), lukasiewicz_chain(3))),
+    (4, lambda: direct_product(goedel_chain(2), goedel_chain(2))),
+    (5, nonlinear_heyting),
+)
 
 
-def _seed_pool():
-    global _SEEDS
-    if _SEEDS is None:
-        _SEEDS = [
-            goldens.one_element(),
-            goldens.two_chain(),
-            goldens.four_element_bounded(),
-            goldens.six_element_involutive(),
-            goldens.six_element_smarandache(),
-            goedel_chain(3),
-            goedel_chain(4),
-            goedel_chain(5),
-            goedel_chain(6),
-            lukasiewicz_chain(3),
-            lukasiewicz_chain(4),
-            lukasiewicz_chain(5),
-            lukasiewicz_chain(6),
-            direct_product(goedel_chain(2), goedel_chain(3)),
-            direct_product(goedel_chain(2), lukasiewicz_chain(3)),
-            direct_product(lukasiewicz_chain(2), lukasiewicz_chain(3)),
-            direct_product(goedel_chain(2), goedel_chain(2)),
-            nonlinear_heyting(),
-        ]
-    return _SEEDS
+def _seed_pool() -> list[FiniteAlgebra]:
+    """The 18 seed algebras, built afresh on every call."""
+    return [build() for _, build in _SEEDS]
 
 
 def random_algebra(rng: random.Random, max_size: int) -> FiniteAlgebra:
     """One certified algebra, size <= max_size, from a random recipe."""
-    pool = [a for a in _seed_pool() if a.n <= max_size]
-    base = rng.choice(pool)
+    base = rng.choice([build for n, build in _SEEDS if n <= max_size])()
     move = rng.random()
     if move < 0.25 and base.n > 1:
         # quotient by a random normal deductive system

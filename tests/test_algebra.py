@@ -143,7 +143,7 @@ def test_unclosed_pair_matches_the_closure(small_pool):
                 (x, y) for x, y in product(sorted(members), repeat=2)
                 if {A.arrow[x][y], A.squig[x][y]} - members
             ]
-            assert (_close_implications(A, mask) == mask) == (not escapes)
+            assert (_close_implications(A, 0, mask) == mask) == (not escapes)
             assert A.unclosed_pair(members) == (escapes[0] if escapes else None)
 
 

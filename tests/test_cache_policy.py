@@ -9,9 +9,11 @@ the caches of ``run_suite``'s checks (``smarandache-antitone``'s operators,
 the pair families' composite verdicts), dies with that call and stays
 allowed.
 This is a stdlib ``ast`` check: it flags each use of those names that runs
-at import time, i.e. outside every function body.
+at import time, i.e. outside every function body.  A second ``ast`` check
+flags every ``global`` statement: module state that a function writes
+outlives its caller just as such a cache does, and no cache name shows it.
 
-A second check walks what an algebra's memo refers to (``gc.get_referents``)
+A third check walks what an algebra's memo refers to (``gc.get_referents``)
 after ``run_suite``: it keeps plain data only, and no deductive system,
 quotient, operator or homomorphism, each of which refers to an algebra.
 Those live on their own objects (``DeductiveSystem.memo`` keeps a quotient,
@@ -92,6 +94,36 @@ def test_module_level_caches_are_reported():
         (7, "cached_property"),
         (10, "cache"),
     ]
+
+
+def global_statements(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name a ``global`` statement declares."""
+    return [
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_writes_no_global(path):
+    assert global_statements(path.read_text(encoding="utf-8")) == []
+
+
+def test_global_statements_are_reported():
+    source = (
+        "_POOL = None\n"
+        "def pool():\n"
+        "    global _POOL\n"
+        "    if _POOL is None:\n"
+        "        _POOL = []\n"
+        "    return _POOL\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        global _A, _B\n"
+    )
+    assert global_statements(source) == [(3, "_POOL"), (9, "_A"), (9, "_B")]
 
 
 def referring_objects(memo) -> list:

@@ -229,20 +229,39 @@ def test_subset_cap(monkeypatch):
         enumerate_ds(A)
 
 
-def test_enumerate_ds_matches_power_set(small_pool):
-    # every subset, smallest first and by bitset within a size, which is
-    # the documented enumeration order
-    for A in small_pool:
-        brute = []
-        for k in range(A.n + 1):
-            for members in sorted(
-                combinations(A.elements, k), key=lambda s: sum(1 << x for x in s)
-            ):
-                try:
-                    brute.append(DeductiveSystem.from_members(A, members))
-                except MalformedInput:
-                    pass
-        assert enumerate_ds(A) == brute
+def test_enumerate_ds_matches_power_set(pool):
+    # the definition, stated here rather than read off the closure engine:
+    # 1 is in D, and y is in D whenever x is and x->y or x~>y is; D is
+    # normal iff x->y and x~>y lie in D together
+    def is_ds(A, D):
+        return A.one in D and all(
+            y in D for x in D for y in A.elements
+            if A.arrow[x][y] in D or A.squig[x][y] in D
+        )
+
+    def is_normal(A, D):
+        return all(
+            (A.arrow[x][y] in D) == (A.squig[x][y] in D)
+            for x, y in product(A.elements, repeat=2)
+        )
+
+    distinct = {(A.one, A.zero, A.arrow, A.squig): A for A in pool if A.n <= 6}
+    for A in distinct.values():
+        # every subset, smallest first and by bitset within a size, which
+        # is the documented enumeration order
+        subsets = [
+            frozenset(s) for k in range(A.n + 1)
+            for s in sorted(combinations(A.elements, k), key=lambda s: sum(1 << x for x in s))
+        ]
+        brute = [(D, is_normal(A, D)) for D in subsets if is_ds(A, D)]
+        assert [(d.members, d.normal) for d in enumerate_ds(A)] == brute, A.element_names
+        for D in subsets:
+            try:
+                DeductiveSystem.from_members(A, D)
+            except MalformedInput:
+                assert not is_ds(A, D)
+            else:
+                assert is_ds(A, D)
 
 
 # -- brute-force congruence oracle on every distinct pool algebra with n <= 6 -

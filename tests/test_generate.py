@@ -1,8 +1,10 @@
+import hashlib
 from itertools import product
 
 from psbck.algebra import derived_law_suite, diagnose
 from psbck.classes import lattice_tables
 from psbck.generate import (
+    _SEEDS,
     _seed_pool,
     direct_product,
     goedel_chain,
@@ -19,6 +21,39 @@ def test_seed_pool_is_certified():
     assert len(pool) == 18
     for A in pool:
         assert diagnose(A.element_names, A.one, A.arrow, A.squig, A.zero) == []
+
+
+def _tables_digest(algebras):
+    return hashlib.sha256(repr([
+        (A.element_names, A.one, A.arrow, A.squig, A.zero) for A in algebras
+    ]).encode()).hexdigest()
+
+
+def test_seed_sizes_are_the_built_sizes():
+    # random_algebra filters the recipes by these sizes before it builds
+    assert [A.n for A in _seed_pool()] == [n for n, _ in _SEEDS]
+
+
+def test_seed_pools_share_no_object():
+    first, second = _seed_pool(), _seed_pool()
+    assert first == second
+    assert not {id(A) for A in first} & {id(A) for A in second}
+    assert all(not A.memo for A in second)
+
+
+def test_random_batch_hands_out_fresh_objects():
+    seeds = _seed_pool()
+    batch = random_batch(2026, 100, 6)
+    assert len({id(A) for A in batch}) == 100
+    assert not {id(A) for A in batch} & {id(A) for A in seeds}
+    assert all(not A.memo for A in batch)
+    # the same tables, in the same order, as when the draws shared objects
+    assert _tables_digest(seeds) == (
+        "e2b0f4ce41efc31bba751f4ae3a1a84ac50731e91904afcf1b25a3e827a3d069"
+    )
+    assert _tables_digest(batch) == (
+        "e50374dcac8fb65cb0561256a5ba5d40e4ff17ed77a1fa6677b92ca0c69f8a4e"
+    )
 
 
 def test_chains_are_linear():
