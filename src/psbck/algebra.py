@@ -50,7 +50,7 @@ class FiniteAlgebra:
     zero: int | None = None
     # derived values that hold no reference back to the algebra, filled on
     # first use (order_masks, double_negations, is_glivenko,
-    # classes.classify, classes.pseudo_product, the closers' pair tables,
+    # classes.classify, classes.pseudo_product, deduction's pair tables,
     # deduction.enumerate_ds); a plain field, since
     # functools.cached_property would materialise the instance __dict__ and
     # slow every later attribute lookup

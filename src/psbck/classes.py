@@ -11,12 +11,8 @@ is a bounded integral residuated lattice (see ``_classify``).
 
 This module runs no search of its own: its operators come from the map
 search in ``operators``, and its Smarandache candidates Q from the
-closed-set search ``deduction._closed_sets``, closing under both
-implications from {0, 1}.  Its closer ``_close_implications(A, closed,
-new)`` follows the engine's incremental contract (``closed`` is already
-closed, so only pairs with a newly adjoined member can add anything) and
-reads the bitset of x->y, y->x, x~>y and y~>x for each pair from
-``A.memo["implication-pairs"]``.
+closed-set walk ``deduction._closed_sets`` over the implication pair table
+``deduction._implication_pairs``, from {0, 1}.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from .algebra import (
     restrict,
     size_cap,
 )
-from .deduction import _adjoin, _closed_sets
+from .deduction import _closed_sets, _implication_pairs, _members
 from .errors import CarrierTooLarge, NotFLw, NotSmarandache, PPRequired
 from .operators import UnaryMap, certify_vto, enumerate_vto, is_vto
 
@@ -361,25 +357,6 @@ def mv_characterization(A: FiniteAlgebra, ops) -> bool:
 # -- Smarandache substructures -----------------------------------------
 
 
-def _implication_pairs(A: FiniteAlgebra) -> tuple[int, ...]:
-    """``pairs[x * n + y]``: the bitset of x->y, y->x, x~>y and y~>x.
-    Plain ints, derived once per algebra and kept in ``A.memo``."""
-    memo = A.memo
-    if "implication-pairs" not in memo:
-        ar, sq = A.arrow, A.squig
-        memo["implication-pairs"] = tuple(
-            1 << ar[x][y] | 1 << ar[y][x] | 1 << sq[x][y] | 1 << sq[y][x]
-            for x, y in product(A.elements, repeat=2)
-        )
-    return memo["implication-pairs"]
-
-
-def _close_implications(A: FiniteAlgebra, closed: int, new: int) -> int:
-    """The least superset of ``closed | new`` closed under both
-    implications, given that ``closed`` is closed."""
-    return _adjoin(A, _implication_pairs(A), closed, new)
-
-
 def smarandache_search(A: FiniteAlgebra):
     """All proper implication-closed Q with 0,1 in Q, |Q| >= 3, whose
     induced structure is a pseudo-MTL algebra.
@@ -393,10 +370,10 @@ def smarandache_search(A: FiniteAlgebra):
     if A.n > cap:
         raise CarrierTooLarge(f"carrier size {A.n} exceeds subset cap {cap}")
     results = []
-    for mask in _closed_sets(A, _close_implications, 1 << A.one | 1 << A.zero):
+    for mask in _closed_sets(A, _implication_pairs(A), 1 << A.one | 1 << A.zero):
         if not 3 <= bin(mask).count("1") < A.n:
             continue
-        q = frozenset(x for x in A.elements if mask >> x & 1)
+        q = _members(A, mask)
         sub = A.subalgebra(q)
         report = classify(sub)
         if report.mtl:

@@ -1,27 +1,23 @@
 """Deductive systems, congruences and quotient algebras.
 
-Every search over closed subsets runs on ``_closed_sets``: a breadth-first
-walk over a closure system from the closure of a start set, adjoining one
-element at a time and closing again.  It visits every closed superset of
-the start once and never scans the power set, which keeps carriers up to
-the documented cap (20) feasible.  Deductive systems close under both
-modus ponens forms from {1}; ``classes.smarandache_search`` closes under
-both implications from {0, 1}.  Results are ordered by (cardinality,
+Every search over closed subsets runs on ``_closed_sets(A, pairs, start)``:
+Kuznetsov's Close-by-One walk over a closure system.  A closure system is
+given by a pair table, a flat n*n tuple of bitsets with ``pairs[x * n + y]``
+the elements that the members x and y yield; a set is closed when it holds
+``pairs[x * n + y]`` for every two members.  Deductive systems close the
+modus ponens table ``_mp_pairs`` from {1}; ``classes.smarandache_search``
+closes the implication table ``_implication_pairs`` from {0, 1}.  Both
+tables are plain ints, derived once per algebra and kept in ``A.memo``.
+
+The walk reaches each closed superset of the start exactly once, with
+no seen set, and never scans the power set, which keeps carriers up to
+the documented cap (20) feasible.  Results are ordered by (cardinality,
 bitset value) with bit i standing for element id i.
 
-A closer is ``close(A, closed, new)``: the least closed superset of
-``closed | new``, given that ``closed`` is already closed.  The walk only
-ever adjoins to a closed set, so a closer is incremental (semi-naive):
-every pair of members of ``closed`` already has its consequences in it,
-and ``_adjoin`` handles each newly adjoined element once, against the
-members at that time, instead of rescanning every pair until nothing
-changes.  Both closers read a per-algebra table of what each pair of
-members yields, kept in ``A.memo`` as plain ints.
-
 Derived once and kept on the object it is derived from: an algebra's
-modus ponens pair table (``A.memo["mp-pairs"]``) and closed masks with
-their normal flags (``A.memo["ds"]``), plain ints and bools
-(``enumerate_ds`` builds fresh systems from them on every call), and
+pair tables (``A.memo["mp-pairs"]``, ``A.memo["implication-pairs"]``) and
+closed masks with their normal flags (``A.memo["ds"]``), plain ints and
+bools (``enumerate_ds`` builds fresh systems from them on every call), and
 a normal system's quotient algebra with the class of each element in
 ``H.memo`` (``congruence_from``).  Neither refers back to its owner, and a
 quotient is never kept on the algebra it is taken of.
@@ -90,37 +86,40 @@ def _mp_pairs(A: FiniteAlgebra) -> tuple[int, ...]:
     return memo["mp-pairs"]
 
 
-def _saturate(A: FiniteAlgebra, closed: int, new: int) -> int:
-    """The least superset of ``closed | new`` closed under modus ponens for
-    both implications, given that ``closed`` is closed: y joins once x and
-    x->y, or x and x~>y, are members."""
-    return _adjoin(A, _mp_pairs(A), closed, new)
+def _implication_pairs(A: FiniteAlgebra) -> tuple[int, ...]:
+    """``pairs[x * n + y]``: the bitset of x->y, y->x, x~>y and y~>x.
+    Plain ints, derived once per algebra and kept in ``A.memo``."""
+    memo = A.memo
+    if "implication-pairs" not in memo:
+        ar, sq = A.arrow, A.squig
+        memo["implication-pairs"] = tuple(
+            1 << ar[x][y] | 1 << ar[y][x] | 1 << sq[x][y] | 1 << sq[y][x]
+            for x, y in product(A.elements, repeat=2)
+        )
+    return memo["implication-pairs"]
 
 
-def _closed_sets(A: FiniteAlgebra, close, start: int) -> list[int]:
-    """Every bitset closed under ``close`` containing ``start``, ordered by
+def _closed_sets(A: FiniteAlgebra, pairs, start: int) -> list[int]:
+    """Every bitset closed under ``pairs`` containing ``start``, ordered by
     (cardinality, bitset value).
 
-    ``close(A, closed, new)`` is the least closed superset of
-    ``closed | new`` given that ``closed`` is closed, so the walk closes
-    only what it adjoins: ``close(A, 0, start)``, then
-    ``close(A, mask, 1 << e)`` for each closed mask and each e outside it.
+    Close-by-One: a closed set reached with ``after`` grows by each j >=
+    ``after`` outside it, and the grown set is kept, to grow from j + 1,
+    only when it adds no element below j.  Every closed set has exactly one
+    such parent, so each is reached once.
     """
-    bottom = close(A, 0, start)
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for e in A.elements:
-                if mask >> e & 1:
-                    continue
-                grown = close(A, mask, 1 << e)
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    return sorted(seen, key=lambda m: (bin(m).count("1"), m))
+    found = []
+    stack = [(_adjoin(A, pairs, 0, start), 0)]
+    while stack:
+        mask, after = stack.pop()
+        found.append(mask)
+        for j in range(after, A.n):
+            if mask >> j & 1:
+                continue
+            grown = _adjoin(A, pairs, mask, 1 << j)
+            if not (grown ^ mask) & ((1 << j) - 1):
+                stack.append((grown, j + 1))
+    return sorted(found, key=lambda m: (bin(m).count("1"), m))
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ class DeductiveSystem:
 def _is_ds(A: FiniteAlgebra, members: frozenset[int]) -> bool:
     """Contains 1 and is closed under modus ponens for both implications."""
     mask = sum(1 << x for x in members)
-    return A.one in members and _saturate(A, 0, mask) == mask
+    return A.one in members and _adjoin(A, _mp_pairs(A), 0, mask) == mask
 
 
 def _is_normal(A: FiniteAlgebra, members: frozenset[int]) -> bool:
@@ -177,7 +176,8 @@ def enumerate_ds(A: FiniteAlgebra) -> list[DeductiveSystem]:
     memo = A.memo
     if "ds" not in memo:
         memo["ds"] = tuple(
-            (m, _is_normal(A, _members(A, m))) for m in _closed_sets(A, _saturate, 1 << A.one)
+            (m, _is_normal(A, _members(A, m)))
+            for m in _closed_sets(A, _mp_pairs(A), 1 << A.one)
         )
     return [DeductiveSystem(A, _members(A, m), normal) for m, normal in memo["ds"]]
 

@@ -394,16 +394,19 @@ def lift_to_den_quotient(f: UnaryMap):
     the regular-element lift along the isomorphism with the quotient.
     Well-definedness is still asserted on every element; a failure signals
     a precondition bug.
+
+    Den(A) is built directly, as a normal deductive system by theorem: on
+    a good algebra with (x->y)^{-~} = x->y^{-~} and the ~> twin, which
+    ``_require_glivenko`` establishes, x->y is dense iff x <= y^{-~} iff
+    x~>y is dense, so Den(A) is normal; and if x and x->y (or x~>y) are
+    dense, then 1 = x^{-~} <= y^{-~}, so y is dense.
     """
     from .deduction import DeductiveSystem, congruence_from
 
     A = f.parent
     _require_glivenko(A)
     checks = _lift_checks(f)
-    den = DeductiveSystem.from_members(A, A.dense_elements())
-    if not den.normal:
-        raise WellDefinednessFailure("Den(A) is not a normal deductive system")
-    quot = congruence_from(A, den)
+    quot = congruence_from(A, DeductiveSystem(A, A.dense_elements(), True))
     q = quot.algebra
     dn = A.double_negations()[0]
     values = [quot.class_of[f.image[dn[x]]] for x in A.elements]

@@ -12,8 +12,14 @@ from psbck.algebra import (
     size_cap,
     validate,
 )
-from psbck.classes import _close_implications, smarandache_search, svto
-from psbck.deduction import enumerate_congruences, enumerate_ds, enumerate_ds_v
+from psbck.classes import smarandache_search, svto
+from psbck.deduction import (
+    _adjoin,
+    _implication_pairs,
+    enumerate_congruences,
+    enumerate_ds,
+    enumerate_ds_v,
+)
 from psbck.errors import (
     MalformedInput,
     NotCertified,
@@ -143,7 +149,8 @@ def test_unclosed_pair_matches_the_closure(small_pool):
                 (x, y) for x, y in product(sorted(members), repeat=2)
                 if {A.arrow[x][y], A.squig[x][y]} - members
             ]
-            assert (_close_implications(A, 0, mask) == mask) == (not escapes)
+            closed = _adjoin(A, _implication_pairs(A), 0, mask) == mask
+            assert closed == (not escapes)
             assert A.unclosed_pair(members) == (escapes[0] if escapes else None)
 
 

@@ -10,9 +10,20 @@ each covered by a theorem that their own hypothesis checks establish:
 - ``deduction.congruence_from``: the quotient by a normal deductive system,
   once its class tables are well defined, is a pseudo-BCK algebra.
 
+Likewise every ``DeductiveSystem`` is decided: ``from_members`` checks
+closure under modus ponens and decides normality from the tables.  Two
+constructions build their system directly, each covered by its reason:
+
+- ``deduction.enumerate_ds``: each mask is closed by the walk, and its
+  normal flag is decided by ``_is_normal``;
+- ``operators.lift_to_den_quotient``: on a good algebra with the Glivenko
+  property, Den(A) is a normal deductive system by theorem (x->y is dense
+  iff x <= y^{-~} iff x~>y is dense, and x and x->y dense make y dense).
+
 This is a stdlib ``ast`` check: it lists each function in src/psbck that
-calls ``FiniteAlgebra(...)``.  A new direct construction fails here until
-the theorem that covers it is named above and its function pinned below.
+calls ``FiniteAlgebra(...)`` or ``DeductiveSystem(...)``.  A new direct
+construction fails here until the reason that covers it is named above and
+its function pinned below.
 """
 
 import ast
@@ -26,10 +37,17 @@ CERTIFIED = {
     ("deduction.py", "congruence_from"),
 }
 
+DECIDED = {
+    ("deduction.py", "enumerate_ds"),
+    ("operators.py", "lift_to_den_quotient"),
+}
 
-def direct_constructions(source: str) -> list[tuple[int, str]]:
+
+def direct_constructions(
+    source: str, cls: str = "FiniteAlgebra"
+) -> list[tuple[int, str]]:
     """(line, qualified name of the enclosing function or "<module>") of
-    each call to ``FiniteAlgebra`` or ``<anything>.FiniteAlgebra``."""
+    each call to ``cls`` or ``<anything>.cls``."""
     found = []
 
     def visit(node, scope):
@@ -42,7 +60,7 @@ def direct_constructions(source: str) -> list[tuple[int, str]]:
                 else func.attr if isinstance(func, ast.Attribute)
                 else None
             )
-            if name == "FiniteAlgebra":
+            if name == cls:
                 found.append((node.lineno, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -51,13 +69,20 @@ def direct_constructions(source: str) -> list[tuple[int, str]]:
     return found
 
 
-def test_only_certified_functions_build_algebras_directly():
-    found = {
+def _constructors(cls):
+    return {
         (path.name, scope)
         for path in sorted(SRC.glob("*.py"))
-        for _, scope in direct_constructions(path.read_text(encoding="utf-8"))
+        for _, scope in direct_constructions(path.read_text(encoding="utf-8"), cls)
     }
-    assert found == CERTIFIED
+
+
+def test_only_certified_functions_build_algebras_directly():
+    assert _constructors("FiniteAlgebra") == CERTIFIED
+
+
+def test_only_pinned_functions_build_deductive_systems_directly():
+    assert _constructors("DeductiveSystem") == DECIDED
 
 
 def test_direct_constructions_are_reported():
@@ -73,9 +98,15 @@ def test_direct_constructions_are_reported():
         "    keep = lambda: algebra.FiniteAlgebra(A.element_names)\n"
         "    return isinstance(A, FiniteAlgebra) and keep()\n"
         "EMPTY = FiniteAlgebra((), 0, (), ())\n"
+        "def den(A):\n"
+        "    return DeductiveSystem.from_members(A, A.dense_elements())\n"
+        "def top(A):\n"
+        "    return deduction.DeductiveSystem(A, frozenset(A.elements), True)\n"
     )
     assert direct_constructions(source) == [
         (7, "Builder.build"),
         (9, "copy"),
         (11, "<module>"),
     ]
+    assert direct_constructions(source, "DeductiveSystem") == [(15, "top")]
+

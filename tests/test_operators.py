@@ -21,7 +21,13 @@ from psbck.errors import (
     NotVto,
     WellDefinednessFailure,
 )
-from psbck.generate import _seed_pool, direct_product, goedel_chain, lukasiewicz_chain
+from psbck.generate import (
+    _seed_pool,
+    direct_product,
+    goedel_chain,
+    lukasiewicz_chain,
+    random_batch,
+)
 from psbck.morphisms import (
     Homomorphism,
     TransportReport,
@@ -208,6 +214,18 @@ def test_lift_to_den_quotient_direct_image_would_disagree(six_sm):
     assert v.image[a] == A.zero and v.image[A.one] == A.one
     quot, lifted = lift_to_den_quotient(v)
     assert lifted.image == identity_map(quot.algebra).image
+
+
+def test_den_is_a_normal_deductive_system_on_every_glivenko_algebra(pool):
+    # lift_to_den_quotient builds Den(A) directly, as a normal deductive
+    # system by theorem; from_members decides both properties from the tables
+    algebras = pool + random_batch(7, 40) + list(golden_up_sets())
+    glivenko = [A for A in algebras if A.zero is not None and A.is_glivenko()]
+    assert len(glivenko) == 153
+    for A in glivenko:
+        den = DeductiveSystem.from_members(A, A.dense_elements())
+        assert den.normal, A.element_names
+        assert lift_to_den_quotient(identity_map(A))[0].by == den
 
 
 def test_lift_requires_glivenko(four_elt):

@@ -31,11 +31,11 @@ def one_pass():
     real_closed_sets, real_congruence_from = deduction._closed_sets, deduction.congruence_from
     real_algebra = deduction.FiniteAlgebra
 
-    def closed_sets(A, close, start):
-        if close is deduction._saturate:
+    def closed_sets(A, pairs, start):
+        if pairs is deduction._mp_pairs(A):
             keep.append(A)
             searches[id(A)] += 1
-        return real_closed_sets(A, close, start)
+        return real_closed_sets(A, pairs, start)
 
     def congruence_from(A, H):
         keep.append(H)

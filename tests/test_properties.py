@@ -12,8 +12,7 @@ import pytest
 from conftest import golden_up_sets
 from psbck import goldens, suite
 from psbck.algebra import diagnose, restrict
-from psbck.classes import _close_implications
-from psbck.deduction import _closed_sets, enumerate_congruences
+from psbck.deduction import _closed_sets, _implication_pairs, enumerate_congruences
 from psbck.generate import _seed_pool, direct_product, goedel_chain
 from psbck.operators import (
     UnaryMap,
@@ -72,7 +71,7 @@ def _theorem_pool(pool):
 
 def _closed_subsets(A):
     """Every subset of A closed under both implications and containing 1."""
-    for mask in _closed_sets(A, _close_implications, 1 << A.one):
+    for mask in _closed_sets(A, _implication_pairs(A), 1 << A.one):
         yield frozenset(x for x in A.elements if mask >> x & 1)
 
 
