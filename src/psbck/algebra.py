@@ -22,9 +22,12 @@ DEFAULT_MAX_CARRIER = 24
 
 def size_cap(default: int) -> int:
     """A search's carrier cap: ``default`` unless PSBCK_MAX_N overrides it."""
+    raw = os.environ.get("PSBCK_MAX_N")
+    if raw is None:
+        return default
     try:
-        return max(1, int(os.environ["PSBCK_MAX_N"]))
-    except (KeyError, ValueError):
+        return max(1, int(raw))
+    except ValueError:
         return default
 
 

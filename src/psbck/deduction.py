@@ -25,7 +25,7 @@ quotient is never kept on the algebra it is taken of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import FiniteAlgebra, size_cap
@@ -295,12 +295,14 @@ def lift_vto_to_quotient(
 ) -> tuple[QuotientAlgebra, UnaryMap]:
     """Induce a very true operator on A/H from a normal v-deductive system.
 
-    The pair is derived once per system and kept in ``v.memo`` under
-    ``H.members``; the preconditions are checked on every call, and a
-    stored quotient is handed back with ``by`` set to this H.  The quotient
-    comes from ``congruence_from``, so operators lifted over one H object
-    share its quotient algebra: ``run_suite`` lifts every operator over
-    the systems of its ``Facts``, whose quotients are already built.
+    The quotient algebra with the class of each element and the lifted
+    operator are derived once per system and kept in ``v.memo`` under
+    ``H.members``; the preconditions are checked on every call, and each
+    call returns a fresh ``QuotientAlgebra`` with ``by`` set to this H.
+    The quotient comes from ``congruence_from``, so operators lifted over
+    one H object share its quotient algebra: ``run_suite`` lifts every
+    operator over the systems of its ``Facts``, whose quotients are
+    already built.
     """
     certify_vto(v)
     _require_on(v.parent, H, "H must be a deductive system of v's algebra")
@@ -314,9 +316,9 @@ def lift_vto_to_quotient(
         quot = congruence_from(v.parent, H)
         lifted = UnaryMap(quot.algebra, quot.induce([quot.class_of[y] for y in v.image]))
         _certify_lift((is_vto,), lifted)
-        memo[key] = quot, lifted
-    quot, lifted = memo[key]
-    return (quot if quot.by is H else replace(quot, by=H)), lifted
+        memo[key] = quot.algebra, quot.class_of, lifted
+    quotient, class_of, lifted = memo[key]
+    return QuotientAlgebra(v.parent, H, quotient, class_of), lifted
 
 
 def vto_congruence_check(v: UnaryMap) -> bool:

@@ -5,22 +5,24 @@ of substructures along a very-true homomorphism, the factor construction
 through a quotient, the first-isomorphism instance, and a backtracking
 isomorphism test.
 
-Homomorphism enumeration, the isomorphism test and the factor theorem's
-uniqueness check share one search (``_hom_search``): the map search of
-``operators._map_search`` with the preservation constraints
-f(x->y) = f(x)->f(y) and f(x~>y) = f(x)~>f(y) as its checks: once f(x)
-and f(y) are assigned, each is tested, or forces f(x->y) and f(x~>y) when
-those come later in id order.  Enumeration has its own cap (|A| <= 8),
-since the raw space is |B|^|A|.
+Homomorphism enumeration and the isomorphism test share one search
+(``_hom_search``): the map search of ``operators._map_search`` with the
+preservation constraints f(x->y) = f(x)->f(y) and f(x~>y) = f(x)~>f(y)
+as its checks: once f(x) and f(y) are assigned, each is tested, or forces
+f(x->y) and f(x~>y) when those come later in id order.  Enumeration has
+its own cap (|A| <= 8), since the raw space is |B|^|A|.
 
-What depends on a homomorphism alone is kept in ``Homomorphism.memo``:
-its passed ``is_hom`` check, its kernel, its corestriction onto the image
-with Ker f, the operator-free verdicts of ``transport``, and, per
-deductive system H, its factored map from A/H with the uniqueness
-search's maps and ``factor``'s two verdicts.  A ``VtHomomorphism`` is
-still certified when it is built; only the operator-free part of that
-check is read back.  What involves an operator (stability under it,
-intertwining, its certificate) is tested on every call.
+Each fact about a homomorphism that involves no operator is decided once
+and kept in ``Homomorphism.memo``: its passed ``is_hom`` check, its
+kernel, its corestriction onto the image with Ker f, the operator-free
+verdicts of ``transport``, and, per deductive system H, its factored map
+from A/H with that map's ``is_hom`` verdict and ``factor``'s two
+verdicts.  A ``VtHomomorphism`` is still certified when it is built; only
+the operator-free part of that check is read back.  What holds by theorem
+is not decided at all: Ker f is a normal deductive system and the
+corestriction is a homomorphism (``first_isomorphism``).  What involves
+an operator (stability under it, intertwining, its certificate) is tested
+on every call.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ class Homomorphism:
     target: FiniteAlgebra
     map: tuple[int, ...]
     # what is derived from the map alone, filled on first use and freed
-    # with it: its passed ``is_hom`` certificate (is_vthom), its kernel,
-    # its corestriction onto the image with Ker f (first_isomorphism), the
-    # verdicts of transport that involve no operator, and its
-    # factorization through each A/H (factor); nothing in it refers back
-    # to the map
+    # with it: its passed ``is_hom`` certificate (is_vthom, factor), its
+    # kernel, its corestriction onto the image with Ker f
+    # (first_isomorphism), the verdicts of transport that involve no
+    # operator, and its factorization through each A/H (factor); nothing
+    # in it refers back to the map
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_surjective(self) -> bool:
@@ -108,15 +110,34 @@ class VtHomomorphism:
 
 # loops, not law rows: a kernel run on every endomorphism the suite checks
 def is_hom(f: Homomorphism) -> Witness | None:
+    """None if f preserves both implications, else the first failing
+    (x, y) in id order, arrow before squig.  The four table rows of each x
+    are looked up once, not once per y."""
     A, B, m = f.source, f.target, f.map
     if len(m) != A.n or any(not 0 <= v < B.n for v in m):
         raise MalformedInput("map is not total into the target carrier")
-    for x, y in product(A.elements, repeat=2):
-        if m[A.arrow[x][y]] != B.arrow[m[x]][m[y]]:
-            return Witness("hom-arrow", (A.name(x), A.name(y)))
-        if m[A.squig[x][y]] != B.squig[m[x]][m[y]]:
-            return Witness("hom-squig", (A.name(x), A.name(y)))
+    els = A.elements
+    for x in els:
+        ax, sx, bx, tx = A.arrow[x], A.squig[x], B.arrow[m[x]], B.squig[m[x]]
+        for y in els:
+            my = m[y]
+            if m[ax[y]] != bx[my]:
+                return Witness("hom-arrow", (A.name(x), A.name(y)))
+            if m[sx[y]] != tx[my]:
+                return Witness("hom-squig", (A.name(x), A.name(y)))
     return None
+
+
+def _hom_failure(f: Homomorphism) -> Witness | None:
+    """``is_hom(f)``, with a pass kept in ``f.memo``, as ``certify_vto``
+    keeps its certificate; a failure is not kept, so it is found again on
+    every call."""
+    if "hom" in f.memo:
+        return None
+    w = is_hom(f)
+    if w is None:
+        f.memo["hom"] = True
+    return w
 
 
 def _require_ends(A: FiniteAlgebra, v: UnaryMap, B: FiniteAlgebra, u: UnaryMap):
@@ -127,20 +148,21 @@ def _require_ends(A: FiniteAlgebra, v: UnaryMap, B: FiniteAlgebra, u: UnaryMap):
 def intertwine_failure(m, v: UnaryMap, u: UnaryMap) -> int | None:
     """The least x with m(v(x)) != u(m(x)), or None if the map vector m
     intertwines v and u."""
-    return next((x for x, vx in enumerate(v.image) if m[vx] != u.image[m[x]]), None)
+    uimg = u.image
+    for x, vx in enumerate(v.image):
+        if m[vx] != uimg[m[x]]:
+            return x
+    return None
 
 
 def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
     """None if f is a homomorphism intertwining v and u, else the first
-    failing law.  A passed ``is_hom`` is kept in ``f.memo``, as
-    ``certify_vto`` keeps its certificate; a failed one is not, so it is
-    found again on every call."""
+    failing law.  The ``is_hom`` check goes through ``_hom_failure``, so a
+    pass is decided once per ``Homomorphism`` object."""
     _require_ends(f.source, v, f.target, u)
-    if "hom" not in f.memo:
-        w = is_hom(f)
-        if w is not None:
-            return w
-        f.memo["hom"] = True
+    w = _hom_failure(f)
+    if w is not None:
+        return w
     certify_vto(v)
     certify_vto(u)
     x = intertwine_failure(f.map, v, u)
@@ -213,7 +235,9 @@ def transport(f: VtHomomorphism) -> TransportReport:
     f^-1(S) is a deductive system) and one that does (the set is v- or
     u-stable).  The first kind depends on ``f.base`` alone and is kept in
     its memo, per member set S for the images and preimages; the stability
-    tests run on every call.
+    tests run on every call.  Each f(D) comes from ``pushforward_ds``.  The
+    v-deductive systems and Ker v are derived once per call, and serve for
+    u as well when u is v.
     """
     A, B, v, u, m = f.source, f.target, f.v, f.u, f.base.map
     memo = f.base.memo
@@ -223,16 +247,19 @@ def transport(f: VtHomomorphism) -> TransportReport:
             memo[key] = derive()
         return memo[key]
 
-    def image_is_ds(w: UnaryMap, members) -> bool:
-        img = frozenset(m[x] for x in members)
-        return kept(("image-ds", members), lambda: _is_ds(B, img)) and w.preserves(img)
+    def image_is_ds(members, img) -> bool:
+        return kept(("image-ds", members), lambda: _is_ds(B, img)) and u.preserves(img)
 
-    def preimage_is_ds(w: UnaryMap, members) -> bool:
+    def preimage_is_ds(members) -> bool:
         pre = frozenset(x for x in A.elements if m[x] in members)
-        return kept(("preimage-ds", members), lambda: _is_ds(A, pre)) and w.preserves(pre)
+        return kept(("preimage-ds", members), lambda: _is_ds(A, pre)) and v.preserves(pre)
 
     ker, img = f.base.kernel(), f.base.image()
     surjective = f.base.is_surjective()
+    ds_v = enumerate_ds_v(v) if surjective else None
+    ds_u = ds_v if surjective and u is v else enumerate_ds_v(u)
+    ker_u = kernel(u)
+    ker_v = ker_u if u is v else kernel(v)
     return TransportReport(
         # VT1-VT4 are universal sentences, so u restricted to a u-stable
         # subalgebra is a very true operator there
@@ -244,13 +271,15 @@ def transport(f: VtHomomorphism) -> TransportReport:
             "kernel-normal-ds", lambda: _is_ds(A, ker) and _is_normal(A, ker)
         ) and v.preserves(ker),
         pushforward_ok=(
-            all(image_is_ds(u, D.members) for D in enumerate_ds_v(v))
+            all(image_is_ds(D.members, pushforward_ds(f, D)) for D in ds_v)
             if surjective
             else None
         ),
-        pullback_ok=all(preimage_is_ds(v, G.members) for G in enumerate_ds_v(u)),
-        preimage_ker_u_is_vds=preimage_is_ds(v, kernel(u)),
-        image_ker_v_is_uds=image_is_ds(u, kernel(v)) if surjective else None,
+        pullback_ok=all(preimage_is_ds(G.members) for G in ds_u),
+        preimage_ker_u_is_vds=preimage_is_ds(ker_u),
+        image_ker_v_is_uds=(
+            image_is_ds(ker_v, frozenset(m[x] for x in ker_v)) if surjective else None
+        ),
     )
 
 
@@ -278,24 +307,26 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     lies inside the kernel: x ~ y puts x->y and y->x in H, so
     f(x)->f(y) = 1 = f(y)->f(x) and f(x) = f(y), and the check in
     ``QuotientAlgebra.induce`` cannot fail here.  ``unique`` restates the
-    theorem's uniqueness clause rather than tests it: the search runs over
-    the very-true homomorphisms on the quotient that commute with the
-    projection, commuting pins every class to the one value ``f`` takes on
-    it, and ``is_vthom`` has already accepted that map when the factored
-    ``VtHomomorphism`` was built, so the search can only return the
-    factored map itself.  It is kept as executable
-    documentation of the statement.
+    theorem's uniqueness clause rather than tests it.  It ranges over the
+    very-true homomorphisms on the quotient that commute with the
+    projection; commuting pins every class to the one value ``f`` takes on
+    it, so the factored map is the only candidate.  That candidate is a
+    homomorphism when ``is_hom`` accepts it, and the pass is kept in its
+    memo; building the factored ``VtHomomorphism`` reads it back and tests
+    only intertwining, raising if that fails.  So ``unique`` is the kept
+    ``is_hom`` verdict, and holds whenever ``factor`` returns.  It is kept
+    as executable documentation of the statement.
 
     What depends on ``f.base`` and H alone is derived once and kept in
     ``f.base.memo`` under ``H.members``: the induced ``Homomorphism``
-    A/H -> B, the maps of the uniqueness search, before they are filtered
-    by the operators, and the ``image_preserved`` and
-    ``kernel_is_quotient_of_kernel`` verdicts.  Each call lifts ``f.v``,
-    certifies the factored ``VtHomomorphism`` and filters those maps by
-    the lifted operator.  The kept map's source is the quotient of the
-    first call; a later call's ``quotient.algebra`` is that algebra when
-    both lifts were taken over one H object (``congruence_from`` keeps it
-    in ``H.memo``), and an equal algebra built apart otherwise.
+    A/H -> B with its ``is_hom`` verdict, and the ``image_preserved`` and
+    ``kernel_is_quotient_of_kernel`` verdicts.  Each call lifts ``f.v``
+    and certifies the factored ``VtHomomorphism``, which tests
+    intertwining with the lifted operator.  The kept map's source is the
+    quotient of the first call; a later call's ``quotient.algebra`` is
+    that algebra when both lifts were taken over one H object
+    (``congruence_from`` keeps it in ``H.memo``), and an equal algebra
+    built apart otherwise.
     """
     B = f.target
     ker = f.base.kernel()
@@ -309,15 +340,12 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
         base = Homomorphism(q, B, quot.induce(f.base.map))
         memo[key] = (
             base,
-            tuple(_hom_search(q, B, [[y] for y in base.map])),
+            _hom_failure(base) is None,
             base.image() == f.base.image(),
             base.kernel() == frozenset(quot.class_of[x] for x in ker),
         )
-    base, maps, image_preserved, kernel_ok = memo[key]
+    base, unique, image_preserved, kernel_ok = memo[key]
     lifted = VtHomomorphism(base, vhat, f.u)
-
-    matches = [g for g in maps if intertwine_failure(g, vhat, f.u) is None]
-    unique = matches == [base.map]
     return FactorResult(quot, vhat, lifted, unique, image_preserved, kernel_ok)
 
 
@@ -327,14 +355,19 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
     The resulting map is a very-true isomorphism from A/Ker(f) onto Im(f).
     The corestriction of ``f.base`` onto its image subalgebra and Ker(f)
     are derived once and kept in ``f.base.memo``; each call restricts
-    ``f.u`` to the image.
+    ``f.u`` to the image.  Neither is checked, since both hold by theorem
+    for a homomorphism f: the image is closed under both implications, so
+    the corestriction preserves them, and Ker f is a normal deductive
+    system (f(x) = f(x->y) = 1 gives f(y) = f(x)->f(y) = 1, and x->y and
+    x~>y lie in Ker f exactly when f(x) <= f(y)).
     """
     memo, image = f.base.memo, f.base.image()
     if "first-iso" not in memo:
         A = f.source
         sub_b = f.target.subalgebra(image)
         base = Homomorphism(A, sub_b, tuple(map(sub_b.index, f.base.names())))
-        memo["first-iso"] = base, DeductiveSystem.from_members(A, base.kernel())
+        base.memo["hom"] = True
+        memo["first-iso"] = base, DeductiveSystem(A, f.base.kernel(), True)
     base, H = memo["first-iso"]
     u_restr = UnaryMap(base.target, restrict(f.u.image, image))
     return factor(VtHomomorphism(base, f.v, u_restr), H)

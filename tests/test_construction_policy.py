@@ -11,14 +11,21 @@ each covered by a theorem that their own hypothesis checks establish:
   once its class tables are well defined, is a pseudo-BCK algebra.
 
 Likewise every ``DeductiveSystem`` is decided: ``from_members`` checks
-closure under modus ponens and decides normality from the tables.  Two
+closure under modus ponens and decides normality from the tables.  Three
 constructions build their system directly, each covered by its reason:
 
 - ``deduction.enumerate_ds``: each mask is closed by the walk, and its
   normal flag is decided by ``_is_normal``;
 - ``operators.lift_to_den_quotient``: on a good algebra with the Glivenko
   property, Den(A) is a normal deductive system by theorem (x->y is dense
-  iff x <= y^{-~} iff x~>y is dense, and x and x->y dense make y dense).
+  iff x <= y^{-~} iff x~>y is dense, and x and x->y dense make y dense);
+  oracle in ``tests/test_operators.py``;
+- ``morphisms.first_isomorphism``: the kernel of a homomorphism f is a
+  normal deductive system by theorem (f(x) = f(x->y) = 1 gives
+  f(y) = f(x)->f(y) = 1, and x->y and x~>y lie in Ker f exactly when
+  f(x) <= f(y)); oracle over every endomorphism of the seed pool in
+  ``tests/test_morphisms.py``, which also checks that the corestriction
+  onto the image, taken there as a homomorphism by theorem, is one.
 
 This is a stdlib ``ast`` check: it lists each function in src/psbck that
 calls ``FiniteAlgebra(...)`` or ``DeductiveSystem(...)``.  A new direct
@@ -40,6 +47,7 @@ CERTIFIED = {
 DECIDED = {
     ("deduction.py", "enumerate_ds"),
     ("operators.py", "lift_to_den_quotient"),
+    ("morphisms.py", "first_isomorphism"),
 }
 
 

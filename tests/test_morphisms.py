@@ -21,6 +21,7 @@ from psbck.morphisms import (
     enumerate_vthom,
     factor,
     first_isomorphism,
+    intertwine_failure,
     is_hom,
     is_isomorphic,
     is_vthom,
@@ -176,6 +177,26 @@ def test_first_isomorphism_swap(six_elt):
     assert res.factored.base.is_injective() and res.factored.base.is_surjective()
 
 
+def test_first_isomorphism_builds_what_holds_by_theorem():
+    # first_isomorphism takes Ker f as a normal deductive system and the
+    # corestriction onto the image as a homomorphism, unchecked; over every
+    # endomorphism of the seed pool, both agree with the checks
+    seen = 0
+    for A in _seed_pool():
+        identity = identity_map(A)
+        for f in enumerate_hom(A, A):
+            res = first_isomorphism(VtHomomorphism(f, identity, identity))
+            assert res.quotient.by == DeductiveSystem.from_members(A, f.kernel())
+            image = A.subalgebra(f.image())
+            onto_image = Homomorphism(A, image, tuple(map(image.index, f.names())))
+            assert is_hom(onto_image) is None
+            factored = res.factored.base
+            assert factored.target == image
+            assert onto_image.map == tuple(factored.map[c] for c in res.quotient.class_of)
+            seen += 1
+    assert seen > 100
+
+
 def test_isomorphism_detection(four_elt, six_elt):
     perm = [3, 0, 2, 1]
     other = relabel(four_elt, perm, prefix="y")
@@ -261,7 +282,9 @@ def _unique_by_brute_force(g, res):
     return matches == [res.factored.base.map]
 
 
-def test_factor_uniqueness_matches_brute_force(small_pool, monkeypatch):
+def _factor_calls(monkeypatch, algebras):
+    """(g, factor's result) for every ``factor`` call that ``run_suite``
+    makes over ``algebras``."""
     visited = []
     real = morphisms.factor
 
@@ -273,26 +296,46 @@ def test_factor_uniqueness_matches_brute_force(small_pool, monkeypatch):
     # the vthom-transport family calls factor directly and via first_isomorphism
     monkeypatch.setattr(morphisms, "factor", recording)
     monkeypatch.setattr(suite, "factor", recording)
-    for A in small_pool:
+    for A in algebras:
         suite.run_suite(A)
     assert any(res.quotient.algebra.n < g.source.n for g, res in visited)
-    for g, res in visited:
+    return visited
+
+
+def test_factor_uniqueness_matches_brute_force(small_pool, monkeypatch):
+    for g, res in _factor_calls(monkeypatch, small_pool):
         assert res.unique == _unique_by_brute_force(g, res), g.base.names()
+
+
+def _pinned_search_unique(g, res):
+    """Uniqueness by the pinned search: the map search from the quotient
+    with every class pinned to the value ``g`` takes on it, filtered by
+    intertwining with the lifted operator, returns the factored map
+    alone."""
+    quot, vhat, want = res.quotient, res.lifted_operator, res.factored.base.map
+    maps = morphisms._hom_search(quot.algebra, g.target, [[y] for y in want])
+    matches = [m for m in maps if intertwine_failure(m, vhat, g.u) is None]
+    return matches == [want]
+
+
+def test_factor_uniqueness_matches_the_pinned_search(small_pool, monkeypatch):
+    for g, res in _factor_calls(monkeypatch, [*_seed_pool(), *small_pool]):
+        assert res.unique == _pinned_search_unique(g, res), g.base.names()
 
 
 def test_run_suite_checks_each_homomorphism_once(monkeypatch):
     """A call count, independent of the machine: over the seed pool,
-    ``is_vthom`` runs ``is_hom`` at most once per ``Homomorphism`` object,
+    ``is_hom`` runs at most once per ``Homomorphism`` object, whether
+    ``is_vthom`` or ``factor`` asks; ``factor`` runs no map search;
     ``first_isomorphism`` builds the image subalgebra at most once per
-    homomorphism object, and ``factor``'s uniqueness search runs at most
-    once per (homomorphism object, H, target), however many operators the
-    homomorphism intertwines."""
+    homomorphism object and checks neither the corestriction nor Ker f,
+    which hold by theorem."""
     keep = []  # every counted object stays alive, so no id is reused
-    hom_checks, subalgebras, searches = Counter(), Counter(), Counter()
-    corestricting, factoring = [], []
+    hom_checks, subalgebras = Counter(), Counter()
+    corestricting, factoring, searched, decided, corestrictions = [], [], [], [], set()
     real_is_hom, real_search = is_hom, morphisms._hom_search
     real_first_isomorphism, real_factor = first_isomorphism, factor
-    real_subalgebra = FiniteAlgebra.subalgebra
+    real_subalgebra, real_from_members = FiniteAlgebra.subalgebra, DeductiveSystem.from_members
 
     def counting_is_hom(f):
         keep.append(f)
@@ -312,9 +355,16 @@ def test_run_suite_checks_each_homomorphism_once(monkeypatch):
             subalgebras[corestricting[-1]] += 1
         return real_subalgebra(A, members)
 
+    def counting_from_members(A, members):
+        if corestricting:
+            decided.append(members)
+        return real_from_members(A, members)
+
     def counting_factor(g, H):
         keep.append(g)
-        factoring.append((id(g.base), H.members, id(g.target)))
+        if corestricting:
+            corestrictions.add(id(g.base))
+        factoring.append(g)
         try:
             return real_factor(g, H)
         finally:
@@ -322,11 +372,12 @@ def test_run_suite_checks_each_homomorphism_once(monkeypatch):
 
     def counting_search(A, B, candidates):
         if factoring:
-            searches[factoring[-1]] += 1
+            searched.append(A)
         return real_search(A, B, candidates)
 
     monkeypatch.setattr(morphisms, "is_hom", counting_is_hom)
     monkeypatch.setattr(FiniteAlgebra, "subalgebra", counting_subalgebra)
+    monkeypatch.setattr(DeductiveSystem, "from_members", counting_from_members)
     monkeypatch.setattr(morphisms, "_hom_search", counting_search)
     # the vthom-transport family calls factor directly and via first_isomorphism
     monkeypatch.setattr(suite, "first_isomorphism", counting_first_isomorphism)
@@ -334,10 +385,11 @@ def test_run_suite_checks_each_homomorphism_once(monkeypatch):
     monkeypatch.setattr(suite, "factor", counting_factor)
     for A in _seed_pool():
         suite.run_suite(A)
-    assert hom_checks and subalgebras and searches
+    assert hom_checks and subalgebras and corestrictions
     assert max(hom_checks.values()) == 1
     assert max(subalgebras.values()) == 1
-    assert max(searches.values()) == 1
+    assert searched == [] and decided == []
+    assert not corestrictions & hom_checks.keys()
 
 
 def _transport_questions(g):
