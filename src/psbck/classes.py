@@ -12,7 +12,7 @@ is a bounded integral residuated lattice (see ``_classify``).
 This module runs no search of its own: its operators come from the map
 search in ``operators``, and its Smarandache candidates Q from the
 closed-set walk ``deduction._closed_sets`` over the implication pair table
-``deduction._implication_pairs``, from {0, 1}.
+``deduction._implication_pairs``, built for each search, from {0, 1}.
 """
 
 from __future__ import annotations

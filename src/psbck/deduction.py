@@ -7,7 +7,7 @@ the elements that the members x and y yield; a set is closed when it holds
 ``pairs[x * n + y]`` for every two members.  Deductive systems close the
 modus ponens table ``_mp_pairs`` from {1}; ``classes.smarandache_search``
 closes the implication table ``_implication_pairs`` from {0, 1}.  Both
-tables are plain ints, derived once per algebra and kept in ``A.memo``.
+tables are plain ints.
 
 The walk reaches each closed superset of the start exactly once, with
 no seen set, and never scans the power set, which keeps carriers up to
@@ -15,12 +15,12 @@ the documented cap (20) feasible.  Results are ordered by (cardinality,
 bitset value) with bit i standing for element id i.
 
 Derived once and kept on the object it is derived from: an algebra's
-pair tables (``A.memo["mp-pairs"]``, ``A.memo["implication-pairs"]``) and
-closed masks with their normal flags (``A.memo["ds"]``), plain ints and
-bools (``enumerate_ds`` builds fresh systems from them on every call), and
-a normal system's quotient algebra with the class of each element in
-``H.memo`` (``congruence_from``).  Neither refers back to its owner, and a
-quotient is never kept on the algebra it is taken of.
+modus ponens table, closed masks, and the verdicts of ``_is_ds`` and
+``_is_normal`` under each member bitset, plain ints and bools in
+``A.memo`` (each checker keeps its own verdict; callers only call it);
+and a normal system's quotient algebra with the class of each element in
+``H.memo`` (``congruence_from``).  Neither refers back to its owner, and
+a quotient is never kept on the algebra it is taken of.
 """
 
 from __future__ import annotations
@@ -88,15 +88,13 @@ def _mp_pairs(A: FiniteAlgebra) -> tuple[int, ...]:
 
 def _implication_pairs(A: FiniteAlgebra) -> tuple[int, ...]:
     """``pairs[x * n + y]``: the bitset of x->y, y->x, x~>y and y~>x.
-    Plain ints, derived once per algebra and kept in ``A.memo``."""
-    memo = A.memo
-    if "implication-pairs" not in memo:
-        ar, sq = A.arrow, A.squig
-        memo["implication-pairs"] = tuple(
-            1 << ar[x][y] | 1 << ar[y][x] | 1 << sq[x][y] | 1 << sq[y][x]
-            for x, y in product(A.elements, repeat=2)
-        )
-    return memo["implication-pairs"]
+    Built afresh on every call, as ``smarandache_search`` asks once per
+    search."""
+    ar, sq = A.arrow, A.squig
+    return tuple(
+        1 << ar[x][y] | 1 << ar[y][x] | 1 << sq[x][y] | 1 << sq[y][x]
+        for x, y in product(A.elements, repeat=2)
+    )
 
 
 def _closed_sets(A: FiniteAlgebra, pairs, start: int) -> list[int]:
@@ -146,16 +144,26 @@ class DeductiveSystem:
 
 
 def _is_ds(A: FiniteAlgebra, members: frozenset[int]) -> bool:
-    """Contains 1 and is closed under modus ponens for both implications."""
+    """Contains 1 and is closed under modus ponens for both implications.
+    The verdict is kept in ``A.memo["is-ds"]`` under the member bitset."""
     mask = sum(1 << x for x in members)
-    return A.one in members and _adjoin(A, _mp_pairs(A), 0, mask) == mask
+    kept = A.memo.setdefault("is-ds", {})
+    if mask not in kept:
+        kept[mask] = A.one in members and _adjoin(A, _mp_pairs(A), 0, mask) == mask
+    return kept[mask]
 
 
 def _is_normal(A: FiniteAlgebra, members: frozenset[int]) -> bool:
-    return all(
-        (A.arrow[x][y] in members) == (A.squig[x][y] in members)
-        for x, y in product(A.elements, repeat=2)
-    )
+    """x->y and x~>y lie in ``members`` together, for every x and y.  The
+    verdict is kept in ``A.memo["is-normal"]`` under the member bitset."""
+    mask = sum(1 << x for x in members)
+    kept = A.memo.setdefault("is-normal", {})
+    if mask not in kept:
+        kept[mask] = all(
+            (A.arrow[x][y] in members) == (A.squig[x][y] in members)
+            for x, y in product(A.elements, repeat=2)
+        )
+    return kept[mask]
 
 
 def _members(A: FiniteAlgebra, mask: int) -> frozenset[int]:
@@ -169,17 +177,15 @@ def _check_subset_cap(A: FiniteAlgebra):
 
 
 def enumerate_ds(A: FiniteAlgebra) -> list[DeductiveSystem]:
-    """Every deductive system of A.  The closed masks and their normal
-    flags are derived once per algebra and kept in ``A.memo``; the cap is
-    checked on every call, and each call builds fresh systems."""
+    """Every deductive system of A.  The closed masks are kept in
+    ``A.memo``; the cap is checked on every call, and each call builds
+    fresh systems."""
     _check_subset_cap(A)
     memo = A.memo
     if "ds" not in memo:
-        memo["ds"] = tuple(
-            (m, _is_normal(A, _members(A, m)))
-            for m in _closed_sets(A, _mp_pairs(A), 1 << A.one)
-        )
-    return [DeductiveSystem(A, _members(A, m), normal) for m, normal in memo["ds"]]
+        memo["ds"] = tuple(_closed_sets(A, _mp_pairs(A), 1 << A.one))
+    systems = (_members(A, m) for m in memo["ds"])
+    return [DeductiveSystem(A, mem, _is_normal(A, mem)) for mem in systems]
 
 
 def enumerate_ds_n(A: FiniteAlgebra) -> list[DeductiveSystem]:

@@ -12,17 +12,17 @@ as its checks: once f(x) and f(y) are assigned, each is tested, or forces
 f(x->y) and f(x~>y) when those come later in id order.  Enumeration has
 its own cap (|A| <= 8), since the raw space is |B|^|A|.
 
-Each fact about a homomorphism that involves no operator is decided once
-and kept in ``Homomorphism.memo``: its passed ``is_hom`` check, its
-kernel, its corestriction onto the image with Ker f, the operator-free
-verdicts of ``transport``, and, per deductive system H, its factored map
-from A/H with that map's ``is_hom`` verdict and ``factor``'s two
-verdicts.  A ``VtHomomorphism`` is still certified when it is built; only
-the operator-free part of that check is read back.  What holds by theorem
-is not decided at all: Ker f is a normal deductive system and the
+A checker keeps its own pass on the object the verdict is about, and
+callers only call it: ``is_hom`` keeps it in ``Homomorphism.memo``,
+``operators.is_vto`` in the operator's memo, and ``deduction._is_ds`` and
+``_is_normal`` in the algebra's.  A failure is never kept.  Beside its
+``is_hom`` pass, a homomorphism's memo keeps what is derived from its map
+alone: its kernel, whether its image is closed (``transport``), its
+corestriction onto the image with Ker f, and, per deductive system H, its
+factored map from A/H with ``factor``'s two verdicts.  What holds by
+theorem is not decided at all: Ker f is a normal deductive system and the
 corestriction is a homomorphism (``first_isomorphism``).  What involves
-an operator (stability under it, intertwining, its certificate) is tested
-on every call.
+an operator (stability under it, intertwining) is tested on every call.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ class Homomorphism:
     target: FiniteAlgebra
     map: tuple[int, ...]
     # what is derived from the map alone, filled on first use and freed
-    # with it: its passed ``is_hom`` certificate (is_vthom, factor), its
-    # kernel, its corestriction onto the image with Ker f
-    # (first_isomorphism), the verdicts of transport that involve no
-    # operator, and its factorization through each A/H (factor); nothing
-    # in it refers back to the map
+    # with it: its passed ``is_hom`` check, its kernel, whether its image
+    # is closed (transport), its corestriction onto the image with Ker f
+    # (first_isomorphism), and its factorization through each A/H
+    # (factor); nothing in it refers back to the map
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def is_surjective(self) -> bool:
@@ -108,14 +107,26 @@ class VtHomomorphism:
         return self.base.target
 
 
-# loops, not law rows: a kernel run on every endomorphism the suite checks
 def is_hom(f: Homomorphism) -> Witness | None:
     """None if f preserves both implications, else the first failing
-    (x, y) in id order, arrow before squig.  The four table rows of each x
-    are looked up once, not once per y."""
+    (x, y) in id order, arrow before squig.  Raises MalformedInput on every
+    call unless the map is total into the target.  A pass is kept in
+    ``f.memo``; a failure is not, so it is found again on every call."""
     A, B, m = f.source, f.target, f.map
     if len(m) != A.n or any(not 0 <= v < B.n for v in m):
         raise MalformedInput("map is not total into the target carrier")
+    if "hom" in f.memo:
+        return None
+    w = _hom_witness(A, B, m)
+    if w is None:
+        f.memo["hom"] = True
+    return w
+
+
+# loops, not law rows: a kernel run on every endomorphism the suite checks
+def _hom_witness(A: FiniteAlgebra, B: FiniteAlgebra, m) -> Witness | None:
+    """``is_hom`` on the total map vector m from A to B.  The four table
+    rows of each x are looked up once, not once per y."""
     els = A.elements
     for x in els:
         ax, sx, bx, tx = A.arrow[x], A.squig[x], B.arrow[m[x]], B.squig[m[x]]
@@ -126,18 +137,6 @@ def is_hom(f: Homomorphism) -> Witness | None:
             if m[sx[y]] != tx[my]:
                 return Witness("hom-squig", (A.name(x), A.name(y)))
     return None
-
-
-def _hom_failure(f: Homomorphism) -> Witness | None:
-    """``is_hom(f)``, with a pass kept in ``f.memo``, as ``certify_vto``
-    keeps its certificate; a failure is not kept, so it is found again on
-    every call."""
-    if "hom" in f.memo:
-        return None
-    w = is_hom(f)
-    if w is None:
-        f.memo["hom"] = True
-    return w
 
 
 def _require_ends(A: FiniteAlgebra, v: UnaryMap, B: FiniteAlgebra, u: UnaryMap):
@@ -157,10 +156,9 @@ def intertwine_failure(m, v: UnaryMap, u: UnaryMap) -> int | None:
 
 def is_vthom(f: Homomorphism, v: UnaryMap, u: UnaryMap) -> Witness | None:
     """None if f is a homomorphism intertwining v and u, else the first
-    failing law.  The ``is_hom`` check goes through ``_hom_failure``, so a
-    pass is decided once per ``Homomorphism`` object."""
+    failing law."""
     _require_ends(f.source, v, f.target, u)
-    w = _hom_failure(f)
+    w = is_hom(f)
     if w is not None:
         return w
     certify_vto(v)
@@ -233,28 +231,25 @@ def transport(f: VtHomomorphism) -> TransportReport:
     Each check is a verdict that involves no operator (the image is closed
     under both implications, Ker f is a normal deductive system, f(S) or
     f^-1(S) is a deductive system) and one that does (the set is v- or
-    u-stable).  The first kind depends on ``f.base`` alone and is kept in
-    its memo, per member set S for the images and preimages; the stability
-    tests run on every call.  Each f(D) comes from ``pushforward_ds``.  The
-    v-deductive systems and Ker v are derived once per call, and serve for
-    u as well when u is v.
+    u-stable).  The first kind is kept by its checker: ``_is_ds`` and
+    ``_is_normal`` keep theirs on the algebra the set lies in, and whether
+    the image is closed, a fact about f alone, is kept in ``f.base.memo``.
+    The stability tests run on every call.  Each f(D) comes from
+    ``pushforward_ds``.  The v-deductive systems and Ker v are derived once
+    per call, and serve for u as well when u is v.
     """
     A, B, v, u, m = f.source, f.target, f.v, f.u, f.base.map
-    memo = f.base.memo
 
-    def kept(key, derive):
-        if key not in memo:
-            memo[key] = derive()
-        return memo[key]
-
-    def image_is_ds(members, img) -> bool:
-        return kept(("image-ds", members), lambda: _is_ds(B, img)) and u.preserves(img)
+    def image_is_ds(img) -> bool:
+        return _is_ds(B, img) and u.preserves(img)
 
     def preimage_is_ds(members) -> bool:
         pre = frozenset(x for x in A.elements if m[x] in members)
-        return kept(("preimage-ds", members), lambda: _is_ds(A, pre)) and v.preserves(pre)
+        return _is_ds(A, pre) and v.preserves(pre)
 
-    ker, img = f.base.kernel(), f.base.image()
+    memo, ker, img = f.base.memo, f.base.kernel(), f.base.image()
+    if "image-closed" not in memo:
+        memo["image-closed"] = B.one in img and B.unclosed_pair(img) is None
     surjective = f.base.is_surjective()
     ds_v = enumerate_ds_v(v) if surjective else None
     ds_u = ds_v if surjective and u is v else enumerate_ds_v(u)
@@ -263,22 +258,16 @@ def transport(f: VtHomomorphism) -> TransportReport:
     return TransportReport(
         # VT1-VT4 are universal sentences, so u restricted to a u-stable
         # subalgebra is a very true operator there
-        image_is_vt_subalgebra=kept(
-            "image-closed", lambda: B.one in img and B.unclosed_pair(img) is None
-        ) and u.preserves(img),
+        image_is_vt_subalgebra=memo["image-closed"] and u.preserves(img),
         kernel=ker,
-        kernel_is_normal_vds=kept(
-            "kernel-normal-ds", lambda: _is_ds(A, ker) and _is_normal(A, ker)
-        ) and v.preserves(ker),
+        kernel_is_normal_vds=_is_ds(A, ker) and _is_normal(A, ker) and v.preserves(ker),
         pushforward_ok=(
-            all(image_is_ds(D.members, pushforward_ds(f, D)) for D in ds_v)
-            if surjective
-            else None
+            all(image_is_ds(pushforward_ds(f, D)) for D in ds_v) if surjective else None
         ),
         pullback_ok=all(preimage_is_ds(G.members) for G in ds_u),
         preimage_ker_u_is_vds=preimage_is_ds(ker_u),
         image_ker_v_is_uds=(
-            image_is_ds(ker_v, frozenset(m[x] for x in ker_v)) if surjective else None
+            image_is_ds(frozenset(m[x] for x in ker_v)) if surjective else None
         ),
     )
 
@@ -340,7 +329,7 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
         base = Homomorphism(q, B, quot.induce(f.base.map))
         memo[key] = (
             base,
-            _hom_failure(base) is None,
+            is_hom(base) is None,
             base.image() == f.base.image(),
             base.kernel() == frozenset(quot.class_of[x] for x in ker),
         )

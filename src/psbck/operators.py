@@ -13,7 +13,8 @@ The operator searches restrict f(x) to the down-set (interior/VTO) or
 up-set (closure) of x and state monotonicity and idempotence as such
 constraints, so results come out in lexicographic order of image vectors;
 the very true search then tests VT4 alone.  ``morphisms`` runs the
-homomorphism searches on the same engine.
+homomorphism searches on the same engine.  A checker keeps its own pass:
+``is_vto`` in ``UnaryMap.memo``, so its callers only call it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class UnaryMap:
     parent: FiniteAlgebra
     image: tuple[int, ...]
     # what is derived from (parent, operator) alone, filled on first use and
-    # freed with the operator: its very true certificate (certify_vto), its
+    # freed with the operator: its passed very true check (is_vto), its
     # v-deductive systems and its quotient lifts (deduction.enumerate_ds_v,
     # deduction.lift_vto_to_quotient); nothing in it refers back to the map
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -142,8 +143,15 @@ def is_closure(f: UnaryMap) -> Witness | None:
 
 
 def is_vto(f: UnaryMap) -> Witness | None:
-    """None if f is a very true operator, else the first violated axiom."""
-    return _vto_witness(f.parent, f.image)
+    """None if f is a very true operator, else the first violated axiom.
+    A pass is kept in ``f.memo``; a failure is not, so it is found again on
+    every call."""
+    if "vto" in f.memo:
+        return None
+    w = _vto_witness(f.parent, f.image)
+    if w is None:
+        f.memo["vto"] = True
+    return w
 
 
 # loops, not law rows: a kernel run on every candidate and composite, with rows hoisted
@@ -282,16 +290,10 @@ def enumerate_vto(A: FiniteAlgebra) -> list[UnaryMap]:
 
 
 def certify_vto(f: UnaryMap) -> UnaryMap:
-    """f, if it is a very true operator; raises NotVto otherwise.
-
-    A passed certificate is kept in ``f.memo``; a failed one is not, so it
-    raises again on every call.
-    """
-    if "vto" not in f.memo:
-        w = is_vto(f)
-        if w is not None:
-            raise NotVto(f"map is not a very true operator: {w}")
-        f.memo["vto"] = True
+    """f, if ``is_vto`` passes it; raises NotVto otherwise."""
+    w = is_vto(f)
+    if w is not None:
+        raise NotVto(f"map is not a very true operator: {w}")
     return f
 
 
@@ -354,14 +356,11 @@ def _lift_checks(f: UnaryMap):
 
 
 def _certify_lift(checks, lifted: UnaryMap):
-    """Raise WellDefinednessFailure unless ``lifted`` passes ``checks``;
-    a passed ``is_vto`` is kept as ``certify_vto``'s certificate."""
+    """Raise WellDefinednessFailure unless ``lifted`` passes ``checks``."""
     for check in checks:
         w = check(lifted)
         if w is not None:
             raise WellDefinednessFailure(f"lifted map fails {w}")
-    if is_vto in checks:
-        lifted.memo["vto"] = True
 
 
 def lift_to_reg(f: UnaryMap):

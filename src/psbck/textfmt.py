@@ -26,7 +26,8 @@ reference an algebra with ``on <name>``:
 
 Tables are row-major in the ``elements:`` order.  Valuation entries are
 ``name=p``, ``name=p/q`` or a finite decimal such as ``name=0.25`` (exact
-rationals, no exponent).  ``#`` starts a comment.
+rationals, no exponent, nothing past the interpreter's int digit limit).
+``#`` starts a comment.
 Every algebra is certified before any dependent object is resolved; all
 problems are reported as :class:`ParseError` with 1-based line and column.
 """
@@ -274,6 +275,7 @@ def parse(text: str) -> WorkbenchDocument:
                 _fail(f"bad rational {part[1]!r}", t)
             try:
                 q = Fraction(part[1])
+                str(q)  # past the interpreter's int digit limit it cannot be printed
             except (ValueError, ZeroDivisionError):
                 _fail(f"bad rational {part[1]!r}", t)
             if values[x] is not None:

@@ -18,6 +18,11 @@ after ``run_suite``: it keeps plain data only, and no deductive system,
 quotient, operator or homomorphism, each of which refers to an algebra.
 Those live on their own objects (``DeductiveSystem.memo`` keeps a quotient,
 ``UnaryMap.memo`` the operator's systems and lifts).
+
+A fourth, ``ast``, check is a census of memo writes: each key is written
+by the one function that derives it, so a checker keeps its own verdict
+and a caller only calls it.  A key written from a second place shows up
+as an edit to ``WRITERS``.
 """
 
 import ast
@@ -32,7 +37,7 @@ from psbck.deduction import DeductiveSystem, QuotientAlgebra, enumerate_ds
 from psbck.generate import _seed_pool
 from psbck.morphisms import Homomorphism
 from psbck.operators import UnaryMap, identity_map
-from psbck.suite import run_suite
+from psbck.suite import FAMILIES, Facts, run_suite
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "psbck"
 
@@ -170,3 +175,119 @@ def test_a_planted_referring_entry_is_reported(plant):
     assert referring_objects(A.memo) == []
     A.memo["planted"] = plant(A)
     assert referring_objects(A.memo)
+
+
+# each memo key and the one function that writes it; ``first_isomorphism``
+# also writes "hom" on the corestriction onto the image, which is a
+# homomorphism by theorem, so no check runs on it
+WRITERS = {
+    "order": ["algebra.FiniteAlgebra.order_masks"],
+    "double-neg": ["algebra.FiniteAlgebra.double_negations"],
+    "glivenko": ["algebra.FiniteAlgebra.is_glivenko"],
+    "odot": ["classes.pseudo_product"],
+    "classify": ["classes.classify"],
+    "mp-pairs": ["deduction._mp_pairs"],
+    "is-ds": ["deduction._is_ds"],
+    "is-normal": ["deduction._is_normal"],
+    "ds": ["deduction.enumerate_ds"],
+    "ds_v": ["deduction.enumerate_ds_v"],
+    "quotient": ["deduction.congruence_from"],
+    "lift": ["deduction.lift_vto_to_quotient"],
+    "kernel": ["morphisms.Homomorphism.kernel"],
+    "hom": ["morphisms.first_isomorphism", "morphisms.is_hom"],
+    "image-closed": ["morphisms.transport"],
+    "factor": ["morphisms.factor"],
+    "first-iso": ["morphisms.first_isomorphism"],
+    "vto": ["operators.is_vto"],
+}
+
+
+def _functions(tree, module):
+    """(module.function or module.Class.method, node) of each definition."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def _is_memo(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "memo") or (
+        isinstance(node, ast.Attribute) and node.attr == "memo"
+    )
+
+
+def memo_writes(source: str, module: str) -> list[tuple[str, str]]:
+    """(key, writer) of each store into a ``memo`` (a name or an
+    attribute), by subscript or ``setdefault``.  A tuple key counts by its
+    first item, and a key held in a local name by what the name is bound
+    to; a key that is no string reads as its source text."""
+    found = []
+    for writer, fn in _functions(ast.parse(source), module):
+        bound = {
+            node.targets[0].id: node.value
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        }
+
+        def key(node):
+            node = bound.get(node.id, node) if isinstance(node, ast.Name) else node
+            node = node.elts[0] if isinstance(node, ast.Tuple) else node
+            return node.value if isinstance(node, ast.Constant) else ast.unparse(node)
+
+        for node in ast.walk(fn):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for t in targets:
+                if isinstance(t, ast.Subscript) and _is_memo(t.value):
+                    found.append((key(t.slice), writer))
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setdefault"
+                and _is_memo(node.func.value)
+            ):
+                found.append((key(node.args[0]), writer))
+    return found
+
+
+def test_each_memo_key_has_one_writer():
+    census = {}
+    for path in sorted(SRC.glob("*.py")):
+        for k, writer in memo_writes(path.read_text(encoding="utf-8"), path.stem):
+            census.setdefault(k, set()).add(writer)
+    assert {k: sorted(w) for k, w in census.items()} == WRITERS
+
+
+def test_a_caller_side_memo_write_is_reported():
+    source = (
+        "def is_vto(f):\n"
+        "    f.memo['vto'] = True\n"
+        "class C:\n"
+        "    def m(self, A, S):\n"
+        "        memo = A.memo\n"
+        "        key = ('image-ds', S)\n"
+        "        memo[key] = memo.setdefault('n', {})\n"
+        "def certify(f, k):\n"
+        "    f.memo['vto'] = f.memo[k] = True\n"
+    )
+    assert memo_writes(source, "m") == [
+        ("vto", "m.is_vto"),
+        ("image-ds", "m.C.m"),
+        ("n", "m.C.m"),
+        ("vto", "m.certify"),
+        ("k", "m.certify"),
+    ]
+
+
+def test_homomorphism_memos_keep_five_kinds_of_key():
+    kinds = set()
+    for A in _seed_pool():
+        facts = Facts.of(A)
+        for _, gate, check in FAMILIES:
+            if gate is None or gate(facts):
+                check(facts)
+        for f in facts.homs or ():
+            kinds |= {k if isinstance(k, str) else k[0] for k in f.memo}
+    assert kinds == {"kernel", "hom", "first-iso", "factor", "image-closed"}

@@ -337,7 +337,7 @@ def test_double_negations_match_a_fresh_scan(pool):
 
 # each fills A.memo: the order rows alone, or with what is derived from
 # them; is_glivenko (the double negations and the verdict) needs a bottom;
-# enumerate_ds keeps the closed masks with their normal flags
+# enumerate_ds keeps the closed masks, and _is_normal their normal flags
 FILLS = (
     FiniteAlgebra.order_masks, classify, pseudo_product, FiniteAlgebra.is_glivenko, enumerate_ds,
 )

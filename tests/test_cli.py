@@ -216,3 +216,16 @@ def test_valuation_exponent_is_a_parse_error(tmp_path, entry):
     assert res.stdout == b""
     assert res.stderr.startswith(b"E_PARSE:")
     assert f"bad rational '{entry}'".encode() in res.stderr
+
+
+def test_valuation_past_the_digit_limit_is_a_parse_error(tmp_path):
+    # it parses as a Fraction, but past Python's 4300-digit limit it cannot be printed
+    entry = "9" * 4200 + "." + "9" * 200
+    path = tmp_path / "huge.alg"
+    text = (CORPUS / "ex_2_chain.alg").read_text(encoding="utf-8")
+    path.write_text(text + f"\nvaluation phi on A: 1=0 0={entry}\n", encoding="utf-8")
+    res = run(["valuation", "check", str(path), "--valuation", "phi"])
+    assert res.returncode == 2
+    assert res.stdout == b""
+    assert res.stderr.startswith(b"E_PARSE:")
+    assert res.stderr.endswith(f"bad rational '{entry}'\n".encode())

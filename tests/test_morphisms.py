@@ -4,8 +4,8 @@ from itertools import permutations, product
 import pytest
 
 from conftest import values_tried
-from psbck import morphisms, suite
-from psbck.deduction import DeductiveSystem, enumerate_ds_v
+from psbck import deduction, morphisms, suite
+from psbck.deduction import DeductiveSystem
 from psbck.algebra import FiniteAlgebra, validate
 from psbck.errors import (
     KernelContainmentViolated,
@@ -28,7 +28,7 @@ from psbck.morphisms import (
     pushforward_ds,
     transport,
 )
-from psbck.operators import UnaryMap, Witness, enumerate_vto, identity_map, is_vtst, kernel
+from psbck.operators import UnaryMap, Witness, enumerate_vto, identity_map, is_vtst
 
 PSI = [
     ("1", "1", "1", "1", "1", "1"),
@@ -325,22 +325,31 @@ def test_factor_uniqueness_matches_the_pinned_search(small_pool, monkeypatch):
 
 def test_run_suite_checks_each_homomorphism_once(monkeypatch):
     """A call count, independent of the machine: over the seed pool,
-    ``is_hom`` runs at most once per ``Homomorphism`` object, whether
-    ``is_vthom`` or ``factor`` asks; ``factor`` runs no map search;
-    ``first_isomorphism`` builds the image subalgebra at most once per
-    homomorphism object and checks neither the corestriction nor Ker f,
-    which hold by theorem."""
+    ``is_hom`` runs its kernel ``_hom_witness`` at most once per
+    ``Homomorphism`` object, whether ``homs-preserve``, ``is_vthom`` or
+    ``factor`` asks; ``factor`` runs no map search; ``first_isomorphism``
+    builds the image subalgebra at most once per homomorphism object and
+    checks neither the corestriction nor Ker f, which hold by theorem."""
     keep = []  # every counted object stays alive, so no id is reused
     hom_checks, subalgebras = Counter(), Counter()
-    corestricting, factoring, searched, decided, corestrictions = [], [], [], [], set()
-    real_is_hom, real_search = is_hom, morphisms._hom_search
+    checking, corestricting, factoring, searched, decided, corestrictions = (
+        [], [], [], [], [], set()
+    )
+    real_is_hom, real_witness, real_search = is_hom, morphisms._hom_witness, morphisms._hom_search
     real_first_isomorphism, real_factor = first_isomorphism, factor
     real_subalgebra, real_from_members = FiniteAlgebra.subalgebra, DeductiveSystem.from_members
 
     def counting_is_hom(f):
         keep.append(f)
-        hom_checks[id(f)] += 1
-        return real_is_hom(f)
+        checking.append(id(f))
+        try:
+            return real_is_hom(f)
+        finally:
+            checking.pop()
+
+    def counting_witness(A, B, m):
+        hom_checks[checking[-1]] += 1
+        return real_witness(A, B, m)
 
     def counting_first_isomorphism(g):
         keep.append(g)
@@ -376,6 +385,8 @@ def test_run_suite_checks_each_homomorphism_once(monkeypatch):
         return real_search(A, B, candidates)
 
     monkeypatch.setattr(morphisms, "is_hom", counting_is_hom)
+    monkeypatch.setattr(suite, "is_hom", counting_is_hom)
+    monkeypatch.setattr(morphisms, "_hom_witness", counting_witness)
     monkeypatch.setattr(FiniteAlgebra, "subalgebra", counting_subalgebra)
     monkeypatch.setattr(DeductiveSystem, "from_members", counting_from_members)
     monkeypatch.setattr(morphisms, "_hom_search", counting_search)
@@ -392,53 +403,81 @@ def test_run_suite_checks_each_homomorphism_once(monkeypatch):
     assert not corestrictions & hom_checks.keys()
 
 
-def _transport_questions(g):
-    """The operator-free questions ``transport(g)`` asks: whether Ker f is a
-    normal deductive system, and whether f(S) or f^-1(S) is a deductive
-    system, as (direction, S)."""
-    asked = {("kernel",), ("preimage", kernel(g.u))}
-    asked |= {("preimage", G.members) for G in enumerate_ds_v(g.u)}
-    if g.base.is_surjective():
-        asked |= {("image", kernel(g.v))}
-        asked |= {("image", D.members) for D in enumerate_ds_v(g.v)}
-    return asked
-
-
 def test_transport_decides_each_operator_free_question_once(monkeypatch):
     """A call count, independent of the machine: over the seed pool,
-    ``transport`` runs ``_is_ds`` at most once per (homomorphism object,
-    direction, member set) and ``_is_normal`` at most once per homomorphism
-    object, however many operators the homomorphism intertwines."""
-    keep = []  # every counted object stays alive, so no id is reused
-    transports, ds_checks, normal_checks = Counter(), Counter(), Counter()
-    asked, current = {}, []
-    real_transport, real_is_ds, real_is_normal = transport, morphisms._is_ds, morphisms._is_normal
+    ``_is_ds`` and ``_is_normal`` run their kernels (the ``_adjoin``
+    closure, the ``product`` scan) at most once per (algebra object,
+    member set), however many homomorphisms and operators ``transport``
+    asks for them, and ``from_members`` and ``enumerate_ds`` with it."""
+    keep = []  # every counted algebra stays alive, so no id is reused
+    asks, runs, deciding = Counter(), Counter(), []
 
-    def counting_transport(g):
-        keep.append(g)
-        transports[id(g.base)] += 1
-        asked.setdefault(id(g.base), set()).update(_transport_questions(g))
-        current.append(id(g.base))
-        try:
-            return real_transport(g)
-        finally:
-            current.pop()
+    def asking(kind, real):
+        def ask(A, members):
+            keep.append(A)
+            question = (kind, id(A), frozenset(members))
+            asks[question] += 1
+            deciding.append(question)
+            try:
+                return real(A, members)
+            finally:
+                deciding.pop()
+        return ask
 
-    def counting_is_ds(A, members):
-        if current:
-            ds_checks[current[-1]] += 1
-        return real_is_ds(A, members)
+    def kernel_of(kind, real):
+        def run(*args, **kwargs):
+            if deciding and deciding[-1][0] == kind:
+                runs[deciding[-1]] += 1
+            return real(*args, **kwargs)
+        return run
 
-    def counting_is_normal(A, members):
-        if current:
-            normal_checks[current[-1]] += 1
-        return real_is_normal(A, members)
-
-    monkeypatch.setattr(suite, "transport", counting_transport)
-    monkeypatch.setattr(morphisms, "_is_ds", counting_is_ds)
-    monkeypatch.setattr(morphisms, "_is_normal", counting_is_normal)
+    is_ds, is_normal = asking("ds", deduction._is_ds), asking("normal", deduction._is_normal)
+    for module in (deduction, morphisms):
+        monkeypatch.setattr(module, "_is_ds", is_ds)
+        monkeypatch.setattr(module, "_is_normal", is_normal)
+    monkeypatch.setattr(deduction, "_adjoin", kernel_of("ds", deduction._adjoin))
+    monkeypatch.setattr(deduction, "product", kernel_of("normal", deduction.product))
     for A in _seed_pool():
         suite.run_suite(A)
-    assert max(transports.values()) > 1 and ds_checks and normal_checks
-    assert all(ds_checks[h] <= len(asked[h]) for h in asked)
-    assert max(normal_checks.values()) == 1
+    assert {kind for kind, _, _ in runs} == {"ds", "normal"}
+    assert set(runs.values()) == {1}
+    assert sum(asks.values()) > 2 * len(runs)  # the same questions come back
+
+
+def _vthom_transport(A):
+    """The (ok, detail) of ``run_suite(A)``'s ``vthom-transport`` family."""
+    (res,) = [r for r in suite.run_suite(A) if r.name == "vthom-transport"]
+    return res.ok, res.detail
+
+
+def test_vthom_transport_names_the_map_whose_transport_fails(four_elt, monkeypatch):
+    """On certified input no transport fails, so the family's failure
+    return runs only under a planted deductive-system verdict."""
+
+    def copy():
+        A = four_elt
+        return validate(A.element_names, A.one, A.arrow, A.squig, zero=A.zero)
+
+    # outside the kept verdict: {1}, the kernel of the identity map, fails
+    A, real_is_ds = copy(), morphisms._is_ds
+    monkeypatch.setattr(morphisms, "_is_ds", lambda B, s: s != {B.one} and real_is_ds(B, s))
+    assert _vthom_transport(A) == (False, "transport ('1', 'a', 'b', 'c')")
+    monkeypatch.undo()
+    assert _vthom_transport(A) == (True, "")  # nothing was kept under the plant
+
+    # under the kept verdict: A's whole carrier, the preimage of the
+    # system A under every map, closes to nothing, and A keeps that
+    A, real_adjoin = copy(), deduction._adjoin
+    carrier = (1 << A.n) - 1
+
+    def adjoin(B, pairs, closed, new):
+        if B is A and closed == 0 and new == carrier:
+            return 0
+        return real_adjoin(B, pairs, closed, new)
+
+    monkeypatch.setattr(deduction, "_adjoin", adjoin)
+    assert _vthom_transport(A) == (False, "transport ('1', '1', '1', '1')")
+    monkeypatch.undo()
+    assert _vthom_transport(A) == (False, "transport ('1', '1', '1', '1')")
+    # an equal algebra built separately decides afresh
+    assert _vthom_transport(copy()) == (True, "")

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import golden_up_sets, values_tried
 from psbck import classes, deduction, goldens, morphisms, operators, suite
+from psbck.algebra import validate
 from psbck.deduction import (
     DeductiveSystem,
     enumerate_ds_nv,
@@ -621,25 +622,34 @@ def _reference_transport(g, is_ds):
 
 
 def test_transport_memo_answers_each_question_with_its_own_verdict(monkeypatch):
-    # on certified input every verdict holds, so a memo that answered one
-    # question with another's verdict would go unseen; plant a failing
-    # deductive-system test on one set at a time instead, and compare each
-    # operator's report with the reference under the same plant
-    real = morphisms._is_ds
+    # on certified input every verdict holds, so a kept verdict that
+    # answered one question with another's would go unseen; plant a failing
+    # closure on one set at a time instead, on a fresh algebra whose
+    # verdicts _is_ds keeps under the plant, and compare each operator's
+    # report with the reference under the same plant
+    real_is_ds, real_adjoin = deduction._is_ds, deduction._adjoin
     planted = 0
     for f, vs in _shared_endomorphisms(_seed_pool()):
         A = f.source
         asked = set()
-        monkeypatch.setattr(morphisms, "_is_ds", lambda B, s: asked.add(s) or real(B, s))
+        monkeypatch.setattr(morphisms, "_is_ds", lambda B, s: asked.add(s) or real_is_ds(B, s))
         for v in vs:
-            transport(VtHomomorphism(Homomorphism(A, A, f.map), v, v))
+            transport(VtHomomorphism(f, v, v))
+        monkeypatch.setattr(morphisms, "_is_ds", real_is_ds)
         for bad in asked:
+            fresh = validate(A.element_names, A.one, A.arrow, A.squig, zero=A.zero)
+            mask = sum(1 << x for x in bad)
+
+            def adjoin(B, pairs, closed, new, fresh=fresh, mask=mask):
+                if B is fresh and closed == 0 and new == mask:
+                    return 0  # the closure of ``bad`` alone comes out wrong
+                return real_adjoin(B, pairs, closed, new)
 
             def is_ds(B, s, bad=bad):
-                return s != bad and real(B, s)
+                return s != bad and real_is_ds(A, s)
 
-            monkeypatch.setattr(morphisms, "_is_ds", is_ds)
-            h = Homomorphism(A, A, f.map)  # the memo is filled under the plant
+            monkeypatch.setattr(deduction, "_adjoin", adjoin)
+            h = Homomorphism(fresh, fresh, f.map)
             for v in vs:
                 g = VtHomomorphism(h, v, v)
                 assert transport(g) == _reference_transport(g, is_ds), (f.names(), v.names())

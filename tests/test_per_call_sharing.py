@@ -5,16 +5,21 @@ Each result is derived once and shared by every check that reads it:
 the deductive systems of an algebra are searched once (their masks stay in
 ``A.memo``), a quotient's tables are built once per system object (they
 stay in ``H.memo``), and the operator-pair families decide each distinct
-composite once per check call.  The pass runs on fresh copies of the 118
-pool algebras, as the benchmark does, so no memo is filled beforehand.
+composite once per check call.  A checker keeps its own pass, so its
+kernel runs once per object however many callers ask: ``_is_ds`` once per
+(algebra object, member set), ``is_hom`` once per ``Homomorphism`` object,
+and ``is_vto`` once per operator object it accepts.  The pass runs on
+fresh copies of the 118 pool algebras, as the benchmark does, so no memo
+is filled beforehand.
 """
 
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from psbck import deduction, suite
+from psbck import classes, deduction, morphisms, operators, suite
 from psbck.algebra import validate
 from psbck.generate import _seed_pool, random_batch
 
@@ -27,9 +32,13 @@ def one_pass():
     ]
     keep = []  # every counted object stays alive, so no id is reused
     searches, builds, verdicts = Counter(), Counter(), Counter()
-    systems, check_call, calls = [], [None], itertools.count()
+    ds_closures, hom_kernels, vto_kernels = Counter(), Counter(), Counter()
+    systems, check_call, calls, asking = [], [None], itertools.count(), []
     real_closed_sets, real_congruence_from = deduction._closed_sets, deduction.congruence_from
     real_algebra = deduction.FiniteAlgebra
+    real_is_ds, real_adjoin = deduction._is_ds, deduction._adjoin
+    real_is_hom, real_hom_witness = morphisms.is_hom, morphisms._hom_witness
+    real_is_vto, real_vto_witness = operators.is_vto, operators._vto_witness
 
     def closed_sets(A, pairs, start):
         if pairs is deduction._mp_pairs(A):
@@ -49,6 +58,31 @@ def one_pass():
         # the one FiniteAlgebra that deduction builds is a quotient's
         builds[id(systems[-1])] += 1
         return real_algebra(*args, **kwargs)
+
+    def asked(real):
+        # the kernel runs below are counted against the question asked
+        def ask(obj, *args):
+            keep.append(obj)
+            asking.append((id(obj), *map(frozenset, args)))
+            try:
+                return real(obj, *args)
+            finally:
+                asking.pop()
+        return ask
+
+    def ds_closure(A, pairs, closed, new):
+        if asking:
+            ds_closures[asking[-1]] += 1
+        return real_adjoin(A, pairs, closed, new)
+
+    def hom_witness(A, B, m):
+        hom_kernels[asking[-1]] += 1
+        return real_hom_witness(A, B, m)
+
+    def vto_witness(A, im):
+        w = real_vto_witness(A, im)
+        vto_kernels[asking[-1], w is None] += 1
+        return w
 
     def tagged(check):
         def run(facts):
@@ -70,20 +104,32 @@ def one_pass():
         mp.setattr(suite, "FAMILIES", tuple((n, g, tagged(c)) for n, g, c in suite.FAMILIES))
         mp.setattr(suite, "_interior_witness", counted("interior", suite._interior_witness))
         mp.setattr(suite, "_vto_witness", counted("vto", suite._vto_witness))
+        for module in (deduction, morphisms):
+            mp.setattr(module, "_is_ds", asked(real_is_ds))
+        mp.setattr(deduction, "_adjoin", ds_closure)
+        for module in (morphisms, suite):
+            mp.setattr(module, "is_hom", asked(real_is_hom))
+        mp.setattr(morphisms, "_hom_witness", hom_witness)
+        for module in (operators, deduction, classes):
+            mp.setattr(module, "is_vto", asked(real_is_vto))
+        mp.setattr(operators, "_vto_witness", vto_witness)
         for A in pool:
             suite.run_suite(A)
-    return pool, searches, builds, verdicts
+    return SimpleNamespace(
+        pool=pool, searches=searches, builds=builds, verdicts=verdicts,
+        ds_closures=ds_closures, hom_kernels=hom_kernels, vto_kernels=vto_kernels,
+    )
 
 
 def test_each_algebra_searches_its_deductive_systems_once(one_pass):
-    pool, searches, _, _ = one_pass
+    pool, searches = one_pass.pool, one_pass.searches
     assert set(searches) == {id(A) for A in pool}
     assert set(searches.values()) == {1}
     assert len(pool) == 118
 
 
 def test_each_system_object_builds_its_quotient_once(one_pass):
-    _, _, builds, _ = one_pass
+    builds = one_pass.builds
     assert set(builds.values()) == {1}
     # 390 systems of the pool algebras (the quotients family), and 727
     # dense systems, one built afresh per lift_to_den_quotient call
@@ -92,7 +138,23 @@ def test_each_system_object_builds_its_quotient_once(one_pass):
 
 @pytest.mark.parametrize("law, distinct", [("interior", 3939), ("vto", 1054)])
 def test_each_composite_is_decided_once_per_check_call(one_pass, law, distinct):
-    _, _, _, verdicts = one_pass
-    counts = [n for (kind, _, _), n in verdicts.items() if kind == law]
+    counts = [n for (kind, _, _), n in one_pass.verdicts.items() if kind == law]
     assert set(counts) == {1}
     assert len(counts) == distinct
+
+
+def test_each_deductive_system_question_is_closed_once_per_algebra(one_pass):
+    assert set(one_pass.ds_closures.values()) == {1}
+    assert len(one_pass.ds_closures) == 420
+
+
+def test_each_homomorphism_object_runs_the_hom_kernel_once(one_pass):
+    assert set(one_pass.hom_kernels.values()) == {1}
+
+
+def test_each_operator_object_runs_the_vto_kernel_until_it_passes(one_pass):
+    # a failure is not kept, so the runs on a rejected map may repeat
+    kernels = one_pass.vto_kernels
+    assert set(n for (_, passed), n in kernels.items() if passed) == {1}
+    composites = sum(n for (kind, _, _), n in one_pass.verdicts.items() if kind == "vto")
+    assert sum(kernels.values()) + composites == 10696
