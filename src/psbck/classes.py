@@ -29,7 +29,7 @@ from .algebra import (
     restrict,
     size_cap,
 )
-from .deduction import _closed_sets, _implication_pairs, _members
+from .deduction import _closed_sets, _implication_pairs, _mask, _members
 from .errors import CarrierTooLarge, NotFLw, NotSmarandache, PPRequired
 from .operators import UnaryMap, certify_vto, enumerate_vto, is_vto
 
@@ -405,7 +405,7 @@ def restrict_vto(v: UnaryMap, q):
     certify_vto(v)
     q = frozenset(q)
     sub = _certify_smarandache(v.parent, q)
-    if not v.preserves(q):
+    if not v.preserves(_mask(q)):
         return None, "v does not map Q into Q"
     restr = UnaryMap(sub, restrict(v.image, q))
     w = is_vto_flw(restr)

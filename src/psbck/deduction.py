@@ -17,7 +17,9 @@ bitset value) with bit i standing for element id i.
 Derived once and kept on the object it is derived from: an algebra's
 modus ponens table, closed masks, and the verdicts of ``_is_ds`` and
 ``_is_normal`` under each member bitset, plain ints and bools in
-``A.memo`` (each checker keeps its own verdict; callers only call it);
+``A.memo`` (each checker keeps its own verdict; callers only call it).
+Both checkers take the member bitset itself, as ``UnaryMap.preserves``
+does, and a caller holding a member set converts it once (``_mask``);
 and a normal system's quotient algebra with the class of each element in
 ``H.memo`` (``congruence_from``).  Neither refers back to its owner, and
 a quotient is never kept on the algebra it is taken of.
@@ -133,9 +135,10 @@ class DeductiveSystem:
     @classmethod
     def from_members(cls, A: FiniteAlgebra, members) -> "DeductiveSystem":
         members = frozenset(members)
-        if not _is_ds(A, members):
+        mask = _mask(members)
+        if not _is_ds(A, mask):
             raise MalformedInput("subset is not a deductive system")
-        return cls(A, members, _is_normal(A, members))
+        return cls(A, members, _is_normal(A, mask))
 
     def names(self) -> tuple[str, ...]:
         return tuple(
@@ -143,27 +146,32 @@ class DeductiveSystem:
         )
 
 
-def _is_ds(A: FiniteAlgebra, members: frozenset[int]) -> bool:
-    """Contains 1 and is closed under modus ponens for both implications.
-    The verdict is kept in ``A.memo["is-ds"]`` under the member bitset."""
-    mask = sum(1 << x for x in members)
+def _is_ds(A: FiniteAlgebra, mask: int) -> bool:
+    """The member bitset ``mask`` contains 1 and is closed under modus
+    ponens for both implications.  The verdict is kept in
+    ``A.memo["is-ds"]`` under ``mask``."""
     kept = A.memo.setdefault("is-ds", {})
     if mask not in kept:
-        kept[mask] = A.one in members and _adjoin(A, _mp_pairs(A), 0, mask) == mask
+        kept[mask] = mask >> A.one & 1 == 1 and _adjoin(A, _mp_pairs(A), 0, mask) == mask
     return kept[mask]
 
 
-def _is_normal(A: FiniteAlgebra, members: frozenset[int]) -> bool:
-    """x->y and x~>y lie in ``members`` together, for every x and y.  The
-    verdict is kept in ``A.memo["is-normal"]`` under the member bitset."""
-    mask = sum(1 << x for x in members)
+def _is_normal(A: FiniteAlgebra, mask: int) -> bool:
+    """x->y and x~>y lie in the member bitset ``mask`` together, for every
+    x and y.  The verdict is kept in ``A.memo["is-normal"]`` under
+    ``mask``."""
     kept = A.memo.setdefault("is-normal", {})
     if mask not in kept:
         kept[mask] = all(
-            (A.arrow[x][y] in members) == (A.squig[x][y] in members)
+            mask >> A.arrow[x][y] & 1 == mask >> A.squig[x][y] & 1
             for x, y in product(A.elements, repeat=2)
         )
     return kept[mask]
+
+
+def _mask(members) -> int:
+    """The bitset of ``members``, with bit x standing for element id x."""
+    return sum(1 << x for x in members)
 
 
 def _members(A: FiniteAlgebra, mask: int) -> frozenset[int]:
@@ -184,8 +192,7 @@ def enumerate_ds(A: FiniteAlgebra) -> list[DeductiveSystem]:
     memo = A.memo
     if "ds" not in memo:
         memo["ds"] = tuple(_closed_sets(A, _mp_pairs(A), 1 << A.one))
-    systems = (_members(A, m) for m in memo["ds"])
-    return [DeductiveSystem(A, mem, _is_normal(A, mem)) for mem in systems]
+    return [DeductiveSystem(A, _members(A, m), _is_normal(A, m)) for m in memo["ds"]]
 
 
 def enumerate_ds_n(A: FiniteAlgebra) -> list[DeductiveSystem]:
@@ -199,7 +206,9 @@ def enumerate_ds_v(v: UnaryMap) -> list[DeductiveSystem]:
     _check_subset_cap(v.parent)
     memo = v.memo
     if "ds_v" not in memo:
-        memo["ds_v"] = tuple(d for d in enumerate_ds(v.parent) if v.preserves(d.members))
+        memo["ds_v"] = tuple(
+            d for d in enumerate_ds(v.parent) if v.preserves(_mask(d.members))
+        )
     return list(memo["ds_v"])
 
 
@@ -314,7 +323,7 @@ def lift_vto_to_quotient(
     _require_on(v.parent, H, "H must be a deductive system of v's algebra")
     if not H.normal:
         raise NotNormal("lifting requires a normal deductive system")
-    if not v.preserves(H.members):
+    if not v.preserves(_mask(H.members)):
         raise NotVds("H is not stable under the operator")
     memo = v.memo
     key = ("lift", H.members)

@@ -13,9 +13,10 @@ f(x->y) and f(x~>y) when those come later in id order.  Enumeration has
 its own cap (|A| <= 8), since the raw space is |B|^|A|.
 
 A checker keeps its own pass on the object the verdict is about, and
-callers only call it: ``is_hom`` keeps it in ``Homomorphism.memo``,
-``operators.is_vto`` in the operator's memo, and ``deduction._is_ds`` and
-``_is_normal`` in the algebra's.  A failure is never kept.  Beside its
+callers only call it: ``is_hom`` keeps it in ``Homomorphism.memo`` and
+reads it before anything else, ``operators.is_vto`` in the operator's
+memo, and ``deduction._is_ds`` and ``_is_normal`` in the algebra's, under
+the member bitset they are asked by.  A failure is never kept.  Beside its
 ``is_hom`` pass, a homomorphism's memo keeps what is derived from its map
 alone: its kernel, whether its image is closed (``transport``), its
 corestriction onto the image with Ker f, and, per deductive system H, its
@@ -36,6 +37,7 @@ from .deduction import (
     QuotientAlgebra,
     _is_ds,
     _is_normal,
+    _mask,
     enumerate_ds_v,
     lift_vto_to_quotient,
 )
@@ -109,14 +111,16 @@ class VtHomomorphism:
 
 def is_hom(f: Homomorphism) -> Witness | None:
     """None if f preserves both implications, else the first failing
-    (x, y) in id order, arrow before squig.  Raises MalformedInput on every
-    call unless the map is total into the target.  A pass is kept in
-    ``f.memo``; a failure is not, so it is found again on every call."""
+    (x, y) in id order, arrow before squig.  Raises MalformedInput unless
+    the map is total into the target.  A pass is kept in ``f.memo``, and
+    only once the map was found total; as the map is a tuple, a kept pass
+    implies it is total still.  A failure is not kept, so it is found
+    again on every call, as is a map that is not total."""
+    if "hom" in f.memo:
+        return None
     A, B, m = f.source, f.target, f.map
     if len(m) != A.n or any(not 0 <= v < B.n for v in m):
         raise MalformedInput("map is not total into the target carrier")
-    if "hom" in f.memo:
-        return None
     w = _hom_witness(A, B, m)
     if w is None:
         f.memo["hom"] = True
@@ -234,22 +238,32 @@ def transport(f: VtHomomorphism) -> TransportReport:
     u-stable).  The first kind is kept by its checker: ``_is_ds`` and
     ``_is_normal`` keep theirs on the algebra the set lies in, and whether
     the image is closed, a fact about f alone, is kept in ``f.base.memo``.
-    The stability tests run on every call.  Each f(D) comes from
-    ``pushforward_ds``.  The v-deductive systems and Ker v are derived once
-    per call, and serve for u as well when u is v.
+    The stability tests run on every call.  Both kinds are asked by member
+    bitset: the fibres of f (bit x of ``fib[b]`` is set iff f(x) = b) and
+    its image are built once per call, f^-1(S) is the OR of ``fib[b]``
+    over the b in S, and Ker f is ``fib[1]``.  Each f(D) comes from
+    ``pushforward_ds``.  The v-deductive systems and Ker v are derived
+    once per call, and serve for u as well when u is v.
     """
     A, B, v, u, m = f.source, f.target, f.v, f.u, f.base.map
+    fib, img = [0] * B.n, 0
+    for x, b in enumerate(m):
+        fib[b] |= 1 << x
+        img |= 1 << b
 
-    def image_is_ds(img) -> bool:
-        return _is_ds(B, img) and u.preserves(img)
+    def is_uds(mask) -> bool:
+        return _is_ds(B, mask) and u.preserves(mask)
 
-    def preimage_is_ds(members) -> bool:
-        pre = frozenset(x for x in A.elements if m[x] in members)
+    def preimage_is_vds(members) -> bool:
+        pre = 0
+        for b in members:
+            pre |= fib[b]
         return _is_ds(A, pre) and v.preserves(pre)
 
-    memo, ker, img = f.base.memo, f.base.kernel(), f.base.image()
+    memo, ker = f.base.memo, fib[B.one]
     if "image-closed" not in memo:
-        memo["image-closed"] = B.one in img and B.unclosed_pair(img) is None
+        members = f.base.image()
+        memo["image-closed"] = B.one in members and B.unclosed_pair(members) is None
     surjective = f.base.is_surjective()
     ds_v = enumerate_ds_v(v) if surjective else None
     ds_u = ds_v if surjective and u is v else enumerate_ds_v(u)
@@ -259,16 +273,14 @@ def transport(f: VtHomomorphism) -> TransportReport:
         # VT1-VT4 are universal sentences, so u restricted to a u-stable
         # subalgebra is a very true operator there
         image_is_vt_subalgebra=memo["image-closed"] and u.preserves(img),
-        kernel=ker,
+        kernel=f.base.kernel(),
         kernel_is_normal_vds=_is_ds(A, ker) and _is_normal(A, ker) and v.preserves(ker),
         pushforward_ok=(
-            all(image_is_ds(pushforward_ds(f, D)) for D in ds_v) if surjective else None
+            all(is_uds(_mask(pushforward_ds(f, D))) for D in ds_v) if surjective else None
         ),
-        pullback_ok=all(preimage_is_ds(G.members) for G in ds_u),
-        preimage_ker_u_is_vds=preimage_is_ds(ker_u),
-        image_ker_v_is_uds=(
-            image_is_ds(frozenset(m[x] for x in ker_v)) if surjective else None
-        ),
+        pullback_ok=all(preimage_is_vds(G.members) for G in ds_u),
+        preimage_ker_u_is_vds=preimage_is_vds(ker_u),
+        image_ker_v_is_uds=is_uds(_mask({m[x] for x in ker_v})) if surjective else None,
     )
 
 
@@ -300,15 +312,16 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     very-true homomorphisms on the quotient that commute with the
     projection; commuting pins every class to the one value ``f`` takes on
     it, so the factored map is the only candidate.  That candidate is a
-    homomorphism when ``is_hom`` accepts it, and the pass is kept in its
-    memo; building the factored ``VtHomomorphism`` reads it back and tests
-    only intertwining, raising if that fails.  So ``unique`` is the kept
-    ``is_hom`` verdict, and holds whenever ``factor`` returns.  It is kept
-    as executable documentation of the statement.
+    homomorphism when ``is_hom`` accepts it: building the factored
+    ``VtHomomorphism`` runs ``is_hom``, which keeps its pass in the
+    candidate's memo, and tests intertwining, raising if either fails.  So
+    ``unique`` is that kept pass, read back when the result is built, and
+    holds whenever ``factor`` returns.  It is kept as executable
+    documentation of the statement.
 
     What depends on ``f.base`` and H alone is derived once and kept in
     ``f.base.memo`` under ``H.members``: the induced ``Homomorphism``
-    A/H -> B with its ``is_hom`` verdict, and the ``image_preserved`` and
+    A/H -> B, and the ``image_preserved`` and
     ``kernel_is_quotient_of_kernel`` verdicts.  Each call lifts ``f.v``
     and certifies the factored ``VtHomomorphism``, which tests
     intertwining with the lifted operator.  The kept map's source is the
@@ -329,13 +342,12 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
         base = Homomorphism(q, B, quot.induce(f.base.map))
         memo[key] = (
             base,
-            is_hom(base) is None,
             base.image() == f.base.image(),
             base.kernel() == frozenset(quot.class_of[x] for x in ker),
         )
-    base, unique, image_preserved, kernel_ok = memo[key]
+    base, image_preserved, kernel_ok = memo[key]
     lifted = VtHomomorphism(base, vhat, f.u)
-    return FactorResult(quot, vhat, lifted, unique, image_preserved, kernel_ok)
+    return FactorResult(quot, vhat, lifted, is_hom(base) is None, image_preserved, kernel_ok)
 
 
 def first_isomorphism(f: VtHomomorphism) -> FactorResult:

@@ -57,9 +57,13 @@ class UnaryMap:
         ar, one = self.parent.arrow, self.parent.one
         return all(ar[a][b] == one for a, b in zip(self.image, other.image))
 
-    def preserves(self, members) -> bool:
-        """The map sends the set ``members`` into itself."""
-        return all(self.image[x] in members for x in members)
+    def preserves(self, mask: int) -> bool:
+        """The map sends the member bitset ``mask``, with bit x standing
+        for element id x, into itself."""
+        for x, y in enumerate(self.image):
+            if mask >> x & 1 and not mask >> y & 1:
+                return False
+        return True
 
 
 def _require_on(A: FiniteAlgebra, f, message: str):

@@ -4,8 +4,8 @@ from itertools import permutations, product
 import pytest
 
 from conftest import values_tried
-from psbck import deduction, morphisms, suite
-from psbck.deduction import DeductiveSystem
+from psbck import deduction, morphisms, operators, suite
+from psbck.deduction import DeductiveSystem, enumerate_ds_v
 from psbck.algebra import FiniteAlgebra, validate
 from psbck.errors import (
     KernelContainmentViolated,
@@ -91,6 +91,25 @@ def test_a_very_true_homomorphism_is_certified_when_built(corpus_docs):
         VtHomomorphism(Homomorphism(A, A, v10.image), v10, v10)
 
 
+def test_is_hom_raises_on_a_map_that_is_not_total_until_a_pass_is_kept(four_elt, monkeypatch):
+    A = four_elt
+    # one value short, and a value outside the target carrier
+    for m in ((A.one,) * (A.n - 1), (A.n,) * A.n):
+        f = Homomorphism(A, A, m)
+        for _ in range(2):  # nothing is kept, so each call scans again
+            with pytest.raises(MalformedInput, match="not total"):
+                is_hom(f)
+        assert not f.memo
+    f = Homomorphism(A, A, tuple(A.elements))
+    assert is_hom(f) is None and f.memo == {"hom": True}
+    # a pass is kept only after the scan, and the map is a tuple, so the
+    # kept pass answers before any scan: a map forced past the frozen
+    # dataclass shows it
+    monkeypatch.setattr(morphisms, "_hom_witness", None)
+    object.__setattr__(f, "map", (A.n,) * A.n)
+    assert is_hom(f) is None
+
+
 def test_transport_constant_map_skips_pushforward(six_elt):
     A = six_elt
     v10 = enumerate_vto(A)[-1]
@@ -132,7 +151,8 @@ def test_vt_subalgebra_check(six_elt):
 
     def is_vt_subalgebra(members):
         # contains 1, closed under both implications, stable under v10
-        return A.one in members and A.unclosed_pair(members) is None and v10.preserves(members)
+        closed = A.one in members and A.unclosed_pair(members) is None
+        return closed and v10.preserves(deduction._mask(members))
 
     assert is_vt_subalgebra(set(A.elements))
     assert is_vt_subalgebra({A.one, A.index("e")})
@@ -403,23 +423,49 @@ def test_run_suite_checks_each_homomorphism_once(monkeypatch):
     assert not corestrictions & hom_checks.keys()
 
 
+def _transport_questions(g):
+    """The (algebra object, member bitset) questions that ``transport(g)``
+    asks the deductive-system checker, built from member sets: Ker f, each
+    f^-1(G) for G in DS_u and f^-1(Ker u), and, when f is onto, each f(D)
+    for D in DS_v and f(Ker v)."""
+    A, B, m = g.source, g.target, g.base.map
+
+    def bits(alg, members):
+        return id(alg), sum(1 << x for x in set(members))
+
+    def preimage(members):
+        return bits(A, (x for x in A.elements if m[x] in members))
+
+    asked = {bits(A, g.base.kernel()), preimage(operators.kernel(g.u))}
+    asked |= {preimage(G.members) for G in enumerate_ds_v(g.u)}
+    if g.base.is_surjective():
+        asked.add(bits(B, (m[x] for x in operators.kernel(g.v))))
+        asked |= {bits(B, (m[x] for x in D.members)) for D in enumerate_ds_v(g.v)}
+    return asked
+
+
 def test_transport_decides_each_operator_free_question_once(monkeypatch):
-    """A call count, independent of the machine: over the seed pool,
-    ``_is_ds`` and ``_is_normal`` run their kernels (the ``_adjoin``
-    closure, the ``product`` scan) at most once per (algebra object,
-    member set), however many homomorphisms and operators ``transport``
-    asks for them, and ``from_members`` and ``enumerate_ds`` with it."""
-    keep = []  # every counted algebra stays alive, so no id is reused
-    asks, runs, deciding = Counter(), Counter(), []
+    """A call count, independent of the machine: over the seed pool, each
+    ``transport`` call asks ``_is_ds`` by member bitset exactly its image,
+    preimage and kernel questions, and ``_is_ds`` and ``_is_normal`` run
+    their kernels (the ``_adjoin`` closure, the ``product`` scan) at most
+    once per (algebra object, member bitset), however many homomorphisms
+    and operators ``transport`` asks for them, and ``from_members`` and
+    ``enumerate_ds`` with it."""
+    keep = []  # every counted object stays alive, so no id is reused
+    asks, runs, deciding, transporting, wrong = Counter(), Counter(), [], [], []
+    real_transport = morphisms.transport
 
     def asking(kind, real):
-        def ask(A, members):
+        def ask(A, mask):
             keep.append(A)
-            question = (kind, id(A), frozenset(members))
+            question = (kind, id(A), mask)
             asks[question] += 1
+            if transporting and kind == "ds":
+                transporting[-1].add((id(A), mask))
             deciding.append(question)
             try:
-                return real(A, members)
+                return real(A, mask)
             finally:
                 deciding.pop()
         return ask
@@ -431,15 +477,28 @@ def test_transport_decides_each_operator_free_question_once(monkeypatch):
             return real(*args, **kwargs)
         return run
 
+    def recording_transport(g):
+        keep.append(g)
+        transporting.append(set())
+        try:
+            return real_transport(g)
+        finally:
+            if transporting.pop() != _transport_questions(g):
+                wrong.append(g.base.names())
+
     is_ds, is_normal = asking("ds", deduction._is_ds), asking("normal", deduction._is_normal)
     for module in (deduction, morphisms):
         monkeypatch.setattr(module, "_is_ds", is_ds)
         monkeypatch.setattr(module, "_is_normal", is_normal)
     monkeypatch.setattr(deduction, "_adjoin", kernel_of("ds", deduction._adjoin))
     monkeypatch.setattr(deduction, "product", kernel_of("normal", deduction.product))
+    monkeypatch.setattr(suite, "transport", recording_transport)
     for A in _seed_pool():
         suite.run_suite(A)
+    assert wrong == []
+    assert {type(mask) for _, _, mask in asks} == {int}
     assert {kind for kind, _, _ in runs} == {"ds", "normal"}
+    assert runs.keys() == asks.keys()  # every question is decided, once
     assert set(runs.values()) == {1}
     assert sum(asks.values()) > 2 * len(runs)  # the same questions come back
 
@@ -460,7 +519,9 @@ def test_vthom_transport_names_the_map_whose_transport_fails(four_elt, monkeypat
 
     # outside the kept verdict: {1}, the kernel of the identity map, fails
     A, real_is_ds = copy(), morphisms._is_ds
-    monkeypatch.setattr(morphisms, "_is_ds", lambda B, s: s != {B.one} and real_is_ds(B, s))
+    monkeypatch.setattr(
+        morphisms, "_is_ds", lambda B, mask: mask != 1 << B.one and real_is_ds(B, mask)
+    )
     assert _vthom_transport(A) == (False, "transport ('1', 'a', 'b', 'c')")
     monkeypatch.undo()
     assert _vthom_transport(A) == (True, "")  # nothing was kept under the plant

@@ -594,8 +594,11 @@ def _reference_transport(g, is_ds):
     ``is_ds`` on its algebra, then for stability under the operator."""
     A, B, v, u, m = g.source, g.target, g.v, g.u, g.base.map
 
+    def bits(members):
+        return sum(1 << x for x in members)
+
     def vds(w, alg, members):
-        return is_ds(alg, members) and w.preserves(members)
+        return is_ds(alg, bits(members)) and w.preserves(bits(members))
 
     def image(members):
         return frozenset(m[x] for x in members)
@@ -608,10 +611,10 @@ def _reference_transport(g, is_ds):
         # a very true subalgebra: contains 1, closed under both
         # implications and stable under the operator
         image_is_vt_subalgebra=(
-            B.one in img and B.unclosed_pair(img) is None and u.preserves(img)
+            B.one in img and B.unclosed_pair(img) is None and u.preserves(bits(img))
         ),
         kernel=ker,
-        kernel_is_normal_vds=vds(v, A, ker) and deduction._is_normal(A, ker),
+        kernel_is_normal_vds=vds(v, A, ker) and deduction._is_normal(A, bits(ker)),
         pushforward_ok=(
             all(vds(u, B, image(D.members)) for D in enumerate_ds_v(v)) if surjective else None
         ),
@@ -621,32 +624,45 @@ def _reference_transport(g, is_ds):
     )
 
 
+def _reference_questions(g):
+    """The member bitsets whose verdict ``_reference_transport(g)`` asks:
+    every image, preimage and kernel of the report."""
+    asked = set()
+    _reference_transport(g, lambda alg, mask: asked.add(mask) or deduction._is_ds(alg, mask))
+    return asked
+
+
 def test_transport_memo_answers_each_question_with_its_own_verdict(monkeypatch):
     # on certified input every verdict holds, so a kept verdict that
     # answered one question with another's would go unseen; plant a failing
-    # closure on one set at a time instead, on a fresh algebra whose
-    # verdicts _is_ds keeps under the plant, and compare each operator's
-    # report with the reference under the same plant
+    # closure on one member bitset at a time instead, on a fresh algebra
+    # whose verdicts _is_ds keeps under the plant, and compare each
+    # operator's report with the reference under the same plant
     real_is_ds, real_adjoin = deduction._is_ds, deduction._adjoin
     planted = 0
     for f, vs in _shared_endomorphisms(_seed_pool()):
         A = f.source
-        asked = set()
-        monkeypatch.setattr(morphisms, "_is_ds", lambda B, s: asked.add(s) or real_is_ds(B, s))
+        calls = []  # the member bitsets each transport call asks
+        monkeypatch.setattr(
+            morphisms, "_is_ds", lambda B, mask: calls[-1].add(mask) or real_is_ds(B, mask)
+        )
         for v in vs:
-            transport(VtHomomorphism(f, v, v))
+            g = VtHomomorphism(f, v, v)
+            calls.append(set())
+            transport(g)
+            assert calls[-1] == _reference_questions(g), (f.names(), v.names())
         monkeypatch.setattr(morphisms, "_is_ds", real_is_ds)
+        asked = set().union(*calls)
         for bad in asked:
             fresh = validate(A.element_names, A.one, A.arrow, A.squig, zero=A.zero)
-            mask = sum(1 << x for x in bad)
 
-            def adjoin(B, pairs, closed, new, fresh=fresh, mask=mask):
-                if B is fresh and closed == 0 and new == mask:
+            def adjoin(B, pairs, closed, new, fresh=fresh, bad=bad):
+                if B is fresh and closed == 0 and new == bad:
                     return 0  # the closure of ``bad`` alone comes out wrong
                 return real_adjoin(B, pairs, closed, new)
 
-            def is_ds(B, s, bad=bad):
-                return s != bad and real_is_ds(A, s)
+            def is_ds(B, mask, bad=bad):
+                return mask != bad and real_is_ds(A, mask)
 
             monkeypatch.setattr(deduction, "_adjoin", adjoin)
             h = Homomorphism(fresh, fresh, f.map)

@@ -10,7 +10,9 @@ same six families with ``compose``, ``is_interior``, ``is_vto``,
 on checked ``UnaryMap`` values, and must give the same verdicts and details.
 """
 
+import random
 from itertools import combinations, combinations_with_replacement, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -73,19 +75,20 @@ def _reference_negation(A, f):
     return im[A.zero] == A.zero, "fixes 0"
 
 
+def _reference_absorption(A, into):
+    """(ok, detail) of ``interior-absorption`` over the maps ``into``: the
+    product order by ``A.leq`` against absorption by ``compose``."""
+    return _all_pairs(
+        product(into, repeat=2),
+        lambda f, g: all(A.leq(a, b) for a, b in zip(f.image, g.image))
+        == (compose(f, g).image == f.image),
+    )
+
+
 def _reference_families(A):
     """(name, ok, detail) of the six families, in ``run_suite`` order."""
     into, vto = enumerate_interior(A), enumerate_vto(A)
-    out = [
-        (
-            "interior-absorption",
-            *_all_pairs(
-                product(into, repeat=2),
-                lambda f, g: all(A.leq(a, b) for a, b in zip(f.image, g.image))
-                == (compose(f, g).image == f.image),
-            ),
-        )
-    ]
+    out = [("interior-absorption", *_reference_absorption(A, into))]
 
     def three_way(f, g):
         fg, gf = compose(f, g), compose(g, f)
@@ -241,3 +244,47 @@ def test_planted_map_fails_the_first_negation_law_it_breaks(monkeypatch, algebra
     monkeypatch.setattr(suite, "enumerate_interior", lambda B: [planted])
     got = {r.name: (r.ok, r.detail) for r in run_suite(A)}
     assert got["interior-negation-arithmetic"] == (False, detail)
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_planted_map_gives_the_reference_absorption_verdict(monkeypatch, position):
+    """A map that is no interior operator, planted among the interior
+    operators, gives ``interior-absorption`` the (ok, detail) of the
+    reference, a failure on some algebras."""
+    rng = random.Random(2026)
+    real = suite.enumerate_interior
+    failed = 0
+    for A in [A for A in _seed_pool() if A.n > 1][:6]:
+        while True:
+            planted = UnaryMap(A, tuple(rng.randrange(A.n) for _ in A.elements))
+            if is_interior(planted) is not None:
+                break
+        into = real(A)
+        into = [planted, *into] if position == "first" else [*into, planted]
+        monkeypatch.setattr(suite, "enumerate_interior", lambda B, into=into: list(into))
+        got = {r.name: (r.ok, r.detail) for r in run_suite(A)}
+        assert got["interior-absorption"] == _reference_absorption(A, into), A.element_names
+        failed += not got["interior-absorption"][0]
+    assert failed
+
+
+def test_packed_absorption_matches_the_pointwise_order_on_any_maps():
+    """On maps that need not be interior, the packed family gives the
+    (ok, detail) of the pointwise order and the composite, for lists of
+    every two of some random maps and for the interior operators with
+    the random maps among them."""
+
+    def absorbs(f, g):
+        return (f <= g) == (compose(f, g).image == f.image)
+
+    rng = random.Random(7)
+    outcomes = set()
+    for A in list(_seed_pool()) + random_batch(seed=2026, count=100, max_size=6):
+        maps = [UnaryMap(A, tuple(rng.randrange(A.n) for _ in A.elements)) for _ in range(6)]
+        mixed = enumerate_interior(A) + maps
+        rng.shuffle(mixed)
+        for into in [mixed, *([f, g] for f, g in product(maps, repeat=2))]:
+            got = suite._interior_absorption(SimpleNamespace(A=A, into=into))
+            assert got == _all_pairs(product(into, repeat=2), absorbs), A.element_names
+            outcomes.add(got[0])
+    assert outcomes == {True, False}

@@ -5,12 +5,13 @@ Each result is derived once and shared by every check that reads it:
 the deductive systems of an algebra are searched once (their masks stay in
 ``A.memo``), a quotient's tables are built once per system object (they
 stay in ``H.memo``), and the operator-pair families decide each distinct
-composite once per check call.  A checker keeps its own pass, so its
-kernel runs once per object however many callers ask: ``_is_ds`` once per
-(algebra object, member set), ``is_hom`` once per ``Homomorphism`` object,
-and ``is_vto`` once per operator object it accepts.  The pass runs on
-fresh copies of the 118 pool algebras, as the benchmark does, so no memo
-is filled beforehand.
+composite once per check call, and ``interior-absorption`` forms none.  A
+checker keeps its own pass, so its kernel runs once per object however
+many callers ask: ``_is_ds`` once per (algebra object, member bitset),
+``is_hom`` once per ``Homomorphism`` object, and ``is_vto`` once per
+operator object it accepts; ``transport`` asks ``_is_ds`` by bitset only.
+The pass runs on fresh copies of the 118 pool algebras, as the benchmark
+does, so no memo is filled beforehand.
 """
 
 import itertools
@@ -33,12 +34,15 @@ def one_pass():
     keep = []  # every counted object stays alive, so no id is reused
     searches, builds, verdicts = Counter(), Counter(), Counter()
     ds_closures, hom_kernels, vto_kernels = Counter(), Counter(), Counter()
-    systems, check_call, calls, asking = [], [None], itertools.count(), []
+    composites, transport_asks = Counter(), Counter()
+    systems, check_call, calls, asking = [], [None, None], itertools.count(), []
+    transporting = []
     real_closed_sets, real_congruence_from = deduction._closed_sets, deduction.congruence_from
     real_algebra = deduction.FiniteAlgebra
     real_is_ds, real_adjoin = deduction._is_ds, deduction._adjoin
     real_is_hom, real_hom_witness = morphisms.is_hom, morphisms._hom_witness
     real_is_vto, real_vto_witness = operators.is_vto, operators._vto_witness
+    real_composite, real_transport = suite._composite, morphisms.transport
 
     def closed_sets(A, pairs, start):
         if pairs is deduction._mp_pairs(A):
@@ -63,12 +67,14 @@ def one_pass():
         # the kernel runs below are counted against the question asked
         def ask(obj, *args):
             keep.append(obj)
-            asking.append((id(obj), *map(frozenset, args)))
+            asking.append((id(obj), *args))
             try:
                 return real(obj, *args)
             finally:
                 asking.pop()
         return ask
+
+    ds_question = asked(real_is_ds)
 
     def ds_closure(A, pairs, closed, new):
         if asking:
@@ -84,11 +90,27 @@ def one_pass():
         vto_kernels[asking[-1], w is None] += 1
         return w
 
-    def tagged(check):
+    def tagged(name, check):
         def run(facts):
-            check_call[0] = next(calls)
+            check_call[:] = next(calls), name
             return check(facts)
         return run
+
+    def composite(fi, gi):
+        composites[check_call[1]] += 1
+        return real_composite(fi, gi)
+
+    def transport(g):
+        transporting.append(g)
+        try:
+            return real_transport(g)
+        finally:
+            transporting.pop()
+
+    def transport_is_ds(A, mask):
+        if transporting:
+            transport_asks[type(mask)] += 1
+        return ds_question(A, mask)
 
     def counted(law, real):
         def run(A, image):
@@ -101,11 +123,13 @@ def one_pass():
         mp.setattr(deduction, "congruence_from", congruence_from)
         mp.setattr(suite, "congruence_from", congruence_from)
         mp.setattr(deduction, "FiniteAlgebra", quotient_algebra)
-        mp.setattr(suite, "FAMILIES", tuple((n, g, tagged(c)) for n, g, c in suite.FAMILIES))
+        mp.setattr(suite, "FAMILIES", tuple((n, g, tagged(n, c)) for n, g, c in suite.FAMILIES))
+        mp.setattr(suite, "_composite", composite)
+        mp.setattr(suite, "transport", transport)
         mp.setattr(suite, "_interior_witness", counted("interior", suite._interior_witness))
         mp.setattr(suite, "_vto_witness", counted("vto", suite._vto_witness))
-        for module in (deduction, morphisms):
-            mp.setattr(module, "_is_ds", asked(real_is_ds))
+        mp.setattr(deduction, "_is_ds", ds_question)
+        mp.setattr(morphisms, "_is_ds", transport_is_ds)
         mp.setattr(deduction, "_adjoin", ds_closure)
         for module in (morphisms, suite):
             mp.setattr(module, "is_hom", asked(real_is_hom))
@@ -118,6 +142,7 @@ def one_pass():
     return SimpleNamespace(
         pool=pool, searches=searches, builds=builds, verdicts=verdicts,
         ds_closures=ds_closures, hom_kernels=hom_kernels, vto_kernels=vto_kernels,
+        composites=composites, transport_asks=transport_asks,
     )
 
 
@@ -146,6 +171,18 @@ def test_each_composite_is_decided_once_per_check_call(one_pass, law, distinct):
 def test_each_deductive_system_question_is_closed_once_per_algebra(one_pass):
     assert set(one_pass.ds_closures.values()) == {1}
     assert len(one_pass.ds_closures) == 420
+
+
+def test_transport_asks_the_deductive_system_checker_by_bitset(one_pass):
+    asks = one_pass.transport_asks
+    assert set(asks) == {int}
+    assert asks[int] == 23099
+
+
+def test_interior_absorption_forms_no_composite(one_pass):
+    composites = one_pass.composites
+    assert composites["interior-absorption"] == 0
+    assert composites["interior-commutation"] > 0  # the count sees composites
 
 
 def test_each_homomorphism_object_runs_the_hom_kernel_once(one_pass):

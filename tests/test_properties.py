@@ -12,7 +12,7 @@ import pytest
 from conftest import golden_up_sets
 from psbck import goldens, suite
 from psbck.algebra import diagnose, restrict
-from psbck.deduction import _closed_sets, _implication_pairs, enumerate_congruences
+from psbck.deduction import _closed_sets, _implication_pairs, _mask, enumerate_congruences
 from psbck.generate import _seed_pool, direct_product, goedel_chain
 from psbck.operators import (
     UnaryMap,
@@ -92,7 +92,7 @@ def test_very_true_operators_restrict_to_stable_subalgebras(pool):
         for q in _closed_subsets(A):
             sub = A.subalgebra(q)
             for v in vto:
-                if v.preserves(q):
+                if v.preserves(_mask(q)):
                     restr = UnaryMap(sub, restrict(v.image, q))
                     assert is_vto(restr) is None, (v.names(), sorted(q))
 
