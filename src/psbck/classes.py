@@ -176,25 +176,6 @@ def _classify(A: FiniteAlgebra) -> ClassificationReport:
 # -- very true operators on the richer classes ------------------------
 
 
-@dataclass(frozen=True)
-class PpSuiteReport:
-    residuation_transfer: Witness | None  # x(.)y <= z  =>  v(x)(.)v(y) <= v(z)
-    submultiplicative: Witness | None     # v(x)(.)v(y) <= v(x(.)y)
-    vt4_prime: Witness | None
-    vt4_holds: bool
-    vt4_prime_holds: bool
-    vt4_dprime_holds: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.residuation_transfer is None
-            and self.submultiplicative is None
-            and self.vt4_prime is None
-            and self.vt4_holds == self.vt4_prime_holds == self.vt4_dprime_holds
-        )
-
-
 # loops, not law rows: a kernel run on every interior operator, with rows hoisted
 def _vt4_prime(A, im) -> Witness | None:
     els, ar, sq, one = A.elements, A.arrow, A.squig, A.one
@@ -221,33 +202,29 @@ def _vt4_dprime(A, od, im) -> Witness | None:
     return None
 
 
-def vt_pp_suite(v: UnaryMap) -> PpSuiteReport:
-    """Product arithmetic of a very true operator on a pseudo-product algebra.
+def vt_pp_suite(v: UnaryMap) -> Witness | None:
+    """Product arithmetic of a very true operator on a pseudo-product
+    algebra: None, or the first of ``pp-transfer``
+    (x(.)y <= z  =>  v(x)(.)v(y) <= v(z)), ``pp-submult`` (VT4'',
+    v(x)(.)v(y) <= v(x(.)y)) and ``vt4-prime`` (VT4') that fails.
 
-    VT4' and VT4'' are evaluated independently; on a certified operator
-    they must agree with VT4.  ``vt4_holds`` restates VT4 rather than tests
-    it: ``certify_vto`` has just accepted ``v``, so it is always true, and
-    it is kept so the report states all three formulations.
+    VT4' and VT4'' are the two other formulations of VT4, evaluated on
+    their own.  ``certify_vto`` has accepted v, so VT4 holds, and a
+    ``pp-submult`` or ``vt4-prime`` witness marks where a formulation
+    disagrees with it.
     """
     A = v.parent
     od, _ = pseudo_product(A)
     if od is None:
         raise PPRequired("algebra has no pseudo-product")
-    certify_vto(v)
-    im = v.image
-
-    rt = None
+    im = certify_vto(v).image
     els, ar, one = A.elements, A.arrow, A.one
     for x, y in product(els, repeat=2):
         row, vrow = ar[od[x][y]], ar[od[im[x]][im[y]]]
         z = next((z for z in els if row[z] == one and vrow[im[z]] != one), None)
         if z is not None:
-            rt = _witness(A, "pp-transfer", (x, y, z))
-            break
-    sm = _vt4_dprime(A, od, im)
-    vp = _vt4_prime(A, im)
-    # v is certified above, so VT4 itself holds
-    return PpSuiteReport(rt, sm, vp, True, vp is None, sm is None)
+            return _witness(A, "pp-transfer", (x, y, z))
+    return _vt4_dprime(A, od, im) or _vt4_prime(A, im)
 
 
 def vt4_equivalence_check(A: FiniteAlgebra, ops) -> bool:

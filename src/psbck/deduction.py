@@ -312,8 +312,10 @@ def lift_vto_to_quotient(
 
     The quotient algebra with the class of each element and the lifted
     operator are derived once per system and kept in ``v.memo`` under
-    ``H.members``; the preconditions are checked on every call, and each
-    call returns a fresh ``QuotientAlgebra`` with ``by`` set to this H.
+    ``H.members``, and each call returns a fresh ``QuotientAlgebra`` with
+    ``by`` set to this H.  That v is very true and H normal on v's algebra
+    is checked on every call; that H is v-stable only until a lift is
+    kept, since one is kept only after that test passed for these members.
     The quotient comes from ``congruence_from``, so operators lifted over
     one H object share its quotient algebra: ``run_suite`` lifts every
     operator over the systems of its ``Facts``, whose quotients are
@@ -323,11 +325,11 @@ def lift_vto_to_quotient(
     _require_on(v.parent, H, "H must be a deductive system of v's algebra")
     if not H.normal:
         raise NotNormal("lifting requires a normal deductive system")
-    if not v.preserves(_mask(H.members)):
-        raise NotVds("H is not stable under the operator")
     memo = v.memo
     key = ("lift", H.members)
     if key not in memo:
+        if not v.preserves(_mask(H.members)):
+            raise NotVds("H is not stable under the operator")
         quot = congruence_from(v.parent, H)
         lifted = UnaryMap(quot.algebra, quot.induce([quot.class_of[y] for y in v.image]))
         _certify_lift((is_vto,), lifted)

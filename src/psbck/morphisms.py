@@ -21,9 +21,11 @@ the member bitset they are asked by.  A failure is never kept.  Beside its
 alone: its kernel, whether its image is closed (``transport``), its
 corestriction onto the image with Ker f, and, per deductive system H, its
 factored map from A/H with ``factor``'s two verdicts.  What holds by
-theorem is not decided at all: Ker f is a normal deductive system and the
-corestriction is a homomorphism (``first_isomorphism``).  What involves
-an operator (stability under it, intertwining) is tested on every call.
+theorem is not decided at all: Ker f is a normal deductive system, the
+corestriction is a homomorphism, and u restricted to the image is very
+true (``first_isomorphism``).  What involves an operator (stability under
+it, intertwining) is tested on every call.  ``transport`` returns the
+first fact that fails as a ``Witness``, as every law checker does.
 """
 
 from __future__ import annotations
@@ -201,49 +203,26 @@ def enumerate_vthom(
     return [f for f in enumerate_hom(A, B) if intertwine_failure(f.map, v, u) is None]
 
 
-@dataclass(frozen=True)
-class TransportReport:
-    image_is_vt_subalgebra: bool
-    kernel: frozenset[int]
-    kernel_is_normal_vds: bool
-    pushforward_ok: bool | None  # None when f is not surjective
-    pullback_ok: bool
-    preimage_ker_u_is_vds: bool
-    image_ker_v_is_uds: bool | None
+def transport(f: VtHomomorphism) -> Witness | None:
+    """None if f moves substructures as the theorems say, else the first
+    fact that fails, with ``f.base.names()`` as its elements.  In order:
+    ``image-vt-subalgebra`` (Im f is a very-true subalgebra),
+    ``kernel-normal-vds`` (Ker f is a normal v-deductive system),
+    ``pushforward`` and ``pullback`` (f(D) of every v-deductive system D
+    is a u-deductive system, f^-1(G) of every u-deductive system G a
+    v-deductive system), ``preimage-ker-u`` (f^-1(Ker u)) and
+    ``image-ker-v`` (f(Ker v)).  A fact is evaluated only once those before
+    it hold; ``pushforward`` and ``image-ker-v`` hold vacuously, and are
+    not evaluated, unless f is surjective.
 
-    @property
-    def ok(self) -> bool:
-        checks = [
-            self.image_is_vt_subalgebra,
-            self.kernel_is_normal_vds,
-            self.pullback_ok,
-            self.preimage_ker_u_is_vds,
-        ]
-        checks += [c for c in (self.pushforward_ok, self.image_ker_v_is_uds) if c is not None]
-        return all(checks)
-
-
-def transport(f: VtHomomorphism) -> TransportReport:
-    """Verify how a very-true homomorphism moves substructures around.
-
-    Checks: the image is a very-true subalgebra of the target; the kernel
-    is a normal v-deductive system; pushforwards of v-deductive systems
-    are u-deductive systems (surjective case only, reported as None
-    otherwise); pullbacks of u-deductive systems are v-deductive systems;
-    plus the kernel-of-operator corollaries.
-
-    Each check is a verdict that involves no operator (the image is closed
-    under both implications, Ker f is a normal deductive system, f(S) or
-    f^-1(S) is a deductive system) and one that does (the set is v- or
-    u-stable).  The first kind is kept by its checker: ``_is_ds`` and
-    ``_is_normal`` keep theirs on the algebra the set lies in, and whether
-    the image is closed, a fact about f alone, is kept in ``f.base.memo``.
-    The stability tests run on every call.  Both kinds are asked by member
-    bitset: the fibres of f (bit x of ``fib[b]`` is set iff f(x) = b) and
-    its image are built once per call, f^-1(S) is the OR of ``fib[b]``
-    over the b in S, and Ker f is ``fib[1]``.  Each f(D) comes from
-    ``pushforward_ds``.  The v-deductive systems and Ker v are derived
-    once per call, and serve for u as well when u is v.
+    Each fact is a verdict that involves no operator (the image is closed,
+    a set is a (normal) deductive system), kept by its checker on the
+    algebra (or, for the image, in ``f.base.memo``), and a stability test
+    under v or u, run on every call.  Both are asked by member bitset: the
+    fibres of f (bit x of ``fib[b]`` is set iff f(x) = b) and its image are
+    built once per call, and f^-1(S) is the OR of ``fib[b]`` over S.  The
+    v-deductive systems and Ker v are derived once per call, and serve for
+    u as well when u is v.
     """
     A, B, v, u, m = f.source, f.target, f.v, f.u, f.base.map
     fib, img = [0] * B.n, 0
@@ -269,19 +248,22 @@ def transport(f: VtHomomorphism) -> TransportReport:
     ds_u = ds_v if surjective and u is v else enumerate_ds_v(u)
     ker_u = kernel(u)
     ker_v = ker_u if u is v else kernel(v)
-    return TransportReport(
+    facts = (
         # VT1-VT4 are universal sentences, so u restricted to a u-stable
         # subalgebra is a very true operator there
-        image_is_vt_subalgebra=memo["image-closed"] and u.preserves(img),
-        kernel=f.base.kernel(),
-        kernel_is_normal_vds=_is_ds(A, ker) and _is_normal(A, ker) and v.preserves(ker),
-        pushforward_ok=(
-            all(is_uds(_mask(pushforward_ds(f, D))) for D in ds_v) if surjective else None
-        ),
-        pullback_ok=all(preimage_is_vds(G.members) for G in ds_u),
-        preimage_ker_u_is_vds=preimage_is_vds(ker_u),
-        image_ker_v_is_uds=is_uds(_mask({m[x] for x in ker_v})) if surjective else None,
+        ("image-vt-subalgebra", lambda: memo["image-closed"] and u.preserves(img)),
+        ("kernel-normal-vds",
+         lambda: _is_ds(A, ker) and _is_normal(A, ker) and v.preserves(ker)),
+        ("pushforward",
+         lambda: not surjective or all(is_uds(_mask(pushforward_ds(f, D))) for D in ds_v)),
+        ("pullback", lambda: all(preimage_is_vds(G.members) for G in ds_u)),
+        ("preimage-ker-u", lambda: preimage_is_vds(ker_u)),
+        ("image-ker-v", lambda: not surjective or is_uds(_mask({m[x] for x in ker_v}))),
     )
+    for name, holds in facts:
+        if not holds():
+            return Witness(name, f.base.names())
+    return None
 
 
 def pushforward_ds(f: VtHomomorphism, D: DeductiveSystem) -> frozenset[int]:
@@ -356,11 +338,14 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
     The resulting map is a very-true isomorphism from A/Ker(f) onto Im(f).
     The corestriction of ``f.base`` onto its image subalgebra and Ker(f)
     are derived once and kept in ``f.base.memo``; each call restricts
-    ``f.u`` to the image.  Neither is checked, since both hold by theorem
-    for a homomorphism f: the image is closed under both implications, so
-    the corestriction preserves them, and Ker f is a normal deductive
-    system (f(x) = f(x->y) = 1 gives f(y) = f(x)->f(y) = 1, and x->y and
-    x~>y lie in Ker f exactly when f(x) <= f(y)).
+    ``f.u`` to the image.  None of the three is checked, since each holds
+    by theorem for a very true homomorphism f: the image is closed under
+    both implications, so the corestriction preserves them; Ker f is a
+    normal deductive system (f(x) = f(x->y) = 1 gives f(y) = f(x)->f(y) = 1,
+    and x->y and x~>y lie in Ker f exactly when f(x) <= f(y)); and the
+    image is u-stable, since u(f(x)) = f(v(x)), so u restricted to it is
+    very true, as VT1-VT4 are universal sentences.  The restriction's pass
+    is kept in its memo, as ``is_vto`` would keep it.
     """
     memo, image = f.base.memo, f.base.image()
     if "first-iso" not in memo:
@@ -371,6 +356,7 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
         memo["first-iso"] = base, DeductiveSystem(A, f.base.kernel(), True)
     base, H = memo["first-iso"]
     u_restr = UnaryMap(base.target, restrict(f.u.image, image))
+    u_restr.memo["vto"] = True
     return factor(VtHomomorphism(base, f.v, u_restr), H)
 
 

@@ -52,11 +52,6 @@ class UnaryMap:
     def names(self) -> tuple[str, ...]:
         return tuple(self.parent.name(v) for v in self.image)
 
-    def __le__(self, other: "UnaryMap") -> bool:
-        _same_parent(self, other)
-        ar, one = self.parent.arrow, self.parent.one
-        return all(ar[a][b] == one for a, b in zip(self.image, other.image))
-
     def preserves(self, mask: int) -> bool:
         """The map sends the member bitset ``mask``, with bit x standing
         for element id x, into itself."""

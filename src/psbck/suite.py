@@ -334,14 +334,14 @@ def _vds_family(facts, v):
 
 
 def _quotient(facts, H):
+    # the projection is onto by construction, one class id per
+    # representative; that its kernel is H is a theorem
     quot = congruence_from(facts.A, H)
     proj = Homomorphism(facts.A, quot.algebra, quot.class_of)
     if is_hom(proj) is not None:
         return False, "projection not a homomorphism"
     if proj.kernel() != H.members:
         return False, "projection kernel differs from H"
-    if not proj.is_surjective():
-        return False, "projection not surjective"
     return True, ""
 
 
@@ -388,7 +388,7 @@ def _vthom_transport(facts, v):
     stable = enumerate_ds_nv(v)
     for f in vhoms:
         g = VtHomomorphism(f, v, v)
-        if not transport(g).ok:
+        if transport(g) is not None:
             return False, f"transport {f.names()}"
         res = first_isomorphism(g)
         if not (
@@ -424,7 +424,7 @@ def _class_inclusions(facts):
 
 
 def _pp_arithmetic(_, v):
-    return (True, "") if vt_pp_suite(v).ok else (False, str(v.names()))
+    return (True, "") if vt_pp_suite(v) is None else (False, str(v.names()))
 
 
 def _mtl_characterization(facts):

@@ -179,7 +179,8 @@ def test_a_planted_referring_entry_is_reported(plant):
 
 # each memo key and the one function that writes it; ``first_isomorphism``
 # also writes "hom" on the corestriction onto the image, which is a
-# homomorphism by theorem, so no check runs on it
+# homomorphism by theorem, and "vto" on u restricted to the image, which
+# is very true by theorem, so no check runs on either
 WRITERS = {
     "order": ["algebra.FiniteAlgebra.order_masks"],
     "double-neg": ["algebra.FiniteAlgebra.double_negations"],
@@ -198,7 +199,7 @@ WRITERS = {
     "image-closed": ["morphisms.transport"],
     "factor": ["morphisms.factor"],
     "first-iso": ["morphisms.first_isomorphism"],
-    "vto": ["operators.is_vto"],
+    "vto": ["morphisms.first_isomorphism", "operators.is_vto"],
 }
 
 

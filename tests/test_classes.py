@@ -6,7 +6,7 @@ import pytest
 
 from conftest import golden_up_sets
 from psbck import classes, goldens
-from psbck.algebra import FiniteAlgebra, validate
+from psbck.algebra import FiniteAlgebra, Witness, validate
 from psbck.classes import (
     ClassificationReport,
     classify,
@@ -35,6 +35,7 @@ from psbck.generate import (
     random_batch,
 )
 from psbck.operators import UnaryMap, enumerate_interior, enumerate_vto, globalization
+from psbck.suite import run_suite
 
 SM_SVTO = [
     ("0", "0", "0", "1"),
@@ -207,9 +208,43 @@ def test_the_mtl_characterization_reports_a_disagreement():
 
 def test_pp_suite_and_equivalence(four_elt):
     for v in enumerate_vto(four_elt):
-        assert vt_pp_suite(v).ok
+        assert vt_pp_suite(v) is None
     assert vt4_equivalence_check(four_elt, enumerate_interior(four_elt))
     assert vt4_equivalence_check(goedel_chain(4), enumerate_interior(goedel_chain(4)))
+
+
+def test_a_map_planted_as_very_true_fails_pp_transfer(four_elt):
+    # pp-transfer follows from VT4'' and monotonicity, so only a map that
+    # is not very true fails it: plant the pass that is_vto would keep
+    A = four_elt
+    v = UnaryMap(A, tuple(A.index(s) for s in ("1", "1", "1", "a")))
+    v.memo["vto"] = True
+    assert vt_pp_suite(v) == Witness("pp-transfer", ("1", "a", "c"))
+
+
+@pytest.mark.parametrize(
+    "kernel, clause", [("_vt4_dprime", "pp-submult"), ("_vt4_prime", "vt4-prime")]
+)
+def test_a_planted_formulation_witness_is_returned_and_named_by_pp_arithmetic(
+    four_elt, monkeypatch, kernel, clause
+):
+    # on a certified operator VT4' and VT4'' agree with VT4, and no map
+    # planted as very true on four_elt fails them before pp-transfer, so
+    # the formulation's kernel is planted to disagree on the last operator
+    A = four_elt
+    vto = enumerate_vto(A)
+    planted, last, real = Witness(clause, ("a", "b")), vto[-1].image, getattr(classes, kernel)
+    monkeypatch.setattr(classes, kernel, lambda *args: planted if args[-1] == last else real(*args))
+    assert [vt_pp_suite(v) for v in vto] == [None] * (len(vto) - 1) + [planted]
+    got = {r.name: (r.ok, r.detail) for r in run_suite(A)}["pp-arithmetic"]
+    assert got == (False, str(vto[-1].names()))
+
+
+def test_pp_submult_is_reported_before_vt4_prime(four_elt, monkeypatch):
+    v = enumerate_vto(four_elt)[-1]
+    for kernel, clause in (("_vt4_prime", "vt4-prime"), ("_vt4_dprime", "pp-submult")):
+        monkeypatch.setattr(classes, kernel, lambda *args, w=Witness(clause, ()): w)
+    assert vt_pp_suite(v) == Witness("pp-submult", ())
 
 
 def test_flw_arithmetic():

@@ -3,10 +3,11 @@ and every dataclass field is read.
 
 A stdlib ``ast`` check, like ``test_imports.py``.  A definition counts as
 used when its name is read somewhere outside its own body: as a name or an
-attribute anywhere in ``src/`` or ``tests/``, or as a word of README.md.
-Dunder methods are called by the language and are not checked.  A field of
-a ``@dataclass`` counts as read when some attribute load in ``src/`` or
-``tests/`` names it.
+attribute anywhere in ``src/`` or ``perfbench/``, or as a word of README.md,
+which documents the library.  A definition that only tests read is
+reported: it is kept for its tests alone.  Dunder methods are called by the
+language and are not checked.  A field of a ``@dataclass`` counts as read
+when some attribute load in ``src/`` or ``tests/`` names it.
 """
 
 import ast
@@ -67,7 +68,7 @@ def _sources(paths):
 
 def test_every_definition_is_referenced():
     defined = _sources(sorted(SRC.glob("*.py")))
-    others = _sources(sorted((ROOT / "tests").glob("*.py")))
+    others = _sources(sorted((ROOT / "perfbench").glob("*.py")))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert unreferenced(defined, others, readme) == []
 
@@ -87,10 +88,15 @@ def test_unreferenced_definitions_are_reported():
         "        return len(self)\n"
         "    def stale(self):\n"
         "        return self.size()\n"
+        "def tested():\n"
+        "    return 2\n"
     )
-    test = "from mod import Box\nassert Box() is not None\n"
-    found = unreferenced({"mod.py": source}, {"test_mod.py": test}, "see `documented`")
-    assert found == ["mod.recursive", "mod.stale"]
+    bench = "from mod import Box\nassert Box() is not None\n"
+    # a test is no reader, so ``tested``, read only there, is reported
+    test = "from mod import tested\nassert tested() == 2\n"
+    found = unreferenced({"mod.py": source}, {"bench.py": bench}, "see `documented`")
+    assert found == ["mod.recursive", "mod.stale", "mod.tested"]
+    assert "mod.tested" not in unreferenced({"mod.py": source}, {"test_mod.py": test})
 
 
 def _is_dataclass(node):

@@ -182,6 +182,32 @@ def test_lift_vto_to_quotient(six_sm):
             lift_vto_to_quotient(v, H)
 
 
+def test_a_kept_lift_answers_before_the_stability_test(six_sm, monkeypatch):
+    # a lift is kept only after H passed the stability test for the same
+    # operator and members, so a second lift tests nothing again; an
+    # unstable H keeps nothing and raises on every call
+    A = six_sm
+    H = DeductiveSystem.from_members(A, A.dense_elements())
+    mask, vto = _mask(H.members), enumerate_vto(A)
+    stable = [UnaryMap(A, v.image) for v in vto if v.preserves(mask)]
+    unstable = [UnaryMap(A, v.image) for v in vto if not v.preserves(mask)]
+    assert stable and unstable
+    asked, real = [], UnaryMap.preserves
+    monkeypatch.setattr(UnaryMap, "preserves", lambda f, m: asked.append(m) or real(f, m))
+    for v in stable:
+        first = lift_vto_to_quotient(v, H)
+        assert asked == [mask]
+        assert lift_vto_to_quotient(v, H) == first
+        assert asked == [mask]
+        asked.clear()
+    for v in unstable:
+        for _ in range(2):
+            with pytest.raises(NotVds):
+                lift_vto_to_quotient(v, H)
+        assert asked == [mask, mask]
+        asked.clear()
+
+
 def test_deductive_systems_must_live_on_their_algebra(six_elt, six_sm):
     # six_elt and six_sm have the same size, so H's member ids are valid
     # ids of six_elt too; reading them there is still a different system

@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -67,16 +68,18 @@ def test_is_hom_witness(six_elt):
     assert is_hom(bad) is not None
 
 
-def test_transport_swap_endomorphism(six_elt):
+def test_transport_swap_endomorphism(six_elt, monkeypatch):
     A = six_elt
     v10 = enumerate_vto(A)[-1]
     psi3 = _hom(A, PSI[2])
     g = VtHomomorphism(psi3, v10, v10)
     assert is_vthom(psi3, v10, v10) is None
-    rep = transport(g)
-    assert rep.ok
-    assert rep.pushforward_ok is True  # psi3 is bijective
-    assert rep.kernel == frozenset({A.one})
+    pushed, real = [], morphisms.pushforward_ds
+    monkeypatch.setattr(morphisms, "pushforward_ds", lambda f, D: pushed.append(D) or real(f, D))
+    assert transport(g) is None
+    # psi3 is bijective, so every pushforward was asked
+    assert [D.members for D in pushed] == [D.members for D in enumerate_ds_v(v10)]
+    assert psi3.kernel() == frozenset({A.one})
 
 
 def test_a_very_true_homomorphism_is_certified_when_built(corpus_docs):
@@ -110,19 +113,64 @@ def test_is_hom_raises_on_a_map_that_is_not_total_until_a_pass_is_kept(four_elt,
     assert is_hom(f) is None
 
 
-def test_transport_constant_map_skips_pushforward(six_elt):
+def test_transport_constant_map_skips_pushforward(six_elt, monkeypatch):
     A = six_elt
     v10 = enumerate_vto(A)[-1]
     psi1 = _hom(A, PSI[0])
-    rep = transport(VtHomomorphism(psi1, v10, v10))
-    assert rep.pushforward_ok is None
-    assert rep.image_ker_v_is_uds is None
-    assert rep.ok
+    asked, real = set(), morphisms._is_ds
+    monkeypatch.setattr(morphisms, "_is_ds", lambda B, mask: asked.add(mask) or real(B, mask))
+    assert transport(VtHomomorphism(psi1, v10, v10)) is None
+    # every preimage under the constant map is A; neither pushforward nor
+    # f(Ker v) = {1} is asked, so pushforward_ds is not asked to raise
+    assert asked == {(1 << A.n) - 1}
+    monkeypatch.undo()
     with pytest.raises(SurjectivityRequired):
         pushforward_ds(
             VtHomomorphism(psi1, v10, v10),
             DeductiveSystem.from_members(A, {A.one}),
         )
+
+
+TRANSPORT_FACTS = [
+    "image-vt-subalgebra",
+    "kernel-normal-vds",
+    "pushforward",
+    "pullback",
+    "preimage-ker-u",
+    "image-ker-v",
+]
+
+
+@pytest.mark.parametrize("fact", TRANSPORT_FACTS)
+def test_transport_names_the_fact_a_planted_fault_breaks(six_elt, monkeypatch, fact):
+    """On certified input every fact holds, so each is broken by a plant:
+    a wrong kept verdict, checker, pushforward, system list or operator
+    kernel.  The identity map is onto, so every fact is evaluated, and u
+    is a twin of v, so the systems and kernels of v and u are derived
+    apart.  The broken set lacks 1, so it is truly no deductive system."""
+    A = six_elt
+    v = enumerate_vto(A)[-1]
+    u = UnaryMap(A, v.image)
+    f = Homomorphism(A, A, tuple(A.elements))
+    bad = frozenset(A.elements) - {A.one}
+    real_ds_v, real_kernel = morphisms.enumerate_ds_v, morphisms.kernel
+    if fact == "image-vt-subalgebra":
+        f.memo["image-closed"] = False
+    elif fact == "kernel-normal-vds":
+        monkeypatch.setattr(morphisms, "_is_normal", lambda B, mask: False)
+    elif fact == "pushforward":
+        monkeypatch.setattr(morphisms, "pushforward_ds", lambda g, D: bad)
+    elif fact == "pullback":
+        monkeypatch.setattr(
+            morphisms,
+            "enumerate_ds_v",
+            lambda w: real_ds_v(w) + [SimpleNamespace(members=bad)] * (w is u),
+        )
+    elif fact == "preimage-ker-u":
+        monkeypatch.setattr(morphisms, "kernel", lambda w: bad)
+    else:
+        monkeypatch.setattr(morphisms, "kernel", lambda w: bad if w is v else real_kernel(w))
+    assert transport(VtHomomorphism(f, v, u)) == Witness(fact, f.names())
 
 
 def test_operators_must_live_on_the_algebras_they_are_checked_on(six_elt, six_sm):
@@ -215,6 +263,28 @@ def test_first_isomorphism_builds_what_holds_by_theorem():
             assert onto_image.map == tuple(factored.map[c] for c in res.quotient.class_of)
             seen += 1
     assert seen > 100
+
+
+def test_first_isomorphism_takes_u_on_the_image_as_very_true_by_theorem(
+    small_pool, monkeypatch
+):
+    # the image is a u-stable subalgebra, and VT1-VT4 are universal
+    # sentences; on every (f, v) that vthom-transport visits, the kernel
+    # agrees with the pass first_isomorphism keeps on the restriction
+    restrictions, real = [], suite.first_isomorphism
+
+    def recording(g):
+        res = real(g)
+        restrictions.append(res.factored.u)
+        return res
+
+    monkeypatch.setattr(suite, "first_isomorphism", recording)
+    for A in _seed_pool() + small_pool:
+        suite.run_suite(A)
+    assert len(restrictions) == 747
+    for u in restrictions:
+        assert u.memo == {"vto": True}
+        assert operators._vto_witness(u.parent, u.image) is None, u.names()
 
 
 def test_isomorphism_detection(four_elt, six_elt):

@@ -31,7 +31,6 @@ from psbck.generate import (
 )
 from psbck.morphisms import (
     Homomorphism,
-    TransportReport,
     VtHomomorphism,
     enumerate_hom,
     factor,
@@ -178,7 +177,7 @@ def test_hedges_are_closures_and_satisfy_axioms(six_elt):
         assert is_vtst(v, s1, s2) is None
         ident = identity_map(A)
         assert is_vtst(v, ident, ident) is None
-        assert ident <= s1 and ident <= s2
+        assert all(A.leq(x, s.image[x]) for s in (s1, s2) for x in ident.image)
 
 
 def test_lift_to_reg_involutive_is_original(six_elt):
@@ -570,7 +569,7 @@ def _assert_same_factorizations(got, want) -> int:
     """Field-by-field equality of two ``_factorizations``; the number of
     factor results that read a factored map kept under another operator."""
     (rep, iso, factored), (rep_want, iso_want, factored_want) = got, want
-    _assert_same_fields(rep, rep_want)
+    assert rep == rep_want
     assert [H for H, _ in factored] == [H for H, _ in factored_want]
     pairs = [(iso, iso_want)] + [(r, w) for (_, r), (_, w) in zip(factored, factored_want)]
     return sum(_assert_same_factor_result(r, w) for r, w in pairs)
@@ -591,7 +590,9 @@ def test_homomorphism_memo_gives_what_fresh_twins_give():
 
 def _reference_transport(g, is_ds):
     """``transport(g)`` with every check run afresh: each set is tested by
-    ``is_ds`` on its algebra, then for stability under the operator."""
+    ``is_ds`` on its algebra, then for stability under the operator.  Every
+    fact is evaluated; the first that fails, in ``transport``'s order, is
+    returned as a witness naming the map, or None."""
     A, B, v, u, m = g.source, g.target, g.v, g.u, g.base.map
 
     def bits(members):
@@ -607,26 +608,24 @@ def _reference_transport(g, is_ds):
         return frozenset(x for x in A.elements if m[x] in members)
 
     ker, img, surjective = g.base.kernel(), g.base.image(), g.base.is_surjective()
-    return TransportReport(
+    facts = [
         # a very true subalgebra: contains 1, closed under both
         # implications and stable under the operator
-        image_is_vt_subalgebra=(
-            B.one in img and B.unclosed_pair(img) is None and u.preserves(bits(img))
-        ),
-        kernel=ker,
-        kernel_is_normal_vds=vds(v, A, ker) and deduction._is_normal(A, bits(ker)),
-        pushforward_ok=(
-            all(vds(u, B, image(D.members)) for D in enumerate_ds_v(v)) if surjective else None
-        ),
-        pullback_ok=all(vds(v, A, preimage(G.members)) for G in enumerate_ds_v(u)),
-        preimage_ker_u_is_vds=vds(v, A, preimage(kernel(u))),
-        image_ker_v_is_uds=vds(u, B, image(kernel(v))) if surjective else None,
-    )
+        ("image-vt-subalgebra",
+         B.one in img and B.unclosed_pair(img) is None and u.preserves(bits(img))),
+        ("kernel-normal-vds", vds(v, A, ker) and deduction._is_normal(A, bits(ker))),
+        ("pushforward",
+         not surjective or all(vds(u, B, image(D.members)) for D in enumerate_ds_v(v))),
+        ("pullback", all(vds(v, A, preimage(G.members)) for G in enumerate_ds_v(u))),
+        ("preimage-ker-u", vds(v, A, preimage(kernel(u)))),
+        ("image-ker-v", not surjective or vds(u, B, image(kernel(v)))),
+    ]
+    return next((Witness(name, g.base.names()) for name, holds in facts if not holds), None)
 
 
 def _reference_questions(g):
     """The member bitsets whose verdict ``_reference_transport(g)`` asks:
-    every image, preimage and kernel of the report."""
+    every image, preimage and kernel of its facts."""
     asked = set()
     _reference_transport(g, lambda alg, mask: asked.add(mask) or deduction._is_ds(alg, mask))
     return asked
@@ -636,10 +635,11 @@ def test_transport_memo_answers_each_question_with_its_own_verdict(monkeypatch):
     # on certified input every verdict holds, so a kept verdict that
     # answered one question with another's would go unseen; plant a failing
     # closure on one member bitset at a time instead, on a fresh algebra
-    # whose verdicts _is_ds keeps under the plant, and compare each
-    # operator's report with the reference under the same plant
+    # whose verdicts _is_ds keeps under the plant, and compare the fact
+    # each operator's transport names with the reference's under the same
+    # plant
     real_is_ds, real_adjoin = deduction._is_ds, deduction._adjoin
-    planted = 0
+    planted, named = 0, set()
     for f, vs in _shared_endomorphisms(_seed_pool()):
         A = f.source
         calls = []  # the member bitsets each transport call asks
@@ -668,9 +668,15 @@ def test_transport_memo_answers_each_question_with_its_own_verdict(monkeypatch):
             h = Homomorphism(fresh, fresh, f.map)
             for v in vs:
                 g = VtHomomorphism(h, v, v)
-                assert transport(g) == _reference_transport(g, is_ds), (f.names(), v.names())
+                got = transport(g)
+                assert got == _reference_transport(g, is_ds), (f.names(), v.names())
+                named.add(got and got.axiom)
             planted += 1
     assert planted
+    # Ker u and Ker v are among the systems pulled back and pushed forward,
+    # and the image is no deductive-system question, so a closure plant
+    # breaks these facts first
+    assert named == {None, "kernel-normal-vds", "pushforward", "pullback"}
 
 
 def test_homomorphism_memo_is_invisible_to_equality_hash_and_repr():

@@ -194,4 +194,6 @@ def test_each_operator_object_runs_the_vto_kernel_until_it_passes(one_pass):
     kernels = one_pass.vto_kernels
     assert set(n for (_, passed), n in kernels.items() if passed) == {1}
     composites = sum(n for (kind, _, _), n in one_pass.verdicts.items() if kind == "vto")
-    assert sum(kernels.values()) + composites == 10696
+    # u restricted to the image in first_isomorphism (3,403 per pass) is
+    # very true by theorem and runs no kernel
+    assert sum(kernels.values()) + composites == 7293

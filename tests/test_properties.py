@@ -5,6 +5,7 @@ on a seeded batch of randomly generated certified algebras.  A failure
 anywhere means either a wrong table or a wrongly stated law.
 """
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -194,3 +195,19 @@ def test_planted_fault_in_smarandache_antitone_fails_the_family(six_sm, monkeypa
     monkeypatch.setattr(suite, "enumerate_vto_flw", drops_identity)
     got = {r.name: (r.ok, r.detail) for r in run_suite(six_sm)}["smarandache-antitone"]
     assert got == (False, "[0, 1, 5] in [0, 1, 2, 3, 5]")
+
+
+def test_planted_transposed_quotient_table_fails_the_quotients_family(four_elt, monkeypatch):
+    # on a quotient with two or more classes, x->y = 1 != y->x for some
+    # x < y, so the projection onto the transposed table breaks hom-arrow
+    real = suite.congruence_from
+
+    def transposed(A, H):
+        quot = real(A, H)
+        q = quot.algebra
+        return replace(quot, algebra=replace(q, arrow=tuple(zip(*q.arrow))))
+
+    assert {r.name: r.ok for r in run_suite(four_elt)}["quotients"]
+    monkeypatch.setattr(suite, "congruence_from", transposed)
+    got = {r.name: (r.ok, r.detail) for r in run_suite(four_elt)}["quotients"]
+    assert got == (False, "projection not a homomorphism")

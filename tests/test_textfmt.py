@@ -192,10 +192,11 @@ def test_substructure_round_trip(six_sm):
     assert is_isomorphic(back, sub) is not None
 
 
-def test_document_round_trip():
-    doc = parse(MINI)
-    again = parse(serialize_document(doc))
-    assert again.algebras == doc.algebras
-    assert again.maps == doc.maps
-    assert again.valuations == doc.valuations
-    assert again.subsets == doc.subsets
+def test_document_round_trip(corpus_docs):
+    # serialize_document is parse's inverse, as README states
+    for doc in [parse(MINI), *corpus_docs.values()]:
+        again = parse(serialize_document(doc))
+        assert again.algebras == doc.algebras
+        assert again.maps == doc.maps
+        assert again.valuations == doc.valuations
+        assert again.subsets == doc.subsets
