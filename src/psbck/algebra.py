@@ -269,16 +269,15 @@ def diagnose(element_names, one, arrow, squig, zero=None) -> list[Witness]:
 
     arrow = tuple(tuple(row) for row in arrow)
     squig = tuple(tuple(row) for row in squig)
-
-    def leq(x, y):
-        return arrow[x][y] == one
+    rng = range(n)
+    # bit b of up[a] is set iff a -> b = 1, so a <= b is a bit test
+    up = [sum(1 << b for b in rng if row[b] == one) for row in arrow]
 
     diags = []
 
     def record(axiom, witness, detail=""):
         diags.append(Witness(axiom, tuple(names[w] for w in witness), detail))
 
-    rng = range(n)
     for x in rng:
         if arrow[x][x] != one or squig[x][x] != one:
             record("psBCK3", (x,), "x -> x and x ~> x must be 1")
@@ -295,18 +294,12 @@ def diagnose(element_names, one, arrow, squig, zero=None) -> list[Witness]:
         if x != y and arrow[x][y] == one and arrow[y][x] == one:
             record("psBCK5", (x, y), "antisymmetry fails")
             break
-    ok1 = True
-    for x, y, z in product(rng, repeat=3):
-        if not leq(arrow[x][y], squig[arrow[y][z]][arrow[x][z]]):
-            record("psBCK1", (x, y, z), "arrow half fails")
-            ok1 = False
-            break
-        if not leq(squig[x][y], arrow[squig[y][z]][squig[x][z]]):
-            record("psBCK1", (x, y, z), "squig half fails")
-            ok1 = False
-            break
+    bad1 = _psbck1_failure(arrow, squig, up)
+    if bad1 is not None:
+        record("psBCK1", *bad1)
     for x, y in product(rng, repeat=2):
-        if not leq(x, squig[arrow[x][y]][y]) or not leq(x, arrow[squig[x][y]][y]):
+        ux = up[x]
+        if not ux >> squig[arrow[x][y]][y] & 1 or not ux >> arrow[squig[x][y]][y] & 1:
             record("psBCK2", (x, y))
             break
     if zero is not None:
@@ -316,12 +309,44 @@ def diagnose(element_names, one, arrow, squig, zero=None) -> list[Witness]:
                 break
     # transitivity of the derived order is a theorem; a failure here on
     # tables passing everything above would expose a checker bug
-    if ok1 and not diags:
-        for x, y, z in product(rng, repeat=3):
-            if leq(x, y) and leq(y, z) and not leq(x, z):
-                record("order-transitivity", (x, y, z))
-                break
+    if not diags:
+        bad = _intransitive_triple(up)
+        if bad is not None:
+            record("order-transitivity", bad)
     return diags
+
+
+# loops, not law rows: run on every table certified, with rows hoisted
+def _psbck1_failure(arrow, squig, up):
+    """((x, y, z), which half fails) for the first triple at which
+    (x -> y) <= (y -> z) ~> (x -> z) or (x ~> y) <= (y ~> z) -> (x ~> z)
+    fails, the arrow half first at each z; None if both hold.  ``up``
+    holds the order rows of ``arrow``."""
+    rng = range(len(arrow))
+    for x in rng:
+        arx, sqx = arrow[x], squig[x]
+        for y in rng:
+            u_ar, u_sq, ary, sqy = up[arx[y]], up[sqx[y]], arrow[y], squig[y]
+            for z in rng:
+                if not u_ar >> squig[ary[z]][arx[z]] & 1:
+                    return (x, y, z), "arrow half fails"
+                if not u_sq >> arrow[sqy[z]][sqx[z]] & 1:
+                    return (x, y, z), "squig half fails"
+    return None
+
+
+# loops, not law rows: a bitset scan that names the least triple
+def _intransitive_triple(up):
+    """The least (x, y, z) with x <= y <= z but not x <= z, on the order
+    rows ``up`` (bit b of up[a] set iff a <= b), or None.  That is the
+    first x that has such a triple, the least y above x whose row leaves
+    up[x], and the lowest bit that row leaves."""
+    for x, ux in enumerate(up):
+        for y, uy in enumerate(up):
+            out = uy & ~ux
+            if out and ux >> y & 1:
+                return x, y, (out & -out).bit_length() - 1
+    return None
 
 
 def validate(element_names, one, arrow, squig, zero=None) -> FiniteAlgebra:
@@ -363,29 +388,31 @@ def derived_law_suite(algebra: FiniteAlgebra) -> Witness | None:
             and leq(sq[x][y], sq[sq[z][x]][sq[z][y]])),
     ]
     if A.bounded:
-        nm, ns = A.neg_minus, A.neg_sim
+        # x^- = x -> 0 and x^~ = x ~> 0, read off the zero column of each table
+        nm = tuple(row[A.zero] for row in ar)
+        ns = tuple(row[A.zero] for row in sq)
         laws += [
-            ("dn-expansion", 1, lambda x: leq(x, ns(nm(x))) and leq(x, nm(ns(x)))),
-            ("contraposition-swap", 2, lambda x, y: ar[x][ns(y)] == sq[y][nm(x)]
-                and sq[x][nm(y)] == ar[y][ns(x)]),
-            ("dn-contraposition", 2, lambda x, y: ar[ns(x)][ns(nm(y))] == sq[nm(y)][nm(ns(x))]
-                and sq[nm(x)][nm(ns(y))] == ar[ns(y)][ns(nm(x))]),
+            ("dn-expansion", 1, lambda x: leq(x, ns[nm[x]]) and leq(x, nm[ns[x]])),
+            ("contraposition-swap", 2, lambda x, y: ar[x][ns[y]] == sq[y][nm[x]]
+                and sq[x][nm[y]] == ar[y][ns[x]]),
+            ("dn-contraposition", 2, lambda x, y: ar[ns[x]][ns[nm[y]]] == sq[nm[y]][nm[ns[x]]]
+                and sq[nm[x]][nm[ns[y]]] == ar[ns[y]][ns[nm[x]]]),
             ("neg-antitone", 2, lambda x, y: not leq(x, y) or (
-                leq(nm(y), nm(x))
-                and leq(ns(y), ns(x))
-                and leq(ns(nm(x)), ns(nm(y)))
-                and leq(nm(ns(x)), nm(ns(y)))
+                leq(nm[y], nm[x])
+                and leq(ns[y], ns[x])
+                and leq(ns[nm[x]], ns[nm[y]])
+                and leq(nm[ns[x]], nm[ns[y]])
             )),
-            ("triple-neg", 1, lambda x: nm(ns(nm(x))) == nm(x) and ns(nm(ns(x))) == ns(x)),
+            ("triple-neg", 1, lambda x: nm[ns[nm[x]]] == nm[x] and ns[nm[ns[x]]] == ns[x]),
             ("dn-implication-1", 2, lambda x, y:
-                ar[x][ns(nm(y))] == sq[nm(y)][nm(x)] == ar[ns(nm(x))][ns(nm(y))]
-                and sq[x][nm(ns(y))] == ar[ns(y)][ns(x)] == sq[nm(ns(x))][nm(ns(y))]),
+                ar[x][ns[nm[y]]] == sq[nm[y]][nm[x]] == ar[ns[nm[x]]][ns[nm[y]]]
+                and sq[x][nm[ns[y]]] == ar[ns[y]][ns[x]] == sq[nm[ns[x]]][nm[ns[y]]]),
             ("dn-implication-2", 2, lambda x, y:
-                ar[x][ns(y)] == sq[nm(ns(y))][nm(x)] == ar[ns(nm(x))][ns(y)]
-                and sq[x][nm(y)] == ar[ns(nm(y))][ns(x)] == sq[nm(ns(x))][nm(y)]),
-            ("dn-stability", 2, lambda x, y: nm(ns(ar[x][nm(ns(y))])) == ar[x][nm(ns(y))]
-                and ns(nm(sq[x][ns(nm(y))])) == sq[x][ns(nm(y))]),
-            ("neg-contraposition", 2, lambda x, y: leq(ar[x][y], sq[nm(y)][nm(x)])
-                and leq(sq[x][y], ar[ns(y)][ns(x)])),
+                ar[x][ns[y]] == sq[nm[ns[y]]][nm[x]] == ar[ns[nm[x]]][ns[y]]
+                and sq[x][nm[y]] == ar[ns[nm[y]]][ns[x]] == sq[nm[ns[x]]][nm[y]]),
+            ("dn-stability", 2, lambda x, y: nm[ns[ar[x][nm[ns[y]]]]] == ar[x][nm[ns[y]]]
+                and ns[nm[sq[x][ns[nm[y]]]]] == sq[x][ns[nm[y]]]),
+            ("neg-contraposition", 2, lambda x, y: leq(ar[x][y], sq[nm[y]][nm[x]])
+                and leq(sq[x][y], ar[ns[y]][ns[x]])),
         ]
     return first_witness(A, laws)

@@ -36,54 +36,75 @@ from .operators import UnaryMap, certify_vto, enumerate_vto, is_vto
 DEFAULT_SMARANDACHE_CAP = 16
 
 
-def _element_with(rows, mask: int) -> int | None:
-    """The element whose order row is ``mask``, or None."""
-    return rows.index(mask) if mask in rows else None
+def _row_elements(rows) -> dict[int, int]:
+    """Order row -> its element; the rows are distinct by antisymmetry."""
+    return {row: x for x, row in enumerate(rows)}
 
 
+# the pairwise helpers; lattice_tables builds the whole tables at once
 def meet(A: FiniteAlgebra, x: int, y: int) -> int | None:
     # the common lower bounds form a down-set, which has a greatest
     # element g iff it is down[g]
     down, _ = A.order_masks()
-    return _element_with(down, down[x] & down[y])
+    return _row_elements(down).get(down[x] & down[y])
 
 
 def join(A: FiniteAlgebra, x: int, y: int) -> int | None:
     _, up = A.order_masks()
-    return _element_with(up, up[x] & up[y])
+    return _row_elements(up).get(up[x] & up[y])
 
 
+# loops, not law rows: run on every Smarandache candidate, with rows hoisted
 def lattice_tables(A: FiniteAlgebra):
-    """(meet table, join table) or (None, witness pair) if not a lattice."""
-    n = A.n
-    mt = [[0] * n for _ in range(n)]
-    jt = [[0] * n for _ in range(n)]
-    for x, y in product(A.elements, repeat=2):
-        m, j = meet(A, x, y), join(A, x, y)
-        if m is None or j is None:
-            return None, (x, y)
-        mt[x][y], jt[x][y] = m, j
-    return (tuple(tuple(r) for r in mt), tuple(tuple(r) for r in jt)), None
+    """(meet table, join table) or (None, witness pair) if not a lattice;
+    each entry as ``meet`` and ``join`` give it."""
+    down, up = A.order_masks()
+    greatest, least = _row_elements(down), _row_elements(up)
+    mt, jt = [], []
+    for x in A.elements:
+        dx, ux = down[x], up[x]
+        mrow = tuple([greatest.get(dx & d) for d in down])
+        jrow = tuple([least.get(ux & u) for u in up])
+        if None in mrow or None in jrow:
+            return None, (x, next(y for y in A.elements if None in (mrow[y], jrow[y])))
+        mt.append(mrow)
+        jt.append(jrow)
+    return (tuple(mt), tuple(jt)), None
 
 
+# loops, not law rows: run on every Smarandache candidate, with rows hoisted
 def _odot_table(A: FiniteAlgebra):
     """(product table, None) or (None, first failing pair).
 
     {z | x <= y->z} is an up-set, since -> is monotone in its second
     argument, so it has a least element m iff it is up[m], and then
     x (.) y = m.  The set equals {z | y <= x~>z}, since x <= y->z iff
-    y <= x~>z, so one mask per pair decides both.
+    y <= x~>z, so one mask per pair decides both.  It is the union, over
+    v in up(x), of the fibre {z | y->z = v}.
     """
-    n, rng = A.n, A.elements
+    rng = A.elements
     _, up = A.order_masks()
-    table = [[0] * n for _ in range(n)]
-    for x, y in product(rng, repeat=2):
-        ux, ar_y = up[x], A.arrow[y]
-        m = _element_with(up, sum(1 << z for z in rng if ux >> ar_y[z] & 1))
-        if m is None:
-            return None, (x, y)
-        table[x][y] = m
-    return tuple(tuple(r) for r in table), None
+    least = _row_elements(up)
+    fibres = []
+    for row in A.arrow:
+        fibre = [0] * A.n
+        for z, v in enumerate(row):
+            fibre[v] |= 1 << z
+        fibres.append(fibre)
+    table = []
+    for x in rng:
+        above = A.up_set(x)
+        trow = []
+        for y in rng:
+            fibre, mask = fibres[y], 0
+            for v in above:
+                mask |= fibre[v]
+            m = least.get(mask)
+            if m is None:
+                return None, (x, y)
+            trow.append(m)
+        table.append(tuple(trow))
+    return tuple(table), None
 
 
 def pseudo_product(A: FiniteAlgebra):

@@ -176,6 +176,7 @@ def _vto_witness(A: FiniteAlgebra, im) -> Witness | None:
     return None
 
 
+# loops, not law rows: the kernel of every map search, run on each value tried
 def _map_search(n, candidates, checks):
     """Yield every map vector m with m[x] in ``candidates[x]`` passing ``checks``.
 
@@ -210,18 +211,22 @@ def _map_search(n, candidates, checks):
     pending = [iter(cands[0])]
     while pending:
         i = len(pending) - 1
+        tests, forced = at[i], forcing[i]
         if len(m) > i:  # back at depth i: release the value tried last
             m.pop()
-            if forcing[i]:
+            if forced:
                 for z in undo[i]:
                     cands[z] = candidates[z]
         for w in pending[i]:
             m.append(w)
-            if all(m[z] == tab[m[x]][m[y]] for x, y, z, tab in at[i]):
-                if forcing[i] is None:
+            for x, y, z, tab in tests:
+                if m[z] != tab[m[x]][m[y]]:
+                    break
+            else:
+                if forced is None:
                     break
                 done = []
-                for x, y, z, tab in forcing[i]:
+                for x, y, z, tab in forced:
                     v = tab[m[x]][m[y]]
                     if cands[z] is not candidates[z]:
                         if cands[z][0] != v:

@@ -346,6 +346,19 @@ def test_forward_propagation_prunes_the_endomorphism_search(A, tried, before, ho
     assert got < before
 
 
+def test_isomorphism_search_on_b16_tries_pinned_values():
+    # the Boolean algebra of 16 elements against one fixed relabelling of
+    # it: the values tried and the first isomorphism found, in search order
+    B16 = direct_product(
+        direct_product(direct_product(goedel_chain(2), goedel_chain(2)), goedel_chain(2)),
+        goedel_chain(2),
+    )
+    B = relabel(B16, [(5 * i + 3) % 16 for i in B16.elements])
+    tried, h = values_tried(is_isomorphic, B16, B)
+    assert tried == 28
+    assert h.map == (3, 7, 8, 12, 11, 15, 0, 4, 13, 1, 2, 6, 5, 9, 10, 14)
+
+
 def test_intertwine_witness_matches_brute_force(small_pool):
     # the least x with f(v(x)) != u(f(x)), over every endomorphism f and
     # every pair (v, u) of very true operators

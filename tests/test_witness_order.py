@@ -4,16 +4,28 @@ it, the first failing tuple in ``product(A.elements, repeat=k)`` order.
 The checkers written as law rows for ``algebra.first_witness`` are
 compared here with the hand-written loops they replaced, kept as
 references, on every map of the small pool algebras, fixed-seed hedge
-pairs and fixed-seed valuation vectors.
+pairs and fixed-seed valuation vectors.  The kernels rewritten as loops
+over hoisted rows (``diagnose``, ``lattice_tables`` and the pseudo-product
+table) are compared the same way with the loops they replaced, on mutated
+tables and on the pool.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
 
+from conftest import golden_up_sets
 from psbck import goldens
-from psbck.algebra import FiniteAlgebra, Witness, derived_law_suite, first_failure
-from psbck.classes import _vto_flw_witness, classify, lattice_tables
+from psbck.algebra import (
+    FiniteAlgebra,
+    Witness,
+    _intransitive_triple,
+    derived_law_suite,
+    diagnose,
+    first_failure,
+)
+from psbck.classes import _vto_flw_witness, classify, join, lattice_tables, meet, pseudo_product
+from psbck.generate import direct_product, goedel_chain, lukasiewicz_chain, random_batch
 from psbck.operators import UnaryMap, enumerate_vto, is_closure, is_vtst, sigma_hedges
 from psbck.suite import _verdict
 from psbck.valuations import PseudoValuation, derived_facts
@@ -133,3 +145,169 @@ def test_derived_laws_name_the_first_failing_law_and_its_least_tuple():
     assert w == Witness("left-antitone", ("a", "c", "b"))
     assert _verdict(w) == (False, "left-antitone[a,c,b]")
     assert _verdict(derived_law_suite(A)) == (True, "")
+
+
+# -- kernels rewritten as loops over hoisted rows -------------------------------
+
+
+def diagnose_loops(names, one, arrow, squig, zero):
+    """The axiom loops of ``diagnose`` as they were before its rows were
+    hoisted, on tables that pass its structural checks."""
+    rng = range(len(names))
+
+    def leq(x, y):
+        return arrow[x][y] == one
+
+    diags = []
+
+    def record(axiom, witness, detail=""):
+        diags.append(Witness(axiom, tuple(names[w] for w in witness), detail))
+
+    for x in rng:
+        if arrow[x][x] != one or squig[x][x] != one:
+            record("psBCK3", (x,), "x -> x and x ~> x must be 1")
+            break
+    for x in rng:
+        if arrow[x][one] != one or squig[x][one] != one:
+            record("psBCK4", (x,), "x <= 1 must hold in both tables")
+            break
+    for x, y in product(rng, repeat=2):
+        if (arrow[x][y] == one) != (squig[x][y] == one):
+            record("psBCK6", (x, y), "arrow and squig must agree on the order")
+            break
+    for x, y in product(rng, repeat=2):
+        if x != y and arrow[x][y] == one and arrow[y][x] == one:
+            record("psBCK5", (x, y), "antisymmetry fails")
+            break
+    ok1 = True
+    for x, y, z in product(rng, repeat=3):
+        if not leq(arrow[x][y], squig[arrow[y][z]][arrow[x][z]]):
+            record("psBCK1", (x, y, z), "arrow half fails")
+            ok1 = False
+            break
+        if not leq(squig[x][y], arrow[squig[y][z]][squig[x][z]]):
+            record("psBCK1", (x, y, z), "squig half fails")
+            ok1 = False
+            break
+    for x, y in product(rng, repeat=2):
+        if not leq(x, squig[arrow[x][y]][y]) or not leq(x, arrow[squig[x][y]][y]):
+            record("psBCK2", (x, y))
+            break
+    if zero is not None:
+        for x in rng:
+            if arrow[zero][x] != one or squig[zero][x] != one:
+                record("bound", (x,), "0 <= x fails")
+                break
+    if ok1 and not diags:
+        for x, y, z in product(rng, repeat=3):
+            if leq(x, y) and leq(y, z) and not leq(x, z):
+                record("order-transitivity", (x, y, z))
+                break
+    return diags
+
+
+def _mutants(A, cells):
+    """(arrow, squig) of A with each (table, x, y, value) of ``cells`` set."""
+    tables = [[list(row) for row in A.arrow], [list(row) for row in A.squig]]
+    for t, x, y, v in cells:
+        tables[t][x][y] = v
+    return tuple(tuple(map(tuple, tab)) for tab in tables)
+
+
+def _b16():
+    g2 = goedel_chain(2)
+    return direct_product(direct_product(direct_product(g2, g2), g2), g2)
+
+
+def test_diagnose_names_the_witnesses_of_its_old_loops(pool):
+    rng = random.Random(2026)
+    small = {(A.one, A.zero, A.arrow, A.squig): A for A in pool if A.n <= 5}
+    cases = []
+    for A in small.values():
+        for t, x, y in product((0, 1), A.elements, A.elements):
+            old = (A.arrow, A.squig)[t][x][y]
+            cases += [(A, [(t, x, y, v)]) for v in A.elements if v != old]
+    for A in (goedel_chain(8), _b16()):
+        for _ in range(150):
+            k = rng.randint(2, 4)
+            cases.append((A, [
+                (rng.randint(0, 1), rng.randrange(A.n), rng.randrange(A.n), rng.randrange(A.n))
+                for _ in range(k)
+            ]))
+    seen, failing = set(), 0
+    for A, cells in cases:
+        arrow, squig = _mutants(A, cells)
+        args = (A.element_names, A.one, arrow, squig, A.zero)
+        got = diagnose(*args)
+        assert got == diagnose_loops(*args), (A.element_names, cells)
+        seen.update((w.axiom, w.detail) for w in got)
+        failing += bool(got)
+    # every axiom and both halves of psBCK1 were reached, on thousands of tables
+    assert {axiom for axiom, _ in seen} >= {
+        "psBCK1", "psBCK2", "psBCK3", "psBCK4", "psBCK5", "psBCK6", "bound"
+    }
+    assert {("psBCK1", "arrow half fails"), ("psBCK1", "squig half fails")} <= seen
+    assert failing > 3000
+
+
+def test_intransitive_triple_is_the_least_of_the_triple_loop():
+    # no table that passes psBCK1 reaches the transitivity check, so the
+    # bitset scan is compared with the triple loop on random relations
+    rng = random.Random(7)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        up = [rng.getrandbits(n) for _ in range(n)]
+        want = next(
+            (
+                (x, y, z) for x, y, z in product(range(n), repeat=3)
+                if up[x] >> y & 1 and up[y] >> z & 1 and not up[x] >> z & 1
+            ),
+            None,
+        )
+        assert _intransitive_triple(up) == want, up
+        found += want is not None
+    assert 0 < found < 3000
+
+
+def lattice_tables_loops(A):
+    """``lattice_tables`` as it was: the pairwise helpers on every pair."""
+    mt = [[0] * A.n for _ in A.elements]
+    jt = [[0] * A.n for _ in A.elements]
+    for x, y in product(A.elements, repeat=2):
+        m, j = meet(A, x, y), join(A, x, y)
+        if m is None or j is None:
+            return None, (x, y)
+        mt[x][y], jt[x][y] = m, j
+    return (tuple(map(tuple, mt)), tuple(map(tuple, jt))), None
+
+
+def pseudo_product_loops(A):
+    """The pseudo-product table as it was: one sum of n shifted bits per
+    pair, and the element whose up-row it is."""
+    _, up = A.order_masks()
+    table = [[0] * A.n for _ in A.elements]
+    for x, y in product(A.elements, repeat=2):
+        mask = sum(1 << z for z in A.elements if up[x] >> A.arrow[y][z] & 1)
+        if mask not in up:
+            return None, (x, y)
+        table[x][y] = up.index(mask)
+    return tuple(map(tuple, table)), None
+
+
+def test_lattice_and_product_tables_match_their_old_loops(pool):
+    large = [
+        goedel_chain(8),
+        lukasiewicz_chain(8),
+        direct_product(goedel_chain(2), lukasiewicz_chain(4)),
+        direct_product(goedel_chain(2), lukasiewicz_chain(5)),
+    ]
+    no_lattice = no_product = 0
+    for A in pool + list(golden_up_sets()) + large + random_batch(7, 40):
+        lat = lattice_tables(A)
+        assert lat == lattice_tables_loops(A), A.element_names
+        assert pseudo_product(A) == pseudo_product_loops(A), A.element_names
+        no_lattice += lat[0] is None
+        no_product += pseudo_product(A)[0] is None
+    # the witness pairs were compared too, not only whole tables
+    assert no_lattice and no_product
