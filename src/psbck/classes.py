@@ -41,7 +41,8 @@ def _row_elements(rows) -> dict[int, int]:
     return {row: x for x, row in enumerate(rows)}
 
 
-# the pairwise helpers; lattice_tables builds the whole tables at once
+# the pairwise helpers; lattice_tables builds the whole tables and asks
+# these only for the witness pair of a non-lattice
 def meet(A: FiniteAlgebra, x: int, y: int) -> int | None:
     # the common lower bounds form a down-set, which has a greatest
     # element g iff it is down[g]
@@ -66,7 +67,9 @@ def lattice_tables(A: FiniteAlgebra):
         mrow = tuple([greatest.get(dx & d) for d in down])
         jrow = tuple([least.get(ux & u) for u in up])
         if None in mrow or None in jrow:
-            return None, (x, next(y for y in A.elements if None in (mrow[y], jrow[y])))
+            # the witness: the first y whose bound with x is missing
+            return None, (x, next(y for y in A.elements
+                                  if meet(A, x, y) is None or join(A, x, y) is None))
         mt.append(mrow)
         jt.append(jrow)
     return (tuple(mt), tuple(jt)), None
