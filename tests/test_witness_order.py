@@ -4,17 +4,16 @@ it, the first failing tuple in ``product(A.elements, repeat=k)`` order.
 The checkers written as law rows for ``algebra.first_witness`` are
 compared here with the hand-written loops they replaced, kept as
 references, on every map of the small pool algebras, fixed-seed hedge
-pairs and fixed-seed valuation vectors.  The kernels rewritten as loops
-over hoisted rows (``diagnose``, ``lattice_tables`` and the pseudo-product
-table) are compared the same way with the loops they replaced, on mutated
-tables and on the pool.
+pairs and fixed-seed valuation vectors.  ``diagnose``, rewritten as loops
+over hoisted rows, is compared the same way with the loops it replaced, on
+mutated tables; ``lattice_tables`` and the pseudo-product table are checked
+against a least/greatest scan in ``test_classes``.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
 
-from conftest import golden_up_sets
 from psbck import goldens
 from psbck.algebra import (
     FiniteAlgebra,
@@ -24,8 +23,8 @@ from psbck.algebra import (
     diagnose,
     first_failure,
 )
-from psbck.classes import _vto_flw_witness, classify, join, lattice_tables, meet, pseudo_product
-from psbck.generate import direct_product, goedel_chain, lukasiewicz_chain, random_batch
+from psbck.classes import _vto_flw_witness, classify, lattice_tables
+from psbck.generate import direct_product, goedel_chain
 from psbck.operators import UnaryMap, enumerate_vto, is_closure, is_vtst, sigma_hedges
 from psbck.suite import _verdict
 from psbck.valuations import PseudoValuation, derived_facts
@@ -268,46 +267,3 @@ def test_intransitive_triple_is_the_least_of_the_triple_loop():
         assert _intransitive_triple(up) == want, up
         found += want is not None
     assert 0 < found < 3000
-
-
-def lattice_tables_loops(A):
-    """``lattice_tables`` as it was: the pairwise helpers on every pair."""
-    mt = [[0] * A.n for _ in A.elements]
-    jt = [[0] * A.n for _ in A.elements]
-    for x, y in product(A.elements, repeat=2):
-        m, j = meet(A, x, y), join(A, x, y)
-        if m is None or j is None:
-            return None, (x, y)
-        mt[x][y], jt[x][y] = m, j
-    return (tuple(map(tuple, mt)), tuple(map(tuple, jt))), None
-
-
-def pseudo_product_loops(A):
-    """The pseudo-product table as it was: one sum of n shifted bits per
-    pair, and the element whose up-row it is."""
-    _, up = A.order_masks()
-    table = [[0] * A.n for _ in A.elements]
-    for x, y in product(A.elements, repeat=2):
-        mask = sum(1 << z for z in A.elements if up[x] >> A.arrow[y][z] & 1)
-        if mask not in up:
-            return None, (x, y)
-        table[x][y] = up.index(mask)
-    return tuple(map(tuple, table)), None
-
-
-def test_lattice_and_product_tables_match_their_old_loops(pool):
-    large = [
-        goedel_chain(8),
-        lukasiewicz_chain(8),
-        direct_product(goedel_chain(2), lukasiewicz_chain(4)),
-        direct_product(goedel_chain(2), lukasiewicz_chain(5)),
-    ]
-    no_lattice = no_product = 0
-    for A in pool + list(golden_up_sets()) + large + random_batch(7, 40):
-        lat = lattice_tables(A)
-        assert lat == lattice_tables_loops(A), A.element_names
-        assert pseudo_product(A) == pseudo_product_loops(A), A.element_names
-        no_lattice += lat[0] is None
-        no_product += pseudo_product(A)[0] is None
-    # the witness pairs were compared too, not only whole tables
-    assert no_lattice and no_product
