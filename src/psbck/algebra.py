@@ -12,9 +12,9 @@ certified by the theorems whose hypotheses they check.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import product
 
+from ._records import dataclass, field
 from .errors import MalformedInput, NotCertified, UnboundedAlgebra
 
 DEFAULT_MAX_CARRIER = 24

@@ -17,9 +17,9 @@ closed-set walk ``deduction._closed_sets`` over the implication pair table
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import product
 
+from ._records import dataclass, fields
 from .algebra import (
     FiniteAlgebra,
     Witness,

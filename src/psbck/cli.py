@@ -8,13 +8,16 @@ workbench, not in the input).
 
 Only what parsing and error reporting need is imported here; each command
 imports the library module it runs, so a command loads no module it does not
-use.
+use.  The same holds for the standard library: ``json`` loads only for
+``--json`` output, ``fractions`` only with ``psbck.valuations`` (a document
+with a valuation block, ``valuation`` and ``suite``), and the record classes
+are built by ``psbck._records`` rather than ``dataclasses``, which would
+bring in ``inspect`` and ``ast`` on every start.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -82,6 +85,8 @@ def _named_vto(doc, aname, name):
 
 def _emit(payload: dict, text_lines, as_json: bool):
     if as_json:
+        import json
+
         print(json.dumps({"schema": 1, **payload}, indent=2))
     else:
         for line in text_lines:

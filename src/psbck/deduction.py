@@ -27,9 +27,9 @@ a quotient is never kept on the algebra it is taken of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
+from ._records import dataclass, field
 from .algebra import FiniteAlgebra, size_cap
 from .errors import (
     CarrierTooLarge,

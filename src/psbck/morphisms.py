@@ -30,9 +30,9 @@ first fact that fails as a ``Witness``, as every law checker does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
+from ._records import dataclass, field
 from .algebra import FiniteAlgebra, Witness, restrict, size_cap
 from .deduction import (
     DeductiveSystem,

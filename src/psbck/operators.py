@@ -19,8 +19,7 @@ homomorphism searches on the same engine.  A checker keeps its own pass:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._records import dataclass, field
 from .algebra import FiniteAlgebra, Witness, _witness, first_witness, restrict, size_cap
 from .errors import (
     CarrierTooLarge,

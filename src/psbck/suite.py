@@ -31,12 +31,12 @@ ints once per call, and tests each pair with two ANDs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, product
 from operator import attrgetter
 
+from ._records import dataclass
 from .algebra import FiniteAlgebra, derived_law_suite, restrict, size_cap
 from .classes import (
     ClassificationReport,

@@ -34,10 +34,9 @@ problems are reported as :class:`ParseError` with 1-based line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._records import dataclass, field
 from .algebra import FiniteAlgebra, diagnose, validate
 from .errors import NotCertified, ParseError
 
@@ -235,10 +234,9 @@ def _resolve_algebra(block: AlgebraBlock) -> FiniteAlgebra:
 
 
 def parse(text: str) -> WorkbenchDocument:
-    # maps and valuations are built here alone: parse_raw/diagnose_raw
-    # (psbck validate) load neither module
+    # maps are built here alone: parse_raw/diagnose_raw (psbck validate)
+    # do not load psbck.operators
     from .operators import UnaryMap
-    from .valuations import PseudoValuation, is_pseudo_valuation
 
     raw = parse_raw(text)
     algebras = {name: _resolve_algebra(b) for name, b in raw.blocks.items()}
@@ -262,32 +260,39 @@ def parse(text: str) -> WorkbenchDocument:
         maps[name] = (aname, UnaryMap(A, tuple(elem(A, t) for t in toks)))
 
     valuations = {}
-    for name, (target, toks) in raw.valuations.items():
-        aname, A = owner(target)
-        values = [None] * A.n
-        for t in toks:
-            part = t.text.split("=", 1)
-            if len(part) != 2:
-                _fail("expected '<element>=<rational>'", t)
-            x = elem(A, Token(part[0], t.line, t.column))
-            # no exponent: Fraction would build 10**k in full, whatever k is
-            if "e" in part[1].lower():
-                _fail(f"bad rational {part[1]!r}", t)
-            try:
-                q = Fraction(part[1])
-                str(q)  # past the interpreter's int digit limit it cannot be printed
-            except (ValueError, ZeroDivisionError):
-                _fail(f"bad rational {part[1]!r}", t)
-            if values[x] is not None:
-                _fail(f"duplicate entry for {part[0]!r}", t)
-            values[x] = q
-        missing = [A.name(x) for x in A.elements if values[x] is None]
-        if missing:
-            _fail(f"valuation misses elements: {', '.join(missing)}", target)
-        w = is_pseudo_valuation(A, values)
-        if w is not None:
-            _fail(f"valuation {name!r} fails {w}", target)
-        valuations[name] = (aname, PseudoValuation(A, tuple(values)))
+    if raw.valuations:
+        # only a document with a valuation block loads fractions and
+        # psbck.valuations
+        from fractions import Fraction
+
+        from .valuations import PseudoValuation, is_pseudo_valuation
+
+        for name, (target, toks) in raw.valuations.items():
+            aname, A = owner(target)
+            values = [None] * A.n
+            for t in toks:
+                part = t.text.split("=", 1)
+                if len(part) != 2:
+                    _fail("expected '<element>=<rational>'", t)
+                x = elem(A, Token(part[0], t.line, t.column))
+                # no exponent: Fraction would build 10**k in full, whatever k is
+                if "e" in part[1].lower():
+                    _fail(f"bad rational {part[1]!r}", t)
+                try:
+                    q = Fraction(part[1])
+                    str(q)  # past the interpreter's int digit limit it cannot be printed
+                except (ValueError, ZeroDivisionError):
+                    _fail(f"bad rational {part[1]!r}", t)
+                if values[x] is not None:
+                    _fail(f"duplicate entry for {part[0]!r}", t)
+                values[x] = q
+            missing = [A.name(x) for x in A.elements if values[x] is None]
+            if missing:
+                _fail(f"valuation misses elements: {', '.join(missing)}", target)
+            w = is_pseudo_valuation(A, values)
+            if w is not None:
+                _fail(f"valuation {name!r} fails {w}", target)
+            valuations[name] = (aname, PseudoValuation(A, tuple(values)))
 
     subsets = {}
     for name, (target, toks) in raw.subsets.items():

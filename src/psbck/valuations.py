@@ -10,10 +10,10 @@ common denominator, which keeps every comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._records import dataclass
 from .algebra import FiniteAlgebra, Witness, first_witness
 from .errors import MalformedInput
 from .operators import UnaryMap, certify_vto

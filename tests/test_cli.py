@@ -168,41 +168,56 @@ def test_well_definedness_failure_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "E_NOT_WELL_DEFINED: map disagrees\n"
 
 
-# The psbck modules a fresh interpreter holds after ``cli.main(argv)``: the
-# CLI loads at start-up only what parsing and error reporting need, and each
-# command the library modules it runs.  ``textfmt.parse``, which builds maps
-# and valuations, loads their modules; ``validate`` diagnoses the raw blocks
-# and loads neither.
-START_UP = ["psbck", "psbck.algebra", "psbck.cli", "psbck.errors", "psbck.textfmt"]
-PARSE = ["psbck.operators", "psbck.valuations"]
+# The modules ``cli.main(argv)`` adds to a fresh interpreter's: the CLI
+# loads at start-up only what parsing and error reporting need, and each
+# command the library modules it runs.  ``textfmt.parse``, which builds maps,
+# loads psbck.operators; psbck.valuations (and with it fractions) only for a
+# document with a valuation block (ex_2_5 has one) or a command that computes
+# valuations.  ``validate`` diagnoses the raw blocks and loads neither.  Of
+# the costly standard modules in WATCHED, json loads only for --json output,
+# and dataclasses and inspect never: the records come from psbck._records.
+START_UP = [
+    "psbck", "psbck._records", "psbck.algebra", "psbck.cli", "psbck.errors", "psbck.textfmt",
+]
+PARSE = ["psbck.operators"]
+VALUED = [*PARSE, "psbck.valuations"]
+WATCHED = {"dataclasses", "fractions", "inspect", "json"}
 FOOTPRINTS = {
-    "validate": (["validate", EX25], []),
-    "enum-vto": (["enum", "vto", EX25], PARSE),
-    "missing-file": (["validate", str(CORPUS / "nope.alg")], []),
-    "enum-ds": (["enum", "ds", EX68], [*PARSE, "psbck.deduction"]),
-    "enum-hom": (["enum", "hom", EX26], [*PARSE, "psbck.deduction", "psbck.morphisms"]),
-    "props": (["props", EX25], [*PARSE, "psbck.classes", "psbck.deduction"]),
+    "validate": (["validate", EX25], [], set()),
+    "validate-json": (["validate", EX25, "--json"], [], {"json"}),
+    "enum-vto": (["enum", "vto", EX25], VALUED, {"fractions"}),
+    "missing-file": (["validate", str(CORPUS / "nope.alg")], [], set()),
+    "enum-ds": (["enum", "ds", EX68], [*PARSE, "psbck.deduction"], set()),
+    "enum-cong-json": (["enum", "cong", EX68, "--json"], [*PARSE, "psbck.deduction"], {"json"}),
+    "enum-hom": (["enum", "hom", EX26], [*PARSE, "psbck.deduction", "psbck.morphisms"], set()),
+    "props": (["props", EX25], [*VALUED, "psbck.classes", "psbck.deduction"], {"fractions"}),
+    "valuation-check": (["valuation", "check", EX25, "--valuation", "phi"], VALUED, {"fractions"}),
     "suite": (["suite", CHAIN],
-              [*PARSE, "psbck.classes", "psbck.deduction", "psbck.morphisms",
-               "psbck.suite"]),
+              [*VALUED, "psbck.classes", "psbck.deduction", "psbck.morphisms", "psbck.suite"],
+              {"fractions"}),
 }
 
 FOOTPRINT_SCRIPT = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
+bare = set(sys.modules)
 from psbck.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m == "psbck" or m.startswith("psbck."))))
+added = sorted(set(sys.modules) - bare)
+import json
+print(json.dumps(added))
 """
 
 
-@pytest.mark.parametrize("args,extra", FOOTPRINTS.values(), ids=FOOTPRINTS.keys())
-def test_each_command_loads_only_the_modules_it_runs(args, extra):
+@pytest.mark.parametrize("args,extra,stdlib", FOOTPRINTS.values(), ids=FOOTPRINTS.keys())
+def test_each_command_loads_only_the_modules_it_runs(args, extra, stdlib):
     res = subprocess.run(
         [sys.executable, "-c", FOOTPRINT_SCRIPT, *args], capture_output=True, timeout=120
     )
     assert res.returncode == 0, res.stderr.decode()
-    assert json.loads(res.stdout) == sorted(START_UP + extra)
+    added = json.loads(res.stdout)
+    assert [m for m in added if m == "psbck" or m.startswith("psbck.")] == sorted(START_UP + extra)
+    assert WATCHED.intersection(added) == stdlib
 
 
 @pytest.mark.parametrize("entry", ["1e5000", "1E999999999"])

@@ -31,11 +31,15 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """(name, line) of every name or attribute read in the tree."""
+    """(name, line) of every name or attribute read in the tree.  An
+    attribute of a literal (``", ".join``) names a method of the literal's
+    type, not a definition, and is left out."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(
+            node.value, (ast.Constant, ast.JoinedStr)
+        ):
             yield node.attr, node.lineno
 
 
@@ -90,12 +94,17 @@ def test_unreferenced_definitions_are_reported():
         "        return self.size()\n"
         "def tested():\n"
         "    return 2\n"
+        "def join(parts):\n"
+        "    return parts\n"
+        "def label(parts):\n"
+        "    return ', '.join(parts) + f'{parts}'.join(parts)\n"
     )
-    bench = "from mod import Box\nassert Box() is not None\n"
+    bench = "from mod import Box, label\nassert Box() is not None and label('')\n"
     # a test is no reader, so ``tested``, read only there, is reported
     test = "from mod import tested\nassert tested() == 2\n"
     found = unreferenced({"mod.py": source}, {"bench.py": bench}, "see `documented`")
-    assert found == ["mod.recursive", "mod.stale", "mod.tested"]
+    # ``join`` is read only as a method of string literals, so it is reported
+    assert found == ["mod.join", "mod.recursive", "mod.stale", "mod.tested"]
     assert "mod.tested" not in unreferenced({"mod.py": source}, {"test_mod.py": test})
 
 

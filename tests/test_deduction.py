@@ -1,11 +1,11 @@
 import gc
 import weakref
-from dataclasses import fields
 from itertools import combinations, product
 
 import pytest
 
 from psbck import goldens
+from psbck._records import fields
 from psbck.algebra import diagnose, validate
 from psbck.deduction import (
     DeductiveSystem,

@@ -1,13 +1,13 @@
 import gc
 import random
 import weakref
-from dataclasses import fields
 from itertools import product
 
 import pytest
 
 from conftest import golden_up_sets, values_tried
 from psbck import classes, deduction, goldens, morphisms, operators, suite
+from psbck._records import fields
 from psbck.algebra import validate
 from psbck.deduction import (
     DeductiveSystem,
@@ -550,7 +550,7 @@ def _factorizations(g):
 
 
 def _assert_same_fields(got, want):
-    """Field-by-field equality of two reports of one dataclass."""
+    """Field-by-field equality of two reports of one record class."""
     for fld in fields(got):
         assert getattr(got, fld.name) == getattr(want, fld.name), fld.name
 

@@ -5,15 +5,20 @@ on a seeded batch of randomly generated certified algebras.  A failure
 anywhere means either a wrong table or a wrongly stated law.
 """
 
-from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from conftest import golden_up_sets
 from psbck import goldens, suite
-from psbck.algebra import diagnose, restrict
-from psbck.deduction import _closed_sets, _implication_pairs, _mask, enumerate_congruences
+from psbck.algebra import FiniteAlgebra, diagnose, restrict
+from psbck.deduction import (
+    QuotientAlgebra,
+    _closed_sets,
+    _implication_pairs,
+    _mask,
+    enumerate_congruences,
+)
 from psbck.generate import _seed_pool, direct_product, goedel_chain
 from psbck.operators import (
     UnaryMap,
@@ -205,7 +210,8 @@ def test_planted_transposed_quotient_table_fails_the_quotients_family(four_elt, 
     def transposed(A, H):
         quot = real(A, H)
         q = quot.algebra
-        return replace(quot, algebra=replace(q, arrow=tuple(zip(*q.arrow))))
+        planted = FiniteAlgebra(q.element_names, q.one, tuple(zip(*q.arrow)), q.squig, q.zero)
+        return QuotientAlgebra(quot.parent, quot.by, planted, quot.class_of)
 
     assert {r.name: r.ok for r in run_suite(four_elt)}["quotients"]
     monkeypatch.setattr(suite, "congruence_from", transposed)

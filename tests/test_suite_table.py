@@ -9,7 +9,6 @@ statement, so every family and every gate lives in the table.
 """
 
 import ast
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +16,7 @@ import pytest
 
 from conftest import golden_up_sets
 from psbck import goldens, suite
+from psbck.classes import ClassificationReport
 from psbck.generate import _seed_pool, goedel_chain, lukasiewicz_chain
 from psbck.suite import FAMILIES, Facts, run_suite
 
@@ -97,7 +97,13 @@ def test_class_inclusions_fails_on_an_mv_report_that_is_not_bl(monkeypatch):
     A = lukasiewicz_chain(4)
     real = suite.classify
     assert {r.name: r.ok for r in run_suite(A)}["class-inclusions"]
-    monkeypatch.setattr(suite, "classify", lambda B: replace(real(B), mv=True, bl=False))
+
+    def forged(B):
+        report = real(B)
+        levels = {**report.levels(), "mv": True, "bl": False}
+        return ClassificationReport(**levels, witnesses=report.witnesses)
+
+    monkeypatch.setattr(suite, "classify", forged)
     got = {r.name: (r.ok, r.detail) for r in run_suite(A)}["class-inclusions"]
     assert got == (False, "")
 
