@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .errors import WellDefinednessFailure, WorkbenchError
 from .textfmt import (
@@ -42,7 +41,8 @@ class CommandError(WorkbenchError):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise CommandError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

@@ -5,9 +5,10 @@ Kuznetsov's Close-by-One walk over a closure system.  A closure system is
 given by a pair table, a flat n*n tuple of bitsets with ``pairs[x * n + y]``
 the elements that the members x and y yield; a set is closed when it holds
 ``pairs[x * n + y]`` for every two members.  Deductive systems close the
-modus ponens table ``_mp_pairs`` from {1}; ``classes.smarandache_search``
-closes the implication table ``_implication_pairs`` from {0, 1}.  Both
-tables are plain ints.
+modus ponens table ``_mp_pairs`` from {1}; it holds -> alone, which on a
+set that contains 1 gives the ~> half by theorem.
+``classes.smarandache_search`` closes the implication table
+``_implication_pairs`` from {0, 1}.  Both tables are plain ints.
 
 The walk reaches each closed superset of the start exactly once, with
 no seen set, and never scans the power set, which keeps carriers up to
@@ -71,19 +72,24 @@ def _adjoin(A: FiniteAlgebra, pairs, closed: int, new: int) -> int:
 
 
 def _mp_pairs(A: FiniteAlgebra) -> tuple[int, ...]:
-    """``pairs[x * n + z]``: the bitset of every y that modus ponens yields
-    from the members x and z, i.e. x->y or x~>y is z, or z->y or z~>y is
-    x.  Plain ints, derived once per algebra and kept in ``A.memo``."""
+    """``pairs[x * n + z]``: the bitset of every y that modus ponens for ->
+    yields from the members x and z, i.e. x->y is z or z->y is x.  Plain
+    ints, derived once per algebra and kept in ``A.memo``.
+
+    The ~> half is redundant on a set D that contains 1 and is closed under
+    ->-modus ponens.  D is an up-set, since a <= b gives a->b = 1 in D.
+    psBCK2 gives x <= (x~>y)->y, so x and x~>y in D give (x~>y)->y in D,
+    and then y in D.  On a set without 1 the two can differ, so callers
+    close only sets that contain 1."""
     memo = A.memo
     if "mp-pairs" not in memo:
         n = A.n
         pairs = [0] * (n * n)
         for x in A.elements:
-            for y, (z, w) in enumerate(zip(A.arrow[x], A.squig[x])):
+            for y, z in enumerate(A.arrow[x]):
                 bit = 1 << y
-                for u in (z, w):
-                    pairs[x * n + u] |= bit
-                    pairs[u * n + x] |= bit
+                pairs[x * n + z] |= bit
+                pairs[z * n + x] |= bit
         memo["mp-pairs"] = tuple(pairs)
     return memo["mp-pairs"]
 
@@ -148,8 +154,9 @@ class DeductiveSystem:
 
 def _is_ds(A: FiniteAlgebra, mask: int) -> bool:
     """The member bitset ``mask`` contains 1 and is closed under modus
-    ponens for both implications.  The verdict is kept in
-    ``A.memo["is-ds"]`` under ``mask``."""
+    ponens for both implications: for -> alone, which on a set that
+    contains 1 gives the ~> half (``_mp_pairs``), so 1 is tested first.
+    The verdict is kept in ``A.memo["is-ds"]`` under ``mask``."""
     kept = A.memo.setdefault("is-ds", {})
     if mask not in kept:
         kept[mask] = mask >> A.one & 1 == 1 and _adjoin(A, _mp_pairs(A), 0, mask) == mask

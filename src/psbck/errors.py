@@ -69,10 +69,6 @@ class NotSmarandache(WorkbenchError):
     code = "E_NOT_SMARANDACHE"
 
 
-class SurjectivityRequired(WorkbenchError):
-    code = "E_SURJECTIVITY_REQUIRED"
-
-
 class KernelContainmentViolated(WorkbenchError):
     code = "E_KERNEL_CONTAINMENT"
 

@@ -74,7 +74,7 @@ def nonlinear_heyting() -> FiniteAlgebra:
     return validate(("0", "a", "b", "c", "1"), 4, table, table, zero=0)
 
 
-def relabel(A: FiniteAlgebra, perm: list[int], prefix: str = "x") -> FiniteAlgebra:
+def relabel(A: FiniteAlgebra, perm: list[int], prefix: str) -> FiniteAlgebra:
     """Isomorphic copy with element id i moved to perm[i]."""
     n = A.n
     names = [""] * n
@@ -135,6 +135,6 @@ def random_algebra(rng: random.Random, max_size: int) -> FiniteAlgebra:
     return base
 
 
-def random_batch(seed: int, count: int, max_size: int = 6) -> list[FiniteAlgebra]:
+def random_batch(seed: int, count: int, max_size: int) -> list[FiniteAlgebra]:
     rng = random.Random(seed)
     return [random_algebra(rng, max_size) for _ in range(count)]

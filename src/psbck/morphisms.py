@@ -47,7 +47,6 @@ from .errors import (
     CarrierTooLarge,
     KernelContainmentViolated,
     MalformedInput,
-    SurjectivityRequired,
 )
 from .operators import UnaryMap, _map_search, _require_on, certify_vto, kernel
 
@@ -213,16 +212,16 @@ def transport(f: VtHomomorphism) -> Witness | None:
     v-deductive system), ``preimage-ker-u`` (f^-1(Ker u)) and
     ``image-ker-v`` (f(Ker v)).  A fact is evaluated only once those before
     it hold; ``pushforward`` and ``image-ker-v`` hold vacuously, and are
-    not evaluated, unless f is surjective.
+    not evaluated, unless f is surjective (its image is all of B).
 
     Each fact is a verdict that involves no operator (the image is closed,
     a set is a (normal) deductive system), kept by its checker on the
     algebra (or, for the image, in ``f.base.memo``), and a stability test
     under v or u, run on every call.  Both are asked by member bitset: the
     fibres of f (bit x of ``fib[b]`` is set iff f(x) = b) and its image are
-    built once per call, and f^-1(S) is the OR of ``fib[b]`` over S.  The
-    v-deductive systems and Ker v are derived once per call, and serve for
-    u as well when u is v.
+    built once per call, f^-1(S) is the OR of ``fib[b]`` over S, and f(S)
+    the bitset of f(x) over S.  The v-deductive systems and Ker v are
+    derived once per call, and serve for u as well when u is v.
     """
     A, B, v, u, m = f.source, f.target, f.v, f.u, f.base.map
     fib, img = [0] * B.n, 0
@@ -232,6 +231,9 @@ def transport(f: VtHomomorphism) -> Witness | None:
 
     def is_uds(mask) -> bool:
         return _is_ds(B, mask) and u.preserves(mask)
+
+    def image_is_uds(members) -> bool:
+        return is_uds(_mask({m[x] for x in members}))
 
     def preimage_is_vds(members) -> bool:
         pre = 0
@@ -243,7 +245,7 @@ def transport(f: VtHomomorphism) -> Witness | None:
     if "image-closed" not in memo:
         members = f.base.image()
         memo["image-closed"] = B.one in members and B.unclosed_pair(members) is None
-    surjective = f.base.is_surjective()
+    surjective = img == (1 << B.n) - 1
     ds_v = enumerate_ds_v(v) if surjective else None
     ds_u = ds_v if surjective and u is v else enumerate_ds_v(u)
     ker_u = kernel(u)
@@ -254,22 +256,15 @@ def transport(f: VtHomomorphism) -> Witness | None:
         ("image-vt-subalgebra", lambda: memo["image-closed"] and u.preserves(img)),
         ("kernel-normal-vds",
          lambda: _is_ds(A, ker) and _is_normal(A, ker) and v.preserves(ker)),
-        ("pushforward",
-         lambda: not surjective or all(is_uds(_mask(pushforward_ds(f, D))) for D in ds_v)),
+        ("pushforward", lambda: not surjective or all(image_is_uds(D.members) for D in ds_v)),
         ("pullback", lambda: all(preimage_is_vds(G.members) for G in ds_u)),
         ("preimage-ker-u", lambda: preimage_is_vds(ker_u)),
-        ("image-ker-v", lambda: not surjective or is_uds(_mask({m[x] for x in ker_v}))),
+        ("image-ker-v", lambda: not surjective or image_is_uds(ker_v)),
     )
     for name, holds in facts:
         if not holds():
             return Witness(name, f.base.names())
     return None
-
-
-def pushforward_ds(f: VtHomomorphism, D: DeductiveSystem) -> frozenset[int]:
-    if not f.base.is_surjective():
-        raise SurjectivityRequired("pushforward needs a surjective homomorphism")
-    return frozenset(f.base.map[x] for x in D.members)
 
 
 @dataclass(frozen=True)

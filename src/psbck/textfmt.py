@@ -34,15 +34,9 @@ problems are reported as :class:`ParseError` with 1-based line and column.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ._records import dataclass, field
 from .algebra import FiniteAlgebra, diagnose, validate
 from .errors import NotCertified, ParseError
-
-if TYPE_CHECKING:
-    from .operators import UnaryMap
-    from .valuations import PseudoValuation
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def small_pool_one_last(small_pool):
     and f(y) for every x <= y, since x->y = 1 comes after both in id order.
     """
     return [
-        relabel(A, [A.n - 1 if i == A.one else i - (i > A.one) for i in A.elements])
+        relabel(A, [A.n - 1 if i == A.one else i - (i > A.one) for i in A.elements], "x")
         for A in small_pool
     ]
 

@@ -461,7 +461,7 @@ def test_bounds_and_product_match_a_least_greatest_scan(pool):
         direct_product(goedel_chain(2), lukasiewicz_chain(5)),
     ]
     missing = no_lattice = no_product = 0
-    for A in pool + list(golden_up_sets()) + large + random_batch(7, 40):
+    for A in pool + list(golden_up_sets()) + large + random_batch(7, 40, 6):
         for x, y in product(A.elements, repeat=2):
             assert meet(A, x, y) == _scan_meet(A, x, y), (A.element_names, x, y)
             assert join(A, x, y) == _scan_join(A, x, y), (A.element_names, x, y)
@@ -560,7 +560,7 @@ def test_classify_matches_a_reference_that_tests_the_theorems(pool):
     report = classify(pp_only)
     assert (report.bounded, report.lattice, report.pp) == (False, False, True)
     assert ("flw", "requires bounded + lattice + pseudo-product") in report.witnesses
-    algebras = pool + list(golden_up_sets()) + large + random_batch(7, 40) + [pp_only]
+    algebras = pool + list(golden_up_sets()) + large + random_batch(7, 40, 6) + [pp_only]
     levels = set()
     for A in algebras:
         report = classify(A)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -218,6 +219,19 @@ def test_each_command_loads_only_the_modules_it_runs(args, extra, stdlib):
     added = json.loads(res.stdout)
     assert [m for m in added if m == "psbck" or m.startswith("psbck.")] == sorted(START_UP + extra)
     assert WATCHED.intersection(added) == stdlib
+
+
+def test_the_cli_loads_neither_pathlib_nor_typing():
+    # -S skips site, so no .pth file in site-packages preloads either; the
+    # footprint test above subtracts the bare interpreter's modules and
+    # cannot see a module such a file has loaded
+    script = "import sys, psbck.cli; print(sorted({'pathlib', 'typing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(CORPUS.parent / "src")}
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout == b"[]\n"
 
 
 @pytest.mark.parametrize("entry", ["1e5000", "1E999999999"])

@@ -5,8 +5,9 @@ A stdlib ``ast`` check, like ``test_imports.py``.  A definition counts as
 used when its name is read somewhere outside its own body: as a name or an
 attribute anywhere in ``src/`` or ``perfbench/``, or as a word of README.md,
 which documents the library.  A definition that only tests read is
-reported: it is kept for its tests alone.  Dunder methods are called by the
-language and are not checked.  A field of a ``@dataclass`` counts as read
+reported: it is kept for its tests alone.  The dunder methods that the
+language or ``psbck._records`` calls implicitly (``IMPLICIT``) are not
+checked; any other dunder is checked like a plain name.  A field of a ``@dataclass`` counts as read
 when some attribute load in ``src/`` or ``tests/`` names it.
 """
 
@@ -17,6 +18,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "psbck"
+IMPLICIT = {
+    "__init__", "__repr__", "__str__", "__eq__", "__hash__",
+    "__post_init__", "__setattr__", "__delattr__",
+}
 
 
 def _definitions(tree):
@@ -56,7 +61,7 @@ def unreferenced(defined: dict[str, str], others: dict[str, str], text: str = ""
     dead = []
     for path in defined:
         for name, node in _definitions(trees[path]):
-            if name.startswith("__") and name.endswith("__") or name in words:
+            if name in IMPLICIT or name in words:
                 continue
             if not any(
                 p != path or not node.lineno <= line <= node.end_lineno
@@ -86,10 +91,12 @@ def test_unreferenced_definitions_are_reported():
         "def documented():\n"
         "    pass\n"
         "class Box:\n"
-        "    def __len__(self):\n"
-        "        return 0\n"
+        "    def __init__(self):\n"
+        "        self.items = []\n"
+        "    def __le__(self, other):\n"
+        "        return True\n"
         "    def size(self):\n"
-        "        return len(self)\n"
+        "        return len(self.items)\n"
         "    def stale(self):\n"
         "        return self.size()\n"
         "def tested():\n"
@@ -103,8 +110,9 @@ def test_unreferenced_definitions_are_reported():
     # a test is no reader, so ``tested``, read only there, is reported
     test = "from mod import tested\nassert tested() == 2\n"
     found = unreferenced({"mod.py": source}, {"bench.py": bench}, "see `documented`")
-    # ``join`` is read only as a method of string literals, so it is reported
-    assert found == ["mod.join", "mod.recursive", "mod.stale", "mod.tested"]
+    # ``join`` is read only as a method of string literals, so it is
+    # reported; ``__le__`` is a dunder that nothing calls implicitly
+    assert found == ["mod.__le__", "mod.join", "mod.recursive", "mod.stale", "mod.tested"]
     assert "mod.tested" not in unreferenced({"mod.py": source}, {"test_mod.py": test})
 
 

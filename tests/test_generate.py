@@ -95,12 +95,12 @@ def test_relabel_is_isomorphic(four_elt):
 
 
 def test_random_batch_is_deterministic():
-    a = random_batch(seed=11, count=25)
-    b = random_batch(seed=11, count=25)
+    a = random_batch(seed=11, count=25, max_size=6)
+    b = random_batch(seed=11, count=25, max_size=6)
     assert [(x.element_names, x.arrow, x.squig) for x in a] == [
         (x.element_names, x.arrow, x.squig) for x in b
     ]
-    c = random_batch(seed=12, count=25)
+    c = random_batch(seed=12, count=25, max_size=6)
     assert [x.element_names for x in a] != [x.element_names for x in c]
 
 

@@ -12,7 +12,6 @@ from psbck.errors import (
     KernelContainmentViolated,
     MalformedInput,
     ParentMismatch,
-    SurjectivityRequired,
 )
 from psbck.generate import _seed_pool, direct_product, goedel_chain, lukasiewicz_chain, relabel
 from psbck.morphisms import (
@@ -26,7 +25,6 @@ from psbck.morphisms import (
     is_hom,
     is_isomorphic,
     is_vthom,
-    pushforward_ds,
     transport,
 )
 from psbck.operators import UnaryMap, Witness, enumerate_vto, identity_map, is_vtst
@@ -74,11 +72,14 @@ def test_transport_swap_endomorphism(six_elt, monkeypatch):
     psi3 = _hom(A, PSI[2])
     g = VtHomomorphism(psi3, v10, v10)
     assert is_vthom(psi3, v10, v10) is None
-    pushed, real = [], morphisms.pushforward_ds
-    monkeypatch.setattr(morphisms, "pushforward_ds", lambda f, D: pushed.append(D) or real(f, D))
+    asked, real = [], morphisms._is_ds
+    monkeypatch.setattr(morphisms, "_is_ds", lambda B, mask: asked.append(mask) or real(B, mask))
     assert transport(g) is None
-    # psi3 is bijective, so every pushforward was asked
-    assert [D.members for D in pushed] == [D.members for D in enumerate_ds_v(v10)]
+    # psi3 is bijective, so f(D) was asked for every D in DS_v, in order,
+    # right after Ker f
+    pushed = [deduction._mask({psi3.map[x] for x in D.members}) for D in enumerate_ds_v(v10)]
+    assert asked[0] == 1 << A.one
+    assert asked[1 : 1 + len(pushed)] == pushed
     assert psi3.kernel() == frozenset({A.one})
 
 
@@ -120,15 +121,9 @@ def test_transport_constant_map_skips_pushforward(six_elt, monkeypatch):
     asked, real = set(), morphisms._is_ds
     monkeypatch.setattr(morphisms, "_is_ds", lambda B, mask: asked.add(mask) or real(B, mask))
     assert transport(VtHomomorphism(psi1, v10, v10)) is None
-    # every preimage under the constant map is A; neither pushforward nor
-    # f(Ker v) = {1} is asked, so pushforward_ds is not asked to raise
+    # every preimage under the constant map is A; the map is not onto, so
+    # neither f(D) for any D nor f(Ker v) = {1} is asked
     assert asked == {(1 << A.n) - 1}
-    monkeypatch.undo()
-    with pytest.raises(SurjectivityRequired):
-        pushforward_ds(
-            VtHomomorphism(psi1, v10, v10),
-            DeductiveSystem.from_members(A, {A.one}),
-        )
 
 
 TRANSPORT_FACTS = [
@@ -144,8 +139,7 @@ TRANSPORT_FACTS = [
 @pytest.mark.parametrize("fact", TRANSPORT_FACTS)
 def test_transport_names_the_fact_a_planted_fault_breaks(six_elt, monkeypatch, fact):
     """On certified input every fact holds, so each is broken by a plant:
-    a wrong kept verdict, checker, pushforward, system list or operator
-    kernel.  The identity map is onto, so every fact is evaluated, and u
+    a wrong kept verdict, checker, system list or operator kernel.  The identity map is onto, so every fact is evaluated, and u
     is a twin of v, so the systems and kernels of v and u are derived
     apart.  The broken set lacks 1, so it is truly no deductive system."""
     A = six_elt
@@ -158,13 +152,12 @@ def test_transport_names_the_fact_a_planted_fault_breaks(six_elt, monkeypatch, f
         f.memo["image-closed"] = False
     elif fact == "kernel-normal-vds":
         monkeypatch.setattr(morphisms, "_is_normal", lambda B, mask: False)
-    elif fact == "pushforward":
-        monkeypatch.setattr(morphisms, "pushforward_ds", lambda g, D: bad)
-    elif fact == "pullback":
+    elif fact in ("pushforward", "pullback"):
+        w0 = v if fact == "pushforward" else u
         monkeypatch.setattr(
             morphisms,
             "enumerate_ds_v",
-            lambda w: real_ds_v(w) + [SimpleNamespace(members=bad)] * (w is u),
+            lambda w: real_ds_v(w) + [SimpleNamespace(members=bad)] * (w is w0),
         )
     elif fact == "preimage-ker-u":
         monkeypatch.setattr(morphisms, "kernel", lambda w: bad)
@@ -353,7 +346,7 @@ def test_isomorphism_search_on_b16_tries_pinned_values():
         direct_product(direct_product(goedel_chain(2), goedel_chain(2)), goedel_chain(2)),
         goedel_chain(2),
     )
-    B = relabel(B16, [(5 * i + 3) % 16 for i in B16.elements])
+    B = relabel(B16, [(5 * i + 3) % 16 for i in B16.elements], "x")
     tried, h = values_tried(is_isomorphic, B16, B)
     assert tried == 28
     assert h.map == (3, 7, 8, 12, 11, 15, 0, 4, 13, 1, 2, 6, 5, 9, 10, 14)

@@ -219,7 +219,7 @@ def test_lift_to_den_quotient_direct_image_would_disagree(six_sm):
 def test_den_is_a_normal_deductive_system_on_every_glivenko_algebra(pool):
     # lift_to_den_quotient builds Den(A) directly, as a normal deductive
     # system by theorem; from_members decides both properties from the tables
-    algebras = pool + random_batch(7, 40) + list(golden_up_sets())
+    algebras = pool + random_batch(7, 40, 6) + list(golden_up_sets())
     glivenko = [A for A in algebras if A.zero is not None and A.is_glivenko()]
     assert len(glivenko) == 153
     for A in glivenko:

@@ -33,8 +33,6 @@ OPTIONS = {
     ("cli", "main", "argv"),
     ("errors", "__init__", "column"),
     ("errors", "__init__", "line"),
-    ("generate", "random_batch", "max_size"),
-    ("generate", "relabel", "prefix"),
     ("textfmt", "_fail", "tok"),
 }
 
@@ -61,7 +59,7 @@ def test_every_option_is_pinned():
         for fn, param in defaulted_parameters(path.read_text(encoding="utf-8"))
     }
     assert census == OPTIONS
-    assert len(OPTIONS) == 15
+    assert len(OPTIONS) == 13
 
 
 def test_defaulted_parameters_are_reported():

@@ -175,14 +175,14 @@ def _vto_axioms(f):
 @pytest.fixture(scope="module")
 def suites(random_batch_suites):
     """(algebra, run_suite results) over the pool, the golden up-sets, four
-    8-10 element carriers and ``random_batch(7, 40)``."""
+    8-10 element carriers and ``random_batch(7, 40, 6)``."""
     large = [
         goedel_chain(8),
         lukasiewicz_chain(8),
         direct_product(goedel_chain(2), lukasiewicz_chain(4)),
         direct_product(goedel_chain(2), lukasiewicz_chain(5)),
     ]
-    rest = list(_seed_pool()) + list(golden_up_sets()) + large + random_batch(7, 40)
+    rest = list(_seed_pool()) + list(golden_up_sets()) + large + random_batch(7, 40, 6)
     return random_batch_suites + [(A, run_suite(A)) for A in rest]
 
 
