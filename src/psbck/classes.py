@@ -228,14 +228,12 @@ def _vt4_dprime(A, od, im) -> Witness | None:
 
 def vt_pp_suite(v: UnaryMap) -> Witness | None:
     """Product arithmetic of a very true operator on a pseudo-product
-    algebra: None, or the first of ``pp-transfer``
-    (x(.)y <= z  =>  v(x)(.)v(y) <= v(z)), ``pp-submult`` (VT4'',
-    v(x)(.)v(y) <= v(x(.)y)) and ``vt4-prime`` (VT4') that fails.
+    algebra: None, or the first (x, y, z) at which ``pp-transfer``
+    (x(.)y <= z  =>  v(x)(.)v(y) <= v(z)) fails.
 
-    VT4' and VT4'' are the two other formulations of VT4, evaluated on
-    their own.  ``certify_vto`` has accepted v, so VT4 holds, and a
-    ``pp-submult`` or ``vt4-prime`` witness marks where a formulation
-    disagrees with it.
+    VT4' and VT4'', the two other formulations of VT4, are not evaluated
+    here: ``vt4_equivalence_check`` compares both with ``is_vto`` on every
+    interior operator that fixes 1, and every very true operator is one.
     """
     A = v.parent
     od, _ = pseudo_product(A)
@@ -248,7 +246,7 @@ def vt_pp_suite(v: UnaryMap) -> Witness | None:
         z = next((z for z in els if row[z] == one and vrow[im[z]] != one), None)
         if z is not None:
             return _witness(A, "pp-transfer", (x, y, z))
-    return _vt4_dprime(A, od, im) or _vt4_prime(A, im)
+    return None
 
 
 def vt4_equivalence_check(A: FiniteAlgebra, ops) -> bool:

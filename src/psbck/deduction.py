@@ -327,6 +327,11 @@ def lift_vto_to_quotient(
     one H object share its quotient algebra: ``run_suite`` lifts every
     operator over the systems of its ``Facts``, whose quotients are
     already built.
+
+    The lift decides that H's congruence is compatible with v (x ~ y gives
+    v(x) ~ v(y)): ``induce`` raises WellDefinednessFailure otherwise.  Only
+    v-stable H count: on the 3-chain 0 < a < 1 the normal system {a, 1}
+    relates a and 1, and globalization sends them to 0 and 1.
     """
     certify_vto(v)
     _require_on(v.parent, H, "H must be a deductive system of v's algebra")
@@ -343,22 +348,3 @@ def lift_vto_to_quotient(
         memo[key] = quot.algebra, quot.class_of, lifted
     quotient, class_of, lifted = memo[key]
     return QuotientAlgebra(v.parent, H, quotient, class_of), lifted
-
-
-def vto_congruence_check(v: UnaryMap) -> bool:
-    """Congruences from v-stable normal deductive systems are compatible
-    with v (a theorem checker).
-
-    Quantifying over all normal deductive systems would be wrong: the
-    3-chain with globalization relates the two non-unit elements via the
-    system they generate, but globalization separates them again.
-    """
-    A = certify_vto(v).parent
-    for H in enumerate_ds_nv(v):
-        mem = H.members
-        for x, y in product(A.elements, repeat=2):
-            if A.arrow[x][y] in mem and A.arrow[y][x] in mem:
-                vx, vy = v.image[x], v.image[y]
-                if A.arrow[vx][vy] not in mem or A.arrow[vy][vx] not in mem:
-                    return False
-    return True

@@ -48,7 +48,7 @@ from .errors import (
     KernelContainmentViolated,
     MalformedInput,
 )
-from .operators import UnaryMap, _map_search, _require_on, certify_vto, kernel
+from .operators import UnaryMap, _map_search, _require_on, certify_vto
 
 DEFAULT_HOM_CAP = 8
 
@@ -209,10 +209,13 @@ def transport(f: VtHomomorphism) -> Witness | None:
     ``kernel-normal-vds`` (Ker f is a normal v-deductive system),
     ``pushforward`` and ``pullback`` (f(D) of every v-deductive system D
     is a u-deductive system, f^-1(G) of every u-deductive system G a
-    v-deductive system), ``preimage-ker-u`` (f^-1(Ker u)) and
-    ``image-ker-v`` (f(Ker v)).  A fact is evaluated only once those before
-    it hold; ``pushforward`` and ``image-ker-v`` hold vacuously, and are
-    not evaluated, unless f is surjective (its image is all of B).
+    v-deductive system).  A fact is evaluated only once those before it
+    hold; ``pushforward`` holds vacuously, and is not evaluated, unless f
+    is surjective (its image is all of B).
+
+    Ker v = {1} for every very true v (v(x) = 1 gives 1 <= x by VT2), so
+    f^-1(Ker u) is Ker f, decided by ``kernel-normal-vds``, and f(Ker v) is
+    {1}, a u-deductive system by VT1; neither is a fact of its own.
 
     Each fact is a verdict that involves no operator (the image is closed,
     a set is a (normal) deductive system), kept by its checker on the
@@ -220,8 +223,8 @@ def transport(f: VtHomomorphism) -> Witness | None:
     under v or u, run on every call.  Both are asked by member bitset: the
     fibres of f (bit x of ``fib[b]`` is set iff f(x) = b) and its image are
     built once per call, f^-1(S) is the OR of ``fib[b]`` over S, and f(S)
-    the bitset of f(x) over S.  The v-deductive systems and Ker v are
-    derived once per call, and serve for u as well when u is v.
+    the bitset of f(x) over S.  The v-deductive systems are derived once
+    per call, and serve for u as well when u is v.
     """
     A, B, v, u, m = f.source, f.target, f.v, f.u, f.base.map
     fib, img = [0] * B.n, 0
@@ -229,11 +232,9 @@ def transport(f: VtHomomorphism) -> Witness | None:
         fib[b] |= 1 << x
         img |= 1 << b
 
-    def is_uds(mask) -> bool:
-        return _is_ds(B, mask) and u.preserves(mask)
-
     def image_is_uds(members) -> bool:
-        return is_uds(_mask({m[x] for x in members}))
+        mask = _mask({m[x] for x in members})
+        return _is_ds(B, mask) and u.preserves(mask)
 
     def preimage_is_vds(members) -> bool:
         pre = 0
@@ -248,8 +249,6 @@ def transport(f: VtHomomorphism) -> Witness | None:
     surjective = img == (1 << B.n) - 1
     ds_v = enumerate_ds_v(v) if surjective else None
     ds_u = ds_v if surjective and u is v else enumerate_ds_v(u)
-    ker_u = kernel(u)
-    ker_v = ker_u if u is v else kernel(v)
     facts = (
         # VT1-VT4 are universal sentences, so u restricted to a u-stable
         # subalgebra is a very true operator there
@@ -258,8 +257,6 @@ def transport(f: VtHomomorphism) -> Witness | None:
          lambda: _is_ds(A, ker) and _is_normal(A, ker) and v.preserves(ker)),
         ("pushforward", lambda: not surjective or all(image_is_uds(D.members) for D in ds_v)),
         ("pullback", lambda: all(preimage_is_vds(G.members) for G in ds_u)),
-        ("preimage-ker-u", lambda: preimage_is_vds(ker_u)),
-        ("image-ker-v", lambda: not surjective or image_is_uds(ker_v)),
     )
     for name, holds in facts:
         if not holds():

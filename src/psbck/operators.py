@@ -102,11 +102,6 @@ def image_set(f: UnaryMap) -> frozenset[int]:
     return frozenset(f.image)
 
 
-def kernel(f: UnaryMap) -> frozenset[int]:
-    one = f.parent.one
-    return frozenset(x for x in f.parent.elements if f.image[x] == one)
-
-
 def is_interior(f: UnaryMap) -> Witness | None:
     """None if f is an interior operator, else the first violated axiom."""
     return _interior_witness(f.parent, f.image)

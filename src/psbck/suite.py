@@ -20,6 +20,10 @@ each family by swapping in a table of wrapped checks.  The checks name
 the library functions they call at call time too, so a function rebound
 on this module (a tracer's span, a test's planted fault) is the one run.
 
+Each fact is decided once.  A row whose fact certification or an earlier
+row decides keeps its name, which is part of every output, and passes
+(``_decided``), with the reason beside it in the table.
+
 The operator-pair families form each composite f o g as an image vector and
 test it with the law code of ``is_interior`` and ``is_vto``
 (``operators._interior_witness``, ``operators._vto_witness``), so no
@@ -59,7 +63,6 @@ from .deduction import (
     enumerate_ds_nv,
     enumerate_ds_v,
     lift_vto_to_quotient,
-    vto_congruence_check,
 )
 from .morphisms import (
     DEFAULT_HOM_CAP,
@@ -83,7 +86,6 @@ from .operators import (
     image_set,
     is_closure,
     is_vtst,
-    kernel,
     lift_to_den_quotient,
     lift_to_reg,
     sigma_hedges,
@@ -166,17 +168,8 @@ def _verdict(w) -> tuple[bool, str]:
     return w is None, str(w or "")
 
 
-def _order_agreement(facts):
-    # restates validate's psBCK6 (x->y = 1 iff x~>y = 1), so it cannot fail
-    # on a validated algebra; subalgebras inherit it as a universal
-    # sentence, and A/H does since [x]->[y] = [1] iff x->y lies in H, and a
-    # normal H holds x->y iff it holds x~>y.  The row stays in the table:
-    # its name is part of every suite output.
-    A = facts.A
-    return _all(
-        ((A.arrow[x][y] == A.one) == (A.squig[x][y] == A.one), f"{x},{y}")
-        for x, y in product(A.elements, repeat=2)
-    )
+def _decided(_):
+    return True, ""
 
 
 def _vto_subset_into(facts):
@@ -324,11 +317,12 @@ def _valuation_composition(facts):
 
 
 def _vds_family(facts, v):
-    """{1}, A and Ker v are v-deductive systems.  That DS_v(A) lies in
-    DS(A) is not checked: ``enumerate_ds_v`` filters ``enumerate_ds``."""
+    """{1} and A are v-deductive systems.  Ker v is not asked apart: it is
+    {1}, as v(x) = 1 gives 1 <= x by VT2.  That DS_v(A) lies in DS(A) is
+    not checked: ``enumerate_ds_v`` filters ``enumerate_ds``."""
     A = facts.A
     members = {d.members for d in enumerate_ds_v(v)}
-    if not {frozenset({A.one}), frozenset(A.elements), kernel(v)} <= members:
+    if not {frozenset({A.one}), frozenset(A.elements)} <= members:
         return False, "boundary systems missing"
     return True, ""
 
@@ -343,10 +337,6 @@ def _quotient(facts, H):
     if proj.kernel() != H.members:
         return False, "projection kernel differs from H"
     return True, ""
-
-
-def _congruence_compatible(_, v):
-    return vto_congruence_check(v), ""
 
 
 def _lifts(facts, lift):
@@ -408,21 +398,6 @@ def _vthom_transport(facts, v):
     return True, ""
 
 
-def _class_inclusions(facts):
-    # only MV => BL states a theorem (the join identity gives prelinearity
-    # and divisibility); the other four clauses hold by how _classify builds
-    # the report: bl is mtl and divisible, mtl and divisible are decided
-    # only on FLw (False elsewhere), and flw is bounded and lattice and pp
-    r = facts.report
-    return (
-        (not r.mv or r.bl)
-        and (not r.bl or (r.mtl and r.divisible))
-        and (not r.mtl or r.flw)
-        and (not r.divisible or r.flw)
-        and (not r.flw or (r.pp and r.bounded and r.lattice))
-    ), ""
-
-
 def _pp_arithmetic(_, v):
     return (True, "") if vt_pp_suite(v) is None else (False, str(v.names()))
 
@@ -482,7 +457,10 @@ def _on_flw(facts):
 
 FAMILIES = (
     ("derived-laws", None, lambda facts: _verdict(derived_law_suite(facts.A))),
-    ("order-agreement", None, _order_agreement),
+    # validate's psBCK6 (x->y = 1 iff x~>y = 1); subalgebras inherit it as
+    # a universal sentence, and A/H since [x]->[y] = [1] iff x->y lies in
+    # H, and a normal H holds x->y iff it holds x~>y
+    ("order-agreement", None, _decided),
     ("vto-subset-into", None, _vto_subset_into),
     ("interior-absorption", None, _interior_absorption),
     ("interior-commutation", None, _interior_commutation),
@@ -496,14 +474,19 @@ FAMILIES = (
     ("vds-family", None, _each("vto", _vds_family)),
     ("quotients", None, _each("dsn", _quotient)),
     ("quotient-vto", None, lambda facts: _lifts(facts, partial(_quotient_lifts, facts.dsn))),
-    ("congruence-compatibility", None, _each("vto", _congruence_compatible)),
+    # quotient-vto lifts each v over the same systems, and the lift raises
+    # unless x ~ y gives v(x) ~ v(y) (see lift_vto_to_quotient)
+    ("congruence-compatibility", None, _decided),
     ("regular-lift", _glivenko, lambda facts: _lifts(facts, lift_to_reg)),
     ("dense-quotient-lift", _glivenko, lambda facts: _lifts(facts, lift_to_den_quotient)),
     ("dense-normal-ds", _glivenko, _dense_normal_ds),
     ("homs-preserve", _with_homs, _each("homs", _hom_preserves)),
     ("homs-monotone", _with_homs, _each("homs", _hom_monotone)),
     ("vthom-transport", _with_homs, _each("vto", _vthom_transport)),
-    ("class-inclusions", None, _class_inclusions),
+    # MV => BL, as the join identity gives prelinearity and divisibility;
+    # _classify builds the rest of the tower: bl is mtl and divisible, mtl
+    # and divisible are False off FLw, and flw is bounded, lattice and pp
+    ("class-inclusions", None, lambda facts: (not facts.report.mv or facts.report.bl, "")),
     ("pp-arithmetic", _pp, _each("vto", _pp_arithmetic)),
     ("vt4-equivalence", _pp, lambda facts: (vt4_equivalence_check(facts.A, facts.into), "")),
     ("flw-arithmetic", _on_flw, lambda facts: _verdict(flw_arithmetic_suite(facts.A))),

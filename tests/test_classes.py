@@ -225,26 +225,21 @@ def test_a_map_planted_as_very_true_fails_pp_transfer(four_elt):
 @pytest.mark.parametrize(
     "kernel, clause", [("_vt4_dprime", "pp-submult"), ("_vt4_prime", "vt4-prime")]
 )
-def test_a_planted_formulation_witness_is_returned_and_named_by_pp_arithmetic(
+def test_a_planted_formulation_witness_is_reported_by_vt4_equivalence(
     four_elt, monkeypatch, kernel, clause
 ):
-    # on a certified operator VT4' and VT4'' agree with VT4, and no map
-    # planted as very true on four_elt fails them before pp-transfer, so
-    # the formulation's kernel is planted to disagree on the last operator
+    # on a certified operator VT4' and VT4'' agree with VT4, so the
+    # formulation's kernel is planted to disagree on the last operator;
+    # vt4-equivalence asks both of every very true operator, and
+    # pp-arithmetic, which checks pp-transfer alone, still passes
     A = four_elt
     vto = enumerate_vto(A)
     planted, last, real = Witness(clause, ("a", "b")), vto[-1].image, getattr(classes, kernel)
     monkeypatch.setattr(classes, kernel, lambda *args: planted if args[-1] == last else real(*args))
-    assert [vt_pp_suite(v) for v in vto] == [None] * (len(vto) - 1) + [planted]
-    got = {r.name: (r.ok, r.detail) for r in run_suite(A)}["pp-arithmetic"]
-    assert got == (False, str(vto[-1].names()))
-
-
-def test_pp_submult_is_reported_before_vt4_prime(four_elt, monkeypatch):
-    v = enumerate_vto(four_elt)[-1]
-    for kernel, clause in (("_vt4_prime", "vt4-prime"), ("_vt4_dprime", "pp-submult")):
-        monkeypatch.setattr(classes, kernel, lambda *args, w=Witness(clause, ()): w)
-    assert vt_pp_suite(v) == Witness("pp-submult", ())
+    assert [vt_pp_suite(v) for v in vto] == [None] * len(vto)
+    got = {r.name: (r.ok, r.detail) for r in run_suite(A)}
+    assert got["vt4-equivalence"] == (False, "")
+    assert got["pp-arithmetic"] == (True, "")
 
 
 def test_flw_arithmetic():

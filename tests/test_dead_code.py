@@ -3,8 +3,9 @@ and every dataclass field is read.
 
 A stdlib ``ast`` check, like ``test_imports.py``.  A definition counts as
 used when its name is read somewhere outside its own body: as a name or an
-attribute anywhere in ``src/`` or ``perfbench/``, or as a word of README.md,
-which documents the library.  A definition that only tests read is
+attribute anywhere in ``src/`` or ``perfbench/``, or as a word of a code
+span of README.md, which documents the library; a word of its prose
+("its kernel") names no definition.  A definition that only tests read is
 reported: it is kept for its tests alone.  The dunder methods that the
 language or ``psbck._records`` calls implicitly (``IMPLICIT``) are not
 checked; any other dunder is checked like a plain name.  A field of a ``@dataclass`` counts as read
@@ -57,7 +58,7 @@ def unreferenced(defined: dict[str, str], others: dict[str, str], text: str = ""
     for path, tree in trees.items():
         for name, line in _references(tree):
             reads[name].append((path, line))
-    words = set(re.findall(r"\w+", text))
+    words = {w for span in re.findall(r"`+([^`]+)`+", text) for w in re.findall(r"\w+", span)}
     dead = []
     for path in defined:
         for name, node in _definitions(trees[path]):
@@ -109,9 +110,11 @@ def test_unreferenced_definitions_are_reported():
     bench = "from mod import Box, label\nassert Box() is not None and label('')\n"
     # a test is no reader, so ``tested``, read only there, is reported
     test = "from mod import tested\nassert tested() == 2\n"
-    found = unreferenced({"mod.py": source}, {"bench.py": bench}, "see `documented`")
+    text = "see `documented`; the stale entry is kept in prose only"
+    found = unreferenced({"mod.py": source}, {"bench.py": bench}, text)
     # ``join`` is read only as a method of string literals, so it is
-    # reported; ``__le__`` is a dunder that nothing calls implicitly
+    # reported; ``__le__`` is a dunder that nothing calls implicitly; a
+    # prose word is no reader, so ``stale`` is reported
     assert found == ["mod.__le__", "mod.join", "mod.recursive", "mod.stale", "mod.tested"]
     assert "mod.tested" not in unreferenced({"mod.py": source}, {"test_mod.py": test})
 

@@ -176,7 +176,7 @@ def test_each_deductive_system_question_is_closed_once_per_algebra(one_pass):
 def test_transport_asks_the_deductive_system_checker_by_bitset(one_pass):
     asks = one_pass.transport_asks
     assert set(asks) == {int}
-    assert asks[int] == 23099
+    assert asks[int] == 18889
 
 
 def test_interior_absorption_forms_no_composite(one_pass):
