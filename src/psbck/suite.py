@@ -20,9 +20,9 @@ each family by swapping in a table of wrapped checks.  The checks name
 the library functions they call at call time too, so a function rebound
 on this module (a tracer's span, a test's planted fault) is the one run.
 
-Each fact is decided once.  A row whose fact certification or an earlier
-row decides keeps its name, which is part of every output, and passes
-(``_decided``), with the reason beside it in the table.
+Each fact is decided once.  A row whose fact is decided by certification
+or by an earlier row keeps its name, which is part of every output, and
+passes (``_decided``); the reason stands beside it in the table.
 
 The operator-pair families form each composite f o g as an image vector and
 test it with the law code of ``is_interior`` and ``is_vto``
