@@ -188,12 +188,13 @@ class FiniteAlgebra:
             raise MalformedInput(
                 f"subset not closed under implications at ({','.join(map(self.name, bad))})"
             )
+        pos = {x: i for i, x in enumerate(keep)}  # as restrict numbers them
         return FiniteAlgebra(
             element_names=tuple(self.name(x) for x in keep),
-            one=keep.index(self.one),
-            arrow=tuple(restrict(self.arrow[x], keep) for x in keep),
-            squig=tuple(restrict(self.squig[x], keep) for x in keep),
-            zero=keep.index(self.zero) if self.zero in keep else None,
+            one=pos[self.one],
+            arrow=tuple(tuple([pos[self.arrow[x][y]] for y in keep]) for x in keep),
+            squig=tuple(tuple([pos[self.squig[x][y]] for y in keep]) for x in keep),
+            zero=pos.get(self.zero),
         )
 
 

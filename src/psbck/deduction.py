@@ -169,10 +169,12 @@ def _is_normal(A: FiniteAlgebra, mask: int) -> bool:
     ``mask``."""
     kept = A.memo.setdefault("is-normal", {})
     if mask not in kept:
-        kept[mask] = all(
-            mask >> A.arrow[x][y] & 1 == mask >> A.squig[x][y] & 1
-            for x, y in product(A.elements, repeat=2)
-        )
+        kept[mask] = True
+        bit = [mask >> z & 1 for z in A.elements]
+        for ar, sq in zip(A.arrow, A.squig):  # row x of -> and of ~>, hoisted
+            if [bit[a] for a in ar] != [bit[s] for s in sq]:
+                kept[mask] = False
+                break
     return kept[mask]
 
 

@@ -65,12 +65,6 @@ class Homomorphism:
     # (factor); nothing in it refers back to the map
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def is_surjective(self) -> bool:
-        return len(set(self.map)) == self.target.n
-
-    def is_injective(self) -> bool:
-        return len(set(self.map)) == self.source.n
-
     def kernel(self) -> frozenset[int]:
         """{x | f(x) = 1}, derived once and kept in ``memo``."""
         memo = self.memo
@@ -292,36 +286,39 @@ def factor(f: VtHomomorphism, H: DeductiveSystem) -> FactorResult:
     ``unique`` is that kept pass, read back when the result is built, and
     holds whenever ``factor`` returns.  It is kept as executable
     documentation of the statement.
-
-    What depends on ``f.base`` and H alone is derived once and kept in
-    ``f.base.memo`` under ``H.members``: the induced ``Homomorphism``
-    A/H -> B, and the ``image_preserved`` and
-    ``kernel_is_quotient_of_kernel`` verdicts.  Each call lifts ``f.v``
-    and certifies the factored ``VtHomomorphism``, which tests
-    intertwining with the lifted operator.  The kept map's source is the
-    quotient of the first call; a later call's ``quotient.algebra`` is
-    that algebra when both lifts were taken over one H object
-    (``congruence_from`` keeps it in ``H.memo``), and an equal algebra
-    built apart otherwise.
     """
-    B = f.target
-    ker = f.base.kernel()
-    if not H.members <= ker:
+    if not H.members <= f.base.kernel():
         raise KernelContainmentViolated("H must be contained in the kernel")
-    quot, vhat = lift_vto_to_quotient(f.v, H)
-    memo = f.base.memo
+    return _factor(f.base, f.v, f.u, H)
+
+
+def _factor(base: Homomorphism, v: UnaryMap, u: UnaryMap, H: DeductiveSystem) -> FactorResult:
+    """``factor`` on the homomorphism ``base`` from (A, v) to (B, u), taken
+    as intertwining v and u, with H inside its kernel.
+
+    What depends on ``base`` and H alone is derived once and kept in
+    ``base.memo`` under ``H.members``: the induced ``Homomorphism``
+    A/H -> B, and the ``image_preserved`` and
+    ``kernel_is_quotient_of_kernel`` verdicts.  Each call lifts v and
+    certifies the factored ``VtHomomorphism``, which tests intertwining
+    with the lifted operator.  The kept map's source is the quotient of the
+    first call; a later call's ``quotient.algebra`` is that algebra when
+    both lifts were taken over one H object (``congruence_from`` keeps it
+    in ``H.memo``), and an equal algebra built apart otherwise.
+    """
+    quot, vhat = lift_vto_to_quotient(v, H)
+    memo = base.memo
     key = ("factor", H.members)
     if key not in memo:
-        q = quot.algebra
-        base = Homomorphism(q, B, quot.induce(f.base.map))
+        induced = Homomorphism(quot.algebra, base.target, quot.induce(base.map))
         memo[key] = (
-            base,
-            base.image() == f.base.image(),
-            base.kernel() == frozenset(quot.class_of[x] for x in ker),
+            induced,
+            induced.image() == base.image(),
+            induced.kernel() == frozenset(quot.class_of[x] for x in base.kernel()),
         )
-    base, image_preserved, kernel_ok = memo[key]
-    lifted = VtHomomorphism(base, vhat, f.u)
-    return FactorResult(quot, vhat, lifted, is_hom(base) is None, image_preserved, kernel_ok)
+    induced, image_preserved, kernel_ok = memo[key]
+    lifted = VtHomomorphism(induced, vhat, u)
+    return FactorResult(quot, vhat, lifted, is_hom(induced) is None, image_preserved, kernel_ok)
 
 
 def first_isomorphism(f: VtHomomorphism) -> FactorResult:
@@ -337,7 +334,10 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
     and x->y and x~>y lie in Ker f exactly when f(x) <= f(y)); and the
     image is u-stable, since u(f(x)) = f(v(x)), so u restricted to it is
     very true, as VT1-VT4 are universal sentences.  The restriction's pass
-    is kept in its memo, as ``is_vto`` would keep it.
+    is kept in its memo, as ``is_vto`` would keep it.  The corestriction
+    takes f's values, so it intertwines v and the restriction as f
+    intertwines v and u; it is not certified as a ``VtHomomorphism`` again,
+    while the factored map is.
     """
     memo, image = f.base.memo, f.base.image()
     if "first-iso" not in memo:
@@ -349,7 +349,7 @@ def first_isomorphism(f: VtHomomorphism) -> FactorResult:
     base, H = memo["first-iso"]
     u_restr = UnaryMap(base.target, restrict(f.u.image, image))
     u_restr.memo["vto"] = True
-    return factor(VtHomomorphism(base, f.v, u_restr), H)
+    return _factor(base, f.v, u_restr, H)
 
 
 def is_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> Homomorphism | None:

@@ -71,10 +71,6 @@ def _same_parent(f: UnaryMap, g: UnaryMap):
     _require_on(f.parent, g, "maps live on different algebras")
 
 
-def identity_map(algebra: FiniteAlgebra) -> UnaryMap:
-    return UnaryMap(algebra, tuple(algebra.elements))
-
-
 def globalization(algebra: FiniteAlgebra) -> UnaryMap:
     """The crisp hedge: 1 to 1, everything else to 0."""
     if algebra.zero is None:
@@ -361,29 +357,39 @@ def _certify_lift(checks, lifted: UnaryMap):
             raise WellDefinednessFailure(f"lifted map fails {w}")
 
 
-def lift_to_reg(f: UnaryMap):
-    """Transport the interior operator f to the regular-element subalgebra
-    via double negation.
+def _lift_all(A: FiniteAlgebra, ops, lift) -> list[UnaryMap]:
+    """``lift(f)`` for each operator f of ``ops``, which must live on A,
+    certified to pass every check of ``_lift_checks`` that f passes."""
+    lifted = []
+    for f in ops:
+        _require_on(A, f, "operators to lift live on different algebras")
+        checks = _lift_checks(f)
+        lifted.append(lift(f))
+        _certify_lift(checks, lifted[-1])
+    return lifted
 
-    Returns (subalgebra, lifted map); the lifted map passes every check of
-    ``_lift_checks`` that f passes.
+
+def lift_to_reg(ops: list[UnaryMap]):
+    """Transport each interior operator of ``ops``, a non-empty list on one
+    algebra, to the regular-element subalgebra via double negation.
+
+    Returns (subalgebra, lifted maps in the order of ``ops``), each lifted
+    map checked by ``_lift_all``; the subalgebra is built once per call.
     """
-    A = f.parent
+    A = ops[0].parent
     _require_glivenko(A)
-    checks = _lift_checks(f)
     reg = A.regular_elements()
     sub = A.subalgebra(reg)
     dn = A.double_negations()[0]
-    lifted = UnaryMap(sub, restrict([dn[y] for y in f.image], reg))
-    _certify_lift(checks, lifted)
-    return sub, lifted
+    return sub, _lift_all(A, ops, lambda f: UnaryMap(sub, restrict([dn[y] for y in f.image], reg)))
 
 
-def lift_to_den_quotient(f: UnaryMap):
-    """Transport the interior operator f to the quotient by the dense
-    elements.
+def lift_to_den_quotient(ops: list[UnaryMap]):
+    """Transport each interior operator of ``ops``, as in ``lift_to_reg``,
+    to the quotient by the dense elements.
 
-    Returns (quotient, lifted map), checked as in ``lift_to_reg``.  The lift sends the class of x to the
+    Returns (quotient, lifted maps), checked as in ``lift_to_reg``; the
+    quotient is built once per call.  The lift sends the class of x to the
     class of f applied to the double negation of x; applying f directly to
     a representative is not class-independent (globalization on any algebra
     with a dense element below 1 already breaks it), whereas the double
@@ -400,13 +406,10 @@ def lift_to_den_quotient(f: UnaryMap):
     """
     from .deduction import DeductiveSystem, congruence_from
 
-    A = f.parent
+    A = ops[0].parent
     _require_glivenko(A)
-    checks = _lift_checks(f)
     quot = congruence_from(A, DeductiveSystem(A, A.dense_elements(), True))
-    q = quot.algebra
-    dn = A.double_negations()[0]
-    values = [quot.class_of[f.image[dn[x]]] for x in A.elements]
-    lifted = UnaryMap(q, quot.induce(values))
-    _certify_lift(checks, lifted)
-    return quot, lifted
+    dn, cls = A.double_negations()[0], quot.class_of
+    return quot, _lift_all(
+        A, ops, lambda f: UnaryMap(quot.algebra, quot.induce([cls[f.image[y]] for y in dn]))
+    )

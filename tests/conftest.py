@@ -90,6 +90,11 @@ def golden_up_sets():
                 yield G.subalgebra(G.up_set(a))
 
 
+def identity_map(A):
+    """The identity operator on A; the library builds none."""
+    return operators.UnaryMap(A, tuple(A.elements))
+
+
 def names(A, maps):
     """Image vectors as name tuples, for table-for-table comparisons."""
     return [f.names() for f in maps]

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from conftest import identity_map
 from psbck import goldens
 from psbck.algebra import (
     FiniteAlgebra,
@@ -33,7 +34,6 @@ from psbck.operators import (
     certify_vto,
     enumerate_interior,
     enumerate_vto,
-    identity_map,
 )
 
 

@@ -32,11 +32,12 @@ from types import FunctionType, ModuleType
 
 import pytest
 
+from conftest import identity_map
 from psbck.algebra import validate
 from psbck.deduction import DeductiveSystem, QuotientAlgebra, enumerate_ds
 from psbck.generate import _seed_pool
 from psbck.morphisms import Homomorphism
-from psbck.operators import UnaryMap, identity_map
+from psbck.operators import UnaryMap
 from psbck.suite import FAMILIES, Facts, run_suite
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "psbck"
@@ -197,7 +198,7 @@ WRITERS = {
     "kernel": ["morphisms.Homomorphism.kernel"],
     "hom": ["morphisms.first_isomorphism", "morphisms.is_hom"],
     "image-closed": ["morphisms.transport"],
-    "factor": ["morphisms.factor"],
+    "factor": ["morphisms._factor"],
     "first-iso": ["morphisms.first_isomorphism"],
     "vto": ["morphisms.first_isomorphism", "operators.is_vto"],
 }

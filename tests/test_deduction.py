@@ -4,12 +4,14 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import identity_map
 from psbck import goldens
 from psbck._records import fields
 from psbck.algebra import diagnose, validate
 from psbck.deduction import (
     DeductiveSystem,
     QuotientAlgebra,
+    _is_normal,
     _mask,
     congruence_from,
     enumerate_congruences,
@@ -28,7 +30,7 @@ from psbck.errors import (
     WellDefinednessFailure,
 )
 from psbck.generate import goedel_chain
-from psbck.operators import UnaryMap, globalization, identity_map, is_vto
+from psbck.operators import UnaryMap, globalization, is_vto
 from psbck.operators import enumerate_vto
 
 
@@ -67,6 +69,19 @@ def test_normality_flags(four_elt, six_sm):
         ("a", "b", "c", "d", "1"): True,
         ("0", "a", "b", "c", "d", "1"): True,
     }
+
+
+def test_normality_matches_the_pairwise_scan(small_pool, six_elt, six_sm):
+    # _is_normal scans hoisted rows; the reference asks every pair (x, y)
+    # whether x->y and x~>y are both in the set or both out, on every subset
+    for B in small_pool + [six_elt, six_sm]:
+        A = validate(B.element_names, B.one, B.arrow, B.squig, zero=B.zero)
+        for mask in range(1 << A.n):
+            want = all(
+                mask >> A.arrow[x][y] & 1 == mask >> A.squig[x][y] & 1
+                for x, y in product(A.elements, repeat=2)
+            )
+            assert _is_normal(A, mask) == want, (A.element_names, mask)
 
 
 def test_ds_ordering_is_by_cardinality_then_bitset(six_sm):

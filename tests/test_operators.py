@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import golden_up_sets, values_tried
+from conftest import golden_up_sets, identity_map, values_tried
 from psbck import classes, deduction, goldens, morphisms, operators, suite
 from psbck._records import fields
 from psbck.algebra import validate
@@ -20,6 +20,7 @@ from psbck.errors import (
     GlivenkoRequired,
     MalformedInput,
     NotVto,
+    ParentMismatch,
     WellDefinednessFailure,
 )
 from psbck.generate import (
@@ -48,7 +49,6 @@ from psbck.operators import (
     enumerate_vto,
     fix_points,
     globalization,
-    identity_map,
     image_set,
     is_closure,
     is_interior,
@@ -190,27 +190,55 @@ def test_hedges_are_closures_and_satisfy_axioms(six_elt):
         assert all(A.leq(x, s.image[x]) for s in (s1, s2) for x in ident.image)
 
 
+def test_the_identity_pair_satisfies_the_hedge_axioms_by_theorem(pool):
+    # the hedges family does not ask: ST1 and ST2 hold for (Id, Id) by
+    # construction, and its ST3, v(x->y) <= x->y, is VT2
+    for A in pool:
+        if A.bounded:
+            ident = identity_map(A)
+            assert all(is_vtst(v, ident, ident) is None for v in enumerate_vto(A))
+
+
 def test_lift_to_reg_involutive_is_original(six_elt):
-    # every element is regular, so the lift is the operator itself
-    for v in enumerate_vto(six_elt):
-        sub, lifted = lift_to_reg(v)
-        assert sub == six_elt
-        assert lifted.image == v.image
+    # every element is regular, so each lift is the operator itself
+    vto = enumerate_vto(six_elt)
+    sub, lifted = lift_to_reg(vto)
+    assert sub == six_elt
+    assert [f.image for f in lifted] == [v.image for v in vto]
 
 
 def test_lift_to_reg_smarandache(six_sm):
-    for v in enumerate_vto(six_sm):
-        sub, lifted = lift_to_reg(v)
-        assert sub.element_names == ("0", "1")
-        assert is_vto(lifted) is None
+    sub, lifted = lift_to_reg(enumerate_vto(six_sm))
+    assert sub.element_names == ("0", "1")
+    assert lifted and all(is_vto(f) is None for f in lifted)
 
 
 def test_lift_to_den_quotient_smarandache(six_sm):
     # the quotient collapses the five dense elements onto the class of 1
-    for v in enumerate_vto(six_sm):
-        quot, lifted = lift_to_den_quotient(v)
-        assert quot.algebra.n == 2
-        assert is_vto(lifted) is None
+    quot, lifted = lift_to_den_quotient(enumerate_vto(six_sm))
+    assert quot.algebra.n == 2
+    assert lifted and all(is_vto(f) is None for f in lifted)
+
+
+def test_lifting_a_list_lifts_each_operator_as_alone(pool):
+    # one call builds the target once and lifts every operator onto it,
+    # each as a call with that operator alone would
+    glivenko = [A for A in pool if A.zero is not None and A.is_glivenko()]
+    assert glivenko
+    for A in glivenko:
+        into = enumerate_interior(A)
+        for lift in (lift_to_reg, lift_to_den_quotient):
+            target, lifted = lift(into)
+            assert len(lifted) == len(into)
+            for f, g in zip(into, lifted):
+                alone, (h,) = lift([f])
+                assert alone == target and h == g
+
+
+def test_lifts_refuse_operators_on_different_algebras(six_elt, six_sm):
+    for lift in (lift_to_reg, lift_to_den_quotient):
+        with pytest.raises(ParentMismatch):
+            lift([identity_map(six_sm), identity_map(six_elt)])
 
 
 def test_lift_to_den_quotient_direct_image_would_disagree(six_sm):
@@ -222,7 +250,7 @@ def test_lift_to_den_quotient_direct_image_would_disagree(six_sm):
     a = A.index("a")
     assert A.double_negations()[0][a] == A.one  # a^{-~} = (a -> 0) ~> 0
     assert v.image[a] == A.zero and v.image[A.one] == A.one
-    quot, lifted = lift_to_den_quotient(v)
+    quot, (lifted,) = lift_to_den_quotient([v])
     assert lifted.image == identity_map(quot.algebra).image
 
 
@@ -235,30 +263,28 @@ def test_den_is_a_normal_deductive_system_on_every_glivenko_algebra(pool):
     for A in glivenko:
         den = DeductiveSystem.from_members(A, A.dense_elements())
         assert den.normal, A.element_names
-        assert lift_to_den_quotient(identity_map(A))[0].by == den
+        assert lift_to_den_quotient([identity_map(A)])[0].by == den
 
 
 def test_lift_requires_glivenko(four_elt):
     with pytest.raises(GlivenkoRequired):
-        lift_to_reg(identity_map(four_elt))
+        lift_to_reg([identity_map(four_elt)])
 
 
 def test_interior_lifts(six_sm):
     # an interior map that is not very true is lifted as an interior one
     into = enumerate_interior(six_sm)
     assert any(is_vto(f) is not None for f in into)
-    for f in into:
-        sub, lifted = lift_to_reg(f)
-        assert is_interior(lifted) is None
-        quot, liftq = lift_to_den_quotient(f)
-        assert is_interior(liftq) is None
+    for lift in (lift_to_reg, lift_to_den_quotient):
+        _, lifted = lift(into)
+        assert all(is_interior(f) is None for f in lifted)
 
 
 def test_lifts_refuse_a_map_that_is_not_interior(six_sm):
     top = UnaryMap(six_sm, (six_sm.one,) * six_sm.n)
     for lift in (lift_to_reg, lift_to_den_quotient):
         with pytest.raises(NotVto):
-            lift(top)
+            lift([identity_map(six_sm), top])
 
 
 def test_lifts_raise_unless_the_lifted_operator_is_very_true(six_sm, monkeypatch):
@@ -281,7 +307,7 @@ def test_lifts_raise_unless_the_lifted_operator_is_very_true(six_sm, monkeypatch
     v = identity_map(A)
     for lift in (lift_to_reg, lift_to_den_quotient):
         with pytest.raises(WellDefinednessFailure):
-            lift(v)
+            lift([v])
     for H in enumerate_ds_nv(v):
         with pytest.raises(WellDefinednessFailure):
             lift_vto_to_quotient(v, H)
@@ -617,7 +643,8 @@ def _reference_transport(g, is_ds):
     def preimage(members):
         return frozenset(x for x in A.elements if m[x] in members)
 
-    ker, img, surjective = g.base.kernel(), g.base.image(), g.base.is_surjective()
+    ker, img = g.base.kernel(), g.base.image()
+    surjective = len(img) == B.n
     facts = [
         # a very true subalgebra: contains 1, closed under both
         # implications and stable under the operator

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from psbck import classes, deduction, morphisms, operators, suite
-from psbck.algebra import validate
+from psbck.algebra import FiniteAlgebra, validate
 from psbck.generate import _seed_pool, random_batch
 
 
@@ -156,9 +156,10 @@ def test_each_algebra_searches_its_deductive_systems_once(one_pass):
 def test_each_system_object_builds_its_quotient_once(one_pass):
     builds = one_pass.builds
     assert set(builds.values()) == {1}
-    # 390 systems of the pool algebras (the quotients family), and 727
-    # dense systems, one built afresh per lift_to_den_quotient call
-    assert sum(builds.values()) == 390 + 727
+    # 390 systems of the pool algebras (the quotients family), and 114
+    # dense systems, one per Glivenko algebra: dense-quotient-lift lifts
+    # all its operators in one lift_to_den_quotient call
+    assert sum(builds.values()) == 390 + 114
 
 
 @pytest.mark.parametrize("law, distinct", [("interior", 3939), ("vto", 1054)])
@@ -197,3 +198,64 @@ def test_each_operator_object_runs_the_vto_kernel_until_it_passes(one_pass):
     # u restricted to the image in first_isomorphism (3,403 per pass) is
     # very true by theorem and runs no kernel
     assert sum(kernels.values()) + composites == 7293
+
+
+def test_each_suite_call_builds_each_lift_target_once(monkeypatch):
+    """``regular-lift`` builds Reg(A)'s subalgebra and
+    ``dense-quotient-lift`` Den(A)'s quotient once per ``run_suite`` call,
+    and lifts every very true operator onto it."""
+    targets, lifting, sizes = Counter(), [], []
+    real_subalgebra, real_congruence_from = FiniteAlgebra.subalgebra, deduction.congruence_from
+
+    def lift_spy(kind, real):
+        def lift(ops):
+            lifting.append(kind)
+            try:
+                target, lifted = real(ops)
+            finally:
+                lifting.pop()
+            assert len(lifted) == len(ops)
+            sizes.append(len(ops))
+            return target, lifted
+        return lift
+
+    def built(kind, real):
+        def build(*args):
+            if lifting and lifting[-1] == kind:
+                targets[kind] += 1
+            return real(*args)
+        return build
+
+    monkeypatch.setattr(suite, "lift_to_reg", lift_spy("reg", suite.lift_to_reg))
+    monkeypatch.setattr(suite, "lift_to_den_quotient", lift_spy("den", suite.lift_to_den_quotient))
+    monkeypatch.setattr(FiniteAlgebra, "subalgebra", built("reg", real_subalgebra))
+    monkeypatch.setattr(deduction, "congruence_from", built("den", real_congruence_from))
+    for A in _seed_pool():
+        targets.clear()
+        names = {r.name for r in suite.run_suite(A)}
+        glivenko = "regular-lift" in names
+        assert targets == ({"reg": 1, "den": 1} if glivenko else {}), A.element_names
+    assert max(sizes) > 1  # some call lifts several operators onto one target
+
+
+def test_the_factor_loop_leaves_ker_f_to_first_isomorphism(monkeypatch):
+    """``vthom-transport`` factors each very true endomorphism g through
+    every stable normal H strictly inside Ker g; at H = Ker g,
+    ``first_isomorphism`` has decided the same lift and factored map."""
+    factored, first = [], []
+    real_factor, real_first_isomorphism = suite.factor, suite.first_isomorphism
+
+    def factor(g, H):
+        factored.append((g.base.kernel(), H.members))
+        return real_factor(g, H)
+
+    def first_isomorphism(g):
+        first.append(g.base.kernel())
+        return real_first_isomorphism(g)
+
+    monkeypatch.setattr(suite, "factor", factor)
+    monkeypatch.setattr(suite, "first_isomorphism", first_isomorphism)
+    for A in _seed_pool():
+        suite.run_suite(A)
+    assert factored and first
+    assert all(H < ker for ker, H in factored)

@@ -89,7 +89,12 @@ def test_every_closed_subset_is_a_certified_subalgebra(pool):
     for A in _theorem_pool(pool):
         assert _diagnose(A) == [], A.element_names
         for q in _closed_subsets(A):
-            assert _diagnose(A.subalgebra(q)) == [], (A.element_names, sorted(q))
+            sub = A.subalgebra(q)
+            assert _diagnose(sub) == [], (A.element_names, sorted(q))
+            # the tables restrict the parent's rows, numbered as restrict numbers them
+            keep = sorted(q)
+            assert sub.arrow == tuple(restrict(A.arrow[x], q) for x in keep)
+            assert sub.squig == tuple(restrict(A.squig[x], q) for x in keep)
 
 
 def test_very_true_operators_restrict_to_stable_subalgebras(pool):
